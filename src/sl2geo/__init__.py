@@ -24,10 +24,9 @@ from .su2 import (c_of_omega, landing_match_error, reachable_boundary,
                   su2_landing_point, su2_landing_time, su2_planar_geodesic)
 from .synthesis import (check_fan_monotone, classify_cut_locus,
                         distance_to_class, solve, verify_solution)
-from .types import (CutLocusClass, DistanceResult, Factorization,
-                    GeodesicParam, PathSample, PlanarJet, QuotientPoint,
-                    RecoveredRotation, StructureKind, SynthesisSolution,
-                    TangentVec2)
+from .types import (CutLocusClass, DistanceResult, Factorization, PathSample,
+                    PlanarJet, QuotientPoint, RecoveredRotation, StructureKind,
+                    SynthesisSolution, TangentVec2)
 
 __version__ = "0.1.0"
 
@@ -44,7 +43,7 @@ __all__ = [
     "realize", "recover_rotation", "rotation", "s_int", "sample_path",
     "solve", "su2_landing_point", "su2_landing_time", "su2_planar_geodesic",
     "to_coords", "verify_solution", "x_int",
-    "CutLocusClass", "DistanceResult", "Factorization", "GeodesicParam",
-    "PathSample", "PlanarJet", "QuotientPoint", "RecoveredRotation",
-    "StructureKind", "SynthesisSolution", "TangentVec2",
+    "CutLocusClass", "DistanceResult", "Factorization", "PathSample",
+    "PlanarJet", "QuotientPoint", "RecoveredRotation", "StructureKind",
+    "SynthesisSolution", "TangentVec2",
 ]

@@ -19,6 +19,7 @@ from .errors import NoRootError
 from .tolerances import ROOT_TOL, SERIES_CUTOFF
 
 _MAX_BISECT = 200
+_NEWTON_STEPS = 2
 
 
 def coshc(z: float) -> float:
@@ -74,14 +75,13 @@ def inverse_sinhc_scaled(q: float, radial: float) -> float:
     return radial * math.asin(u) / u
 
 
-def bisect_newton(f, a: float, b: float, df=None, *, tol: float = ROOT_TOL,
-                  newton_steps: int = 2) -> float:
+def bisect_newton(f, a: float, b: float, df=None) -> float:
     """Root of f on [a, b] by bracketed bisection plus Newton polishing.
 
     f(a) and f(b) must have opposite signs (endpoints equal to zero are
     accepted as roots).  Bisection runs until the bracket is narrower than
-    `tol`; the optional derivative enables a fixed number of Newton steps to
-    polish the midpoint.
+    ROOT_TOL; the optional derivative enables a fixed number of Newton steps
+    to polish the midpoint.
     """
     fa = f(a)
     if fa == 0.0:
@@ -94,7 +94,7 @@ def bisect_newton(f, a: float, b: float, df=None, *, tol: float = ROOT_TOL,
     lo, hi = a, b
     sign_lo = fa > 0.0
     for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
+        if hi - lo <= ROOT_TOL:
             break
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -107,7 +107,7 @@ def bisect_newton(f, a: float, b: float, df=None, *, tol: float = ROOT_TOL,
             hi = mid
     root = 0.5 * (lo + hi)
     if df is not None:
-        for _ in range(newton_steps):
+        for _ in range(_NEWTON_STEPS):
             d = df(root)
             if d == 0.0:
                 break
@@ -116,7 +116,7 @@ def bisect_newton(f, a: float, b: float, df=None, *, tol: float = ROOT_TOL,
             if not math.isfinite(candidate):
                 break
             # Stay near the certified bracket.
-            if candidate < a - tol or candidate > b + tol:
+            if candidate < a - ROOT_TOL or candidate > b + ROOT_TOL:
                 break
             root = candidate
     return root

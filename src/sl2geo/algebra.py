@@ -38,6 +38,11 @@ def basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _A0.copy(), _A1.copy(), _A2.copy()
 
 
+def adjugate(x: np.ndarray) -> np.ndarray:
+    """Adjugate [[d, -b], [-c, a]]: the inverse of an SL(2) element."""
+    return np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]])
+
+
 def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Commutator AB - BA."""
     return a @ b - b @ a

@@ -19,10 +19,10 @@ import math
 
 import numpy as np
 
-from .algebra import adjoint_matrix, basis, from_coords, rotation, to_coords
+from .algebra import adjoint_matrix, adjugate, basis, rotation, to_coords
 from .errors import (DependentFrameError, NotInGroupError,
                      NotUnitDeterminantError, SingularMatrixError)
-from .tolerances import ALG_TOL, DET_TOL
+from .tolerances import ALG_TOL, DET_TOL, LORENTZ_TOL
 from .types import Factorization, StructureKind
 
 I12 = np.diag([-1.0, 1.0, 1.0])
@@ -60,21 +60,21 @@ def is_so12(m: np.ndarray, tol: float = ALG_TOL) -> bool:
     return abs(np.linalg.det(m) - 1.0) <= tol
 
 
-def aut_matrix_from_group(k: np.ndarray, tol: float = DET_TOL) -> np.ndarray:
+def aut_matrix_from_group(k: np.ndarray) -> np.ndarray:
     """Matrix of the automorphism A -> K A K^{-1} in the A-basis.
 
     Requires det(K) = +-1; the image always preserves the Lorentz form with
     determinant +1, and K -> matrix is a homomorphism.
     """
     det = float(k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0])
-    if abs(abs(det) - 1.0) > tol:
+    if abs(abs(det) - 1.0) > DET_TOL:
         raise NotUnitDeterminantError(f"det(K) = {det!r} is not +-1")
-    k_inv = np.array([[k[1, 1], -k[0, 1]], [-k[1, 0], k[0, 0]]]) / det
+    k_inv = adjugate(k) / det
     cols = [to_coords(k @ a @ k_inv) for a in basis()]
     return np.column_stack(cols)
 
 
-def is_lie_automorphism(m: np.ndarray, tol: float = ALG_TOL) -> bool:
+def is_lie_automorphism(m: np.ndarray) -> bool:
     """True iff m intertwines the adjoint action: m ad_A = ad_{m A} m.
 
     Checked on the basis; by the structure of sl(2) this is equivalent to
@@ -85,7 +85,7 @@ def is_lie_automorphism(m: np.ndarray, tol: float = ALG_TOL) -> bool:
         raise SingularMatrixError("automorphism candidate must be invertible")
     for j, ad_j in enumerate(_ADJ_BASIS):
         image_ad = sum(m[i, j] * _ADJ_BASIS[i] for i in range(3))
-        if np.max(np.abs(m @ ad_j - image_ad @ m)) > tol:
+        if np.max(np.abs(m @ ad_j - image_ad @ m)) > ALG_TOL:
             return False
     return True
 
@@ -98,7 +98,7 @@ def _wrap_angle(a: float) -> float:
     return w - math.pi
 
 
-def factorize(m: np.ndarray, tol: float = 1e-9) -> Factorization:
+def factorize(m: np.ndarray) -> Factorization:
     """Decompose a determinant-one Lorentz matrix as O(t1) I^b H(z) O(t2).
 
     Constructive: one rotation clears the (2,1) entry, a second clears
@@ -107,7 +107,7 @@ def factorize(m: np.ndarray, tol: float = 1e-9) -> Factorization:
     Angles are reduced to (-pi, pi].
     """
     m = np.asarray(m, dtype=float)
-    if not is_so12(m, tol=tol):
+    if not is_so12(m, tol=LORENTZ_TOL):
         raise NotInGroupError("matrix is not in the determinant-one Lorentz group")
     th1_hat = math.atan2(-m[1, 0], m[2, 0]) if (m[1, 0] or m[2, 0]) else 0.0
     b = lorentz_rotation(th1_hat) @ m
@@ -164,7 +164,7 @@ def realize(f: Factorization) -> np.ndarray:
     return k @ rotation(0.5 * f.theta2)
 
 
-def classify_structure(b1, b2, tol: float = ALG_TOL) -> StructureKind:
+def classify_structure(b1, b2) -> StructureKind:
     """Sign class of the Lorentz inner product on the span of two coordinate
     vectors.
 
@@ -176,13 +176,13 @@ def classify_structure(b1, b2, tol: float = ALG_TOL) -> StructureKind:
     v1 = np.asarray(b1, dtype=float)
     v2 = np.asarray(b2, dtype=float)
     scale = np.linalg.norm(v1) * np.linalg.norm(v2)
-    if scale == 0.0 or np.linalg.norm(np.cross(v1, v2)) <= tol * scale:
+    if scale == 0.0 or np.linalg.norm(np.cross(v1, v2)) <= ALG_TOL * scale:
         raise DependentFrameError("frame vectors are linearly dependent")
     g11 = float(v1 @ I12 @ v1)
     g12 = float(v1 @ I12 @ v2)
     g22 = float(v2 @ I12 @ v2)
     det = g11 * g22 - g12 * g12
-    if abs(det) <= tol * max(scale * scale, 1.0):
+    if abs(det) <= ALG_TOL * max(scale * scale, 1.0):
         return StructureKind.DEGENERATE
     if det < 0.0:
         return StructureKind.HYPERBOLIC

@@ -3,18 +3,17 @@
 Output is deterministic key=value text (one line per command unless
 --pretty), with floats printed at a flag-controlled number of significant
 digits.  Matrices are given as whitespace-separated reals, row-major.
-Domain errors exit with code 2; selftest failures with code 1.
+Each subcommand accepts only the flags it reads.  Domain errors exit with
+code 2; selftest failures with code 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
-from .errors import GeometryError
 from .figures import figure_svg
 from .geodesics import s_int, sample_path
 from .quotient import project
@@ -22,7 +21,6 @@ from .selftest import run_selftests
 from .su2 import c_of_omega, landing_match_error, su2_landing_time, su2_planar_geodesic
 from .synthesis import classify_cut_locus, distance_to_class, solve
 from .automorphisms import assemble, factorize, realize
-from .tolerances import ROOT_TOL, SYNTH_TOL
 from .types import Factorization
 
 
@@ -61,7 +59,7 @@ def _cmd_project(args) -> int:
 def _cmd_solve(args) -> int:
     xi = _matrix(args.entries[:4])
     xf = _matrix(args.entries[4:])
-    sol = solve(xi, xf, tol=args.tol_root, tol_synth=args.tol_synth)
+    sol = solve(xi, xf)
     pairs = [("c", _fmt(sol.c, args.precision)),
              ("t_f", _fmt(sol.t_f, args.precision))]
     pairs += _matrix_pairs("P", sol.P, args.precision)
@@ -74,7 +72,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_dist(args) -> int:
     p = project(_matrix(args.entries))
-    res = distance_to_class(p, tol=args.tol_root)
+    res = distance_to_class(p)
     _emit([("t_f", _fmt(res.t_f, args.precision)),
            ("c", _fmt(res.c, args.precision)),
            ("s", _fmt(res.s, args.precision)),
@@ -84,7 +82,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_path(args) -> int:
     if args.s_max == "auto":
-        s_max = s_int(args.c, tol=args.tol_root)
+        s_max = s_int(args.c)
     else:
         s_max = float(args.s_max)
     print("s,x,y")
@@ -147,65 +145,60 @@ def _cmd_selftest(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=12,
-                        help="significant digits for printed reals")
-    common.add_argument("--pretty", action="store_true",
-                        help="multi-line output instead of one key=value line")
-    common.add_argument("--tol-root", type=float, default=ROOT_TOL,
-                        dest="tol_root", help="root-finding tolerance")
-    common.add_argument("--tol-synth", type=float, default=SYNTH_TOL,
-                        dest="tol_synth", help="endpoint residual tolerance")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", type=int, default=12,
+                           help="significant digits for printed reals")
+    printed = argparse.ArgumentParser(add_help=False, parents=[precision])
+    printed.add_argument("--pretty", action="store_true",
+                         help="multi-line output instead of one key=value line")
 
     parser = argparse.ArgumentParser(
         prog="sl2geo",
         description="Sub-Riemannian geodesics on SL(2,R) via the planar quotient.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("project", parents=[common],
+    p = sub.add_parser("project", parents=[precision],
                        help="class coordinates of a group element")
     p.add_argument("entries", type=float, nargs=4, metavar="X")
     p.set_defaults(func=_cmd_project)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[printed],
                        help="minimizing geodesic between two group elements")
     p.add_argument("entries", type=float, nargs=8, metavar="X")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("dist", parents=[common],
+    p = sub.add_parser("dist", parents=[printed],
                        help="sub-Riemannian distance from the identity")
     p.add_argument("entries", type=float, nargs=4, metavar="X")
     p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("path", parents=[common],
-                       help="CSV samples of a planar geodesic")
+    p = sub.add_parser("path", help="CSV samples of a planar geodesic")
     p.add_argument("c", type=float)
     p.add_argument("s_max", help="end of the parameter range, or 'auto'")
     p.add_argument("n", type=int)
     p.set_defaults(func=_cmd_path)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="cut-locus class of a group element")
+    p = sub.add_parser("classify", help="cut-locus class of a group element")
     p.add_argument("entries", type=float, nargs=4, metavar="X")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("figure", parents=[common], help="emit an SVG figure")
+    p = sub.add_parser("figure", help="emit an SVG figure")
     p.add_argument("which", type=int, choices=(1, 2, 3))
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.set_defaults(func=_cmd_figure)
 
-    p = sub.add_parser("su2", parents=[common],
+    p = sub.add_parser("su2", parents=[printed],
                        help="SU(2) planar geodesic and parameter bridge")
     p.add_argument("omega", type=float)
     p.add_argument("s", type=float)
     p.set_defaults(func=_cmd_su2)
 
-    p = sub.add_parser("aut-factor", parents=[common],
+    p = sub.add_parser("aut-factor", parents=[printed],
                        help="factor a Lorentz matrix through the generators")
     p.add_argument("entries", type=float, nargs=9, metavar="M")
     p.set_defaults(func=_cmd_aut_factor)
 
-    p = sub.add_parser("aut-realize", parents=[common],
+    p = sub.add_parser("aut-realize", parents=[printed],
                        help="group element realizing a factorization")
     p.add_argument("theta1", type=float)
     p.add_argument("branch", type=int, choices=(0, 1, 2))
@@ -213,8 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("theta2", type=float)
     p.set_defaults(func=_cmd_aut_realize)
 
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run the reduced invariant suites")
+    p = sub.add_parser("selftest", help="run the reduced invariant suites")
     p.set_defaults(func=_cmd_selftest)
     return parser
 
@@ -223,10 +215,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # GeometryError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

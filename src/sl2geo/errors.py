@@ -25,6 +25,10 @@ class UnboundedError(GeometryError):
     """The requested quantity diverges (c = 0 never crosses the axis)."""
 
 
+class NonFiniteError(GeometryError):
+    """Input coordinate is NaN or infinite."""
+
+
 class NoRootError(GeometryError):
     """Root bracketing failed; indicates an internal inconsistency."""
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .geodesics import landing_time, s_int, sample_path
+from .geodesics import (C_LANDING, C_ORTHOGONAL, landing_time, s_int,
+                        sample_path)
 from .su2 import reachable_boundary, su2_landing_time, su2_planar_geodesic
 from .synthesis import distance_to_class
 from .types import QuotientPoint
@@ -29,8 +30,8 @@ FAN_C_VALUES: tuple[tuple[float, str], ...] = tuple(
         (1.0, "black"),
         (1.03, "blue"),
         (1.12, "blue"),
-        (2.0 / math.sqrt(3.0), "blue"),
-        (3.0 / (2.0 * math.sqrt(2.0)), "red"),
+        (C_LANDING, "blue"),
+        (C_ORTHOGONAL, "red"),
         (1.2, "purple"),
         (1.5, "purple"),
     )
@@ -92,7 +93,7 @@ def figure_worked_example() -> str:
     target = QuotientPoint(0.0, 1.5)
     converged = distance_to_class(target).c
     curves = (
-        (2.0 / math.sqrt(3.0), "black"),
+        (C_LANDING, "black"),
         (3.0 / math.sqrt(5.0), "black"),
         (1.248171, "red"),
         (1.294906, "green"),

@@ -24,7 +24,7 @@ import numpy as np
 from ._kernels import bisect_newton, coshc, sinhc
 from .algebra import exp2, from_coords
 from .errors import BadGridError, OutOfRegimeError, UnboundedError
-from .tolerances import ROOT_TOL
+from .tolerances import SERIES_CUTOFF
 from .types import PathSample, PlanarJet, QuotientPoint
 
 C_LANDING = 2.0 / math.sqrt(3.0)
@@ -117,7 +117,7 @@ def _tau(c: float, s: float) -> float:
     # crossing objective below never overflows even for tiny c, where the
     # raw k1, k2 grow like exp(pi/c).
     z = (1.0 - c * c) * s * s
-    if z < 1e-8:
+    if z < SERIES_CUTOFF:
         return c * s * (1.0 - z * (1.0 / 3.0 - z * 2.0 / 15.0))
     w = math.sqrt(1.0 - c * c)
     return c / w * math.tanh(w * s)
@@ -135,7 +135,7 @@ def _dy_reduced(c: float, s: float) -> float:
     return (w_sq * t * t / c) * math.cos(cs) + c * t * math.sin(cs)
 
 
-def s_int(c: float, *, tol: float = ROOT_TOL) -> float:
+def s_int(c: float) -> float:
     """Half-time at which the c-geodesic stops being optimal.
 
     For 0 < |c| <= 2/sqrt(3) this is the first crossing of the x-axis,
@@ -162,7 +162,7 @@ def s_int(c: float, *, tol: float = ROOT_TOL) -> float:
         # and rounding can leave y(hi) marginally positive; accept it.
         if f(hi) > 0.0:
             return hi
-    return bisect_newton(f, lo, hi, df, tol=tol)
+    return bisect_newton(f, lo, hi, df)
 
 
 def x_int(c: float) -> float:

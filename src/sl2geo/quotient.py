@@ -24,14 +24,17 @@ from .tolerances import DET_TOL, MATCH_TOL, SINGULAR_BAND
 from .types import PlanarJet, QuotientPoint, RecoveredRotation, TangentVec2
 
 
-def _check_unimodular(x: np.ndarray, tol: float = DET_TOL) -> None:
-    # The determinant of a stored matrix is only representable to about
-    # eps * ||X||^2, so the tolerance scales with the squared matrix size;
-    # for moderate entries this is the plain absolute check.
+def _check_unimodular(x: np.ndarray) -> None:
+    # Non-finite entries go first: a NaN determinant passes the comparison
+    # below.  The determinant of a stored matrix is only representable to
+    # about eps * ||X||^2, so the tolerance scales with the squared matrix
+    # size; for moderate entries this is the plain absolute check.
+    if not all(map(math.isfinite, x.flat)):
+        raise NotUnimodularError(f"entries {x.tolist()} are not all finite")
     det = float(x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0])
     scale = max(1.0, float(np.sum(x * x)))
-    if abs(det - 1.0) > tol * scale:
-        raise NotUnimodularError(f"det = {det!r} is not 1 within {tol * scale}")
+    if abs(det - 1.0) > DET_TOL * scale:
+        raise NotUnimodularError(f"det = {det!r} is not 1 within {DET_TOL * scale}")
 
 
 def project(x: np.ndarray) -> QuotientPoint:

@@ -1,7 +1,7 @@
 """Reduced invariant suites runnable without a test harness.
 
 Each suite re-checks the load-bearing identities of one module at small
-sample counts и fixed seeds; `run_selftests` prints one PASS/FAIL line per
+sample counts and fixed seeds; `run_selftests` prints one PASS/FAIL line per
 suite and returns a process exit code.  Functions are resolved through
 their modules at call time, so an injected fault (e.g. a wrong Christoffel
 sign) is picked up by the relevant suite.
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import algebra, automorphisms, geodesics, quotient, su2, synthesis
-from .types import Factorization, QuotientPoint
+from .types import Factorization
 
 
 def _random_sl2(rng) -> np.ndarray:

@@ -26,15 +26,16 @@ import math
 import numpy as np
 
 from ._kernels import bisect_newton, inverse_sinhc_scaled
-from .errors import NoRootError, StartPointError, UnreachableError
+from .algebra import _A2, adjugate
+from .errors import (NoRootError, NonFiniteError, StartPointError,
+                     UnreachableError)
 from .geodesics import (C_LANDING, C_ORTHOGONAL, k1k2, landing_time, lift,
                         lift_with_direction, s_int, x_int)
 from .quotient import project, recover_rotation
-from .tolerances import ROOT_TOL, SINGULAR_BAND, SYNTH_TOL
+from .tolerances import SINGULAR_BAND, SYNTH_TOL
 from .types import (CutLocusClass, DistanceResult, QuotientPoint,
                     SynthesisSolution)
 
-_A2 = np.array([[0.5, 0.0], [0.0, -0.5]])
 _FAR = 1e9  # sentinel angle for parameters that never reach the radius
 
 
@@ -62,8 +63,8 @@ def _polar_angle(c: float, s: float) -> float:
     return c * s - math.atan2(k2, k1)
 
 
-def _rising_crossing(c: float, r: float, radial: float, c_tangent: float,
-                     tol: float) -> float | None:
+def _rising_crossing(c: float, r: float, radial: float,
+                     c_tangent: float) -> float | None:
     """Half-time of the outbound crossing of radius r, or None if the
     optimal segment never grows to radius r."""
     if c <= C_ORTHOGONAL:
@@ -87,23 +88,23 @@ def _rising_crossing(c: float, r: float, radial: float, c_tangent: float,
     return inverse_sinhc_scaled(1.0 - c * c, radial)
 
 
-def _falling_crossing(c: float, r: float, radial: float, c_tangent: float,
-                      tol: float) -> float | None:
+def _falling_crossing(c: float, r: float, radial: float,
+                      c_tangent: float) -> float | None:
     """Half-time of the inbound crossing of radius r, or None when it lies
     beyond the optimality horizon (or the radius is never reached)."""
     if c <= 1.0 or c > c_tangent:
         return None
     v = math.sqrt(c * c - 1.0)
     s_fall = (math.pi - math.asin(min(v * radial, 1.0))) / v
-    if s_fall > s_int(c, tol=tol) * (1.0 + 1e-12):
+    if s_fall > s_int(c) * (1.0 + 1e-12):
         return None
     return s_fall
 
 
-def _solve_on_axis(r: float, tol: float) -> tuple[float, float]:
+def _solve_on_axis(r: float) -> tuple[float, float]:
     """Parameter and crossing time for a target (-r, 0) with r >= 1."""
     if r <= 1.0 + SINGULAR_BAND:
-        return C_LANDING, s_int(C_LANDING, tol=tol)
+        return C_LANDING, s_int(C_LANDING)
     f = lambda c: -x_int(c) - r
     c_hi = C_LANDING
     c_lo = 0.5
@@ -111,11 +112,11 @@ def _solve_on_axis(r: float, tol: float) -> tuple[float, float]:
         c_lo *= 0.5
         if c_lo < 1e-8:
             raise NoRootError(f"could not bracket the axis target at x = {-r}")
-    c = bisect_newton(f, c_lo, c_hi, tol=tol)
-    return c, s_int(c, tol=tol)
+    c = bisect_newton(f, c_lo, c_hi)
+    return c, s_int(c)
 
 
-def distance_to_class(p: QuotientPoint, *, tol: float = ROOT_TOL) -> DistanceResult:
+def distance_to_class(p: QuotientPoint) -> DistanceResult:
     """Minimizing (t_f, c, s) with planar_geodesic(c, s) = p and t_f = 2s.
 
     The sign of c matches the sign of y; targets on the cut locus get the
@@ -123,6 +124,9 @@ def distance_to_class(p: QuotientPoint, *, tol: float = ROOT_TOL) -> DistanceRes
     the unit disc are not in the quotient and raise UnreachableError.
     """
     x, y = float(p[0]), float(p[1])
+    for name, value in (("x", x), ("y", y)):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"target coordinate {name} = {value} is not finite")
     r_sq = x * x + y * y
     if r_sq < 1.0 - SINGULAR_BAND:
         raise UnreachableError(f"({x}, {y}) lies inside the unit disc")
@@ -137,7 +141,7 @@ def distance_to_class(p: QuotientPoint, *, tol: float = ROOT_TOL) -> DistanceRes
             s = math.acosh(max(x, 1.0))
             return DistanceResult(2.0 * s, 0.0, s, False)
         # x <= -1: cut-locus segment, reached by the +-c pair.
-        c, s = _solve_on_axis(r, tol)
+        c, s = _solve_on_axis(r)
         return DistanceResult(2.0 * s, c, s, True)
 
     beta = math.atan2(ya, x)
@@ -153,30 +157,25 @@ def distance_to_class(p: QuotientPoint, *, tol: float = ROOT_TOL) -> DistanceRes
     c_tangent = r / radial  # largest parameter whose peak radius reaches r
 
     def g_rising(c: float) -> float:
-        s = _rising_crossing(c, r, radial, c_tangent, tol)
+        s = _rising_crossing(c, r, radial, c_tangent)
         return _FAR if s is None else _polar_angle(c, s) - beta
 
     if g_rising(c_tangent) >= 0.0:
-        c = bisect_newton(g_rising, 0.0, c_tangent, tol=tol)
-        s = _rising_crossing(c, r, radial, c_tangent, tol)
+        c = bisect_newton(g_rising, 0.0, c_tangent)
+        s = _rising_crossing(c, r, radial, c_tangent)
     else:
         def g_falling(c: float) -> float:
-            s = _falling_crossing(c, r, radial, c_tangent, tol)
+            s = _falling_crossing(c, r, radial, c_tangent)
             return _FAR if s is None else _polar_angle(c, s) - beta
 
-        c = bisect_newton(g_falling, 1.0 + 1e-12, c_tangent, tol=tol)
-        s = _falling_crossing(c, r, radial, c_tangent, tol)
+        c = bisect_newton(g_falling, 1.0 + 1e-12, c_tangent)
+        s = _falling_crossing(c, r, radial, c_tangent)
     if s is None:  # pragma: no cover - bisection always lands reachable
         raise NoRootError(f"no optimal geodesic through ({x}, {y})")
     return DistanceResult(2.0 * s, -c if mirror else c, s, False)
 
 
-def _inverse_sl2(x: np.ndarray) -> np.ndarray:
-    return np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]])
-
-
-def solve(xi: np.ndarray, xf: np.ndarray, *, tol: float = ROOT_TOL,
-          tol_synth: float = SYNTH_TOL) -> SynthesisSolution:
+def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
     """Minimizing geodesic data from Xi to Xf.
 
     Reduces to the identity problem for X_hat = Xf Xi^{-1}, solves the
@@ -184,18 +183,18 @@ def solve(xi: np.ndarray, xf: np.ndarray, *, tol: float = ROOT_TOL,
     conjugates by the recovered rotation to align the lift with X_hat.  The
     geodesic itself is t -> exp((c A0 + P) t) exp(-c A0 t) Xi.
     """
-    xf_hat = xf @ _inverse_sl2(xi)
+    xf_hat = xf @ adjugate(xi)
     p = project(xf_hat)
     if math.hypot(p.x - 1.0, p.y) <= SINGULAR_BAND:
         raise StartPointError("Xf and Xi coincide: the geodesic is a point")
-    dist = distance_to_class(p, tol=tol)
+    dist = distance_to_class(p)
     y_f = lift(dist.c, 0.5 * math.pi, dist.t_f)
     k = recover_rotation(y_f, xf_hat).matrix
     direction = k @ _A2 @ k.T
     recon = lift_with_direction(dist.c, direction, dist.t_f)
     residual = float(np.linalg.norm(recon - xf_hat))
-    if residual > tol_synth * max(1.0, float(np.linalg.norm(xf_hat))):
-        raise NoRootError(f"endpoint residual {residual} exceeds {tol_synth}")
+    if residual > SYNTH_TOL * max(1.0, float(np.linalg.norm(xf_hat))):
+        raise NoRootError(f"endpoint residual {residual} exceeds {SYNTH_TOL}")
     return SynthesisSolution(c=dist.c, t_f=dist.t_f, P=direction, K=k,
                              residual=residual, on_cut_locus=dist.on_cut_locus)
 
@@ -206,7 +205,7 @@ def verify_solution(sol: SynthesisSolution, xi: np.ndarray, xf: np.ndarray) -> f
     return float(np.linalg.norm(recon - xf))
 
 
-def check_fan_monotone(r: float, n: int = 128, *, tol: float = ROOT_TOL) -> float:
+def check_fan_monotone(r: float, n: int = 128) -> float:
     """Largest violation of the angular fan ordering at radius r.
 
     Samples the rising-crossing angles over increasing c (they must not
@@ -223,7 +222,7 @@ def check_fan_monotone(r: float, n: int = 128, *, tol: float = ROOT_TOL) -> floa
     rising = []
     for i in range(n):
         c = c_tangent * (i + 1) / n
-        s = _rising_crossing(c, r, radial, c_tangent, tol)
+        s = _rising_crossing(c, r, radial, c_tangent)
         if s is not None:
             rising.append(_polar_angle(c, s))
     for a, b in zip(rising, rising[1:]):
@@ -231,7 +230,7 @@ def check_fan_monotone(r: float, n: int = 128, *, tol: float = ROOT_TOL) -> floa
     falling = []
     for i in range(n):
         c = 1.0 + (c_tangent - 1.0) * (i + 1) / n
-        s = _falling_crossing(c, r, radial, c_tangent, tol)
+        s = _falling_crossing(c, r, radial, c_tangent)
         if s is not None:
             falling.append(_polar_angle(c, s))
     for a, b in zip(falling, falling[1:]):

@@ -27,3 +27,6 @@ SYNTH_TOL = 1e-6
 
 MATCH_TOL = 1e-6
 """Tolerance for deciding two group elements share a conjugacy class."""
+
+LORENTZ_TOL = 1e-9
+"""Lorentz-group membership check before factorizing a 3x3 matrix."""

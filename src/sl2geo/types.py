@@ -46,16 +46,6 @@ class TangentVec2(NamedTuple):
     dy: float
 
 
-class GeodesicParam(NamedTuple):
-    """Family parameter c plus the direction angle phi of the lift.
-
-    phi fixes the unit horizontal direction P = cos(phi) A1 + sin(phi) A2.
-    """
-
-    c: float
-    phi: float
-
-
 class PathSample(NamedTuple):
     """One sample of a planar geodesic at half-time parameter s = t/2."""
 

@@ -1,3 +1,4 @@
+import argparse
 import math
 import re
 
@@ -6,7 +7,7 @@ import pytest
 
 import sl2geo.quotient
 from sl2geo import selftest
-from sl2geo.cli import main
+from sl2geo.cli import _build_parser, main
 from sl2geo.figures import figure_svg
 
 
@@ -192,6 +193,48 @@ class TestDeterminism:
                         str(math.cosh(0.5)), str(math.sinh(0.5)),
                         str(math.sinh(0.5)), str(math.cosh(0.5)))
         assert parse_kv(out)["s"] == "0.5"
+
+
+class TestFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: sorted(opt for action in parser._actions
+                              for opt in action.option_strings
+                              if opt not in ("-h", "--help"))
+                 for name, parser in sub.choices.items()}
+        printed = ["--precision", "--pretty"]
+        assert flags == {
+            "project": ["--precision"], "solve": printed, "dist": printed,
+            "path": [], "classify": [], "figure": ["--out"], "su2": printed,
+            "aut-factor": printed, "aut-realize": printed, "selftest": [],
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ("figure", "1", "--precision", "5"),
+        ("solve", "0", "-1", "1", "0", "2", "1", "1", "1", "--tol-root", "1e-3"),
+        ("solve", "0", "-1", "1", "0", "2", "1", "1", "1", "--tol-synth", "1e-3"),
+        ("dist", "2", "1", "1", "1", "--tol-root", "1e-3"),
+        ("path", "1.2", "auto", "10", "--tol-root", "1e-3"),
+        ("project", "1", "0", "0", "1", "--pretty"),
+        ("classify", "2", "1", "1", "1", "--precision", "3"),
+    ])
+    def test_unread_flags_rejected(self, capsys, argv):
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", ["project", "classify", "dist"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_exits_2(self, capsys, command, value):
+        code, out, err = run(capsys, command, value, "0", "0", "1")
+        assert code == 2
+        assert out == ""
+        assert "not all finite" in err
 
 
 class TestFigureCommand:

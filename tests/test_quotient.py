@@ -32,6 +32,16 @@ class TestProject:
         with pytest.raises(NotUnimodularError):
             project(np.array([[1.0, 0.0], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # A NaN or infinite determinant slips past the |det - 1| comparison.
+        for i in range(2):
+            for j in range(2):
+                x = np.eye(2)
+                x[i, j] = bad
+                with pytest.raises(NotUnimodularError, match="not all finite"):
+                    project(x)
+
     def test_conjugation_invariance(self, rng):
         for _ in range(200):
             x = random_sl2(rng)

@@ -8,8 +8,8 @@ from sl2geo import (C_LANDING, CutLocusClass, QuotientPoint, SynthesisSolution,
                     distance_to_class, exp2, landing_point, lift,
                     planar_geodesic, project, rotation, s_int, solve,
                     verify_solution)
-from sl2geo.errors import (NotUnimodularError, StartPointError,
-                           UnreachableError)
+from sl2geo.errors import (NonFiniteError, NotUnimodularError,
+                           StartPointError, UnreachableError)
 
 from conftest import random_sl2
 
@@ -43,6 +43,14 @@ class TestClassify:
 
 
 class TestDistance:
+    @pytest.mark.parametrize("x, y, name", [
+        (math.nan, 1.5, "x"), (0.0, math.nan, "y"),
+        (math.inf, 0.0, "x"), (-2.0, -math.inf, "y"),
+    ])
+    def test_rejects_non_finite_target(self, x, y, name):
+        with pytest.raises(NonFiniteError, match=f"coordinate {name} = "):
+            distance_to_class(QuotientPoint(x, y))
+
     def test_positive_axis_closed_form(self):
         res = distance_to_class(QuotientPoint(math.cosh(0.5), 0.0))
         assert res.c == 0.0
@@ -192,6 +200,11 @@ class TestSolve:
     def test_start_point_target_rejected(self):
         with pytest.raises(StartPointError):
             solve(np.eye(2), np.eye(2))
+
+    def test_non_finite_endpoint_rejected(self):
+        xf = np.array([[2.0, 1.0], [1.0, math.nan]])
+        with pytest.raises(NotUnimodularError, match="not all finite"):
+            solve(np.eye(2), xf)
 
 
 class TestVerify:
