@@ -45,11 +45,6 @@ def lorentz_boost(z: float) -> np.ndarray:
     return np.array([[ch, 0.0, sh], [0.0, 1.0, 0.0], [sh, 0.0, ch]])
 
 
-def involution(branch: int) -> np.ndarray:
-    """Generator I^branch for branch in {0, 1, 2}."""
-    return _I_BRANCH[branch].copy()
-
-
 def is_so12(m: np.ndarray, tol: float = ALG_TOL) -> bool:
     """True iff m preserves the (1,2) form and has determinant +1."""
     m = np.asarray(m, dtype=float)

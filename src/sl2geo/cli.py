@@ -144,6 +144,18 @@ def _cmd_selftest(args) -> int:
     return run_selftests()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token float() accepts as a value, so -1e-3 and -inf are
+    reals rather than unknown flags (argparse only knows -1 and -0.5)."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument("--precision", type=int, default=12,
@@ -152,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     printed.add_argument("--pretty", action="store_true",
                          help="multi-line output instead of one key=value line")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sl2geo",
         description="Sub-Riemannian geodesics on SL(2,R) via the planar quotient.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,9 +11,10 @@ mirrors with c -> -c) the solver uses the fan structure of the family:
   * the squared distance from the unit circle is (s sinhc(z))^2, which makes
     the radius-r crossing times closed-form invertible on the rising branch
     and, for |c| > 1, on the falling branch;
-  * sweeping c up through rising crossings and then down through falling
-    crossings covers angles 0 -> pi, so one bisection in c per branch finds
-    the target.
+  * one fan coordinate runs up through the rising crossings, past the
+    tangent and down through the falling ones, covering angles 0 -> pi and
+    beyond, so one bisection finds the target.  Axis-cut targets are the
+    same search at angle pi.
 
 Cut-locus targets (unit circle, or the axis with x <= -1) are reached by
 several minimizing geodesics; one representative is returned with a flag.
@@ -29,14 +30,14 @@ from ._kernels import bisect_newton, inverse_sinhc_scaled
 from .algebra import _A2, adjugate
 from .errors import (NoRootError, NonFiniteError, StartPointError,
                      UnreachableError)
-from .geodesics import (C_LANDING, C_ORTHOGONAL, k1k2, landing_time, lift,
+from .geodesics import (C_ORTHOGONAL, k1k2, landing_time, lift,
                         lift_with_direction, s_int, x_int)
 from .quotient import project, recover_rotation
 from .tolerances import SINGULAR_BAND, SYNTH_TOL
 from .types import (CutLocusClass, DistanceResult, QuotientPoint,
                     SynthesisSolution)
 
-_FAR = 1e9  # sentinel angle for parameters that never reach the radius
+_FAR = 1e9  # sentinel angle for rising crossings beyond the optimality horizon
 
 
 def classify_cut_locus(x: np.ndarray) -> CutLocusClass:
@@ -63,57 +64,31 @@ def _polar_angle(c: float, s: float) -> float:
     return c * s - math.atan2(k2, k1)
 
 
-def _rising_crossing(c: float, r: float, radial: float,
-                     c_tangent: float) -> float | None:
-    """Half-time of the outbound crossing of radius r, or None if the
-    optimal segment never grows to radius r."""
-    if c <= C_ORTHOGONAL:
-        # Radius is increasing over the whole optimal segment, so the
-        # terminal radius |x_int| decides reachability; |x_int| >= 3 on this
-        # parameter range, which short-circuits all targets with r <= 3, and
-        # a crossing before s = pi/c is always inside the horizon (this also
-        # avoids materializing the possibly astronomic |x_int| for tiny c).
-        if c > 0.0 and r > 3.0:
-            s_rise = inverse_sinhc_scaled(1.0 - c * c, radial)
-            if s_rise <= math.pi / c:
-                return s_rise
-            if r > -x_int(c) * (1.0 + 1e-15):
-                return None
-            return s_rise
-    elif c > c_tangent:
-        # Peak radius c/sqrt(c^2-1) falls short of r.  Comparing against
-        # c_tangent = r/radial keeps this decision exactly consistent with
-        # the bisection bracket endpoint.
-        return None
-    return inverse_sinhc_scaled(1.0 - c * c, radial)
+def _fan_span(radial: float) -> float:
+    """Length of the trigonometric part of the fan coordinate.
+
+    sqrt(c^2-1) runs over (0, 1/radial], so the span grows like 1/radial
+    to keep the ROOT_TOL bracket fine near the circle; it is a power of two
+    so that the bracket end 1 + span maps exactly onto phi = pi.
+    """
+    return 2.0 ** max(0, math.ceil(-math.log2(radial)))
 
 
-def _falling_crossing(c: float, r: float, radial: float,
-                      c_tangent: float) -> float | None:
-    """Half-time of the inbound crossing of radius r, or None when it lies
-    beyond the optimality horizon (or the radius is never reached)."""
-    if c <= 1.0 or c > c_tangent:
-        return None
-    v = math.sqrt(c * c - 1.0)
-    s_fall = (math.pi - math.asin(min(v * radial, 1.0))) / v
-    if s_fall > s_int(c) * (1.0 + 1e-12):
-        return None
-    return s_fall
+def _fan_point(tau: float, radial: float, span: float) -> tuple[float, float]:
+    """Parameter c >= 0 and half-time s of the fan's crossing of radius r.
 
-
-def _solve_on_axis(r: float) -> tuple[float, float]:
-    """Parameter and crossing time for a target (-r, 0) with r >= 1."""
-    if r <= 1.0 + SINGULAR_BAND:
-        return C_LANDING, s_int(C_LANDING)
-    f = lambda c: -x_int(c) - r
-    c_hi = C_LANDING
-    c_lo = 0.5
-    while f(c_lo) <= 0.0:
-        c_lo *= 0.5
-        if c_lo < 1e-8:
-            raise NoRootError(f"could not bracket the axis target at x = {-r}")
-    c = bisect_newton(f, c_lo, c_hi)
-    return c, s_int(c)
+    The fan coordinate tau in [0, 1 + span] orders the radius-r crossings
+    by polar angle.  tau <= 1 is the hyperbolic rising crossing with c = tau.
+    tau > 1 sets phi = pi (tau - 1)/span and sqrt(c^2-1) = sin(phi)/radial,
+    so that s = phi/sqrt(c^2-1) runs from trigonometric rising crossings
+    (phi < pi/2) through the tangent (c = r/radial) to falling ones, whose
+    angle grows past pi (and without bound as phi -> pi).
+    """
+    if tau <= 1.0:
+        return tau, inverse_sinhc_scaled(1.0 - tau * tau, radial)
+    phi = math.pi * (tau - 1.0) / span
+    v = math.sin(phi) / radial
+    return math.sqrt(1.0 + v * v), phi / v
 
 
 def distance_to_class(p: QuotientPoint) -> DistanceResult:
@@ -128,23 +103,23 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
         if not math.isfinite(value):
             raise NonFiniteError(f"target coordinate {name} = {value} is not finite")
     r_sq = x * x + y * y
+    if not math.isfinite(r_sq):
+        raise NonFiniteError(f"squared radius of ({x}, {y}) overflows")
     if r_sq < 1.0 - SINGULAR_BAND:
         raise UnreachableError(f"({x}, {y}) lies inside the unit disc")
     if math.hypot(x - 1.0, y) <= SINGULAR_BAND:
         raise StartPointError("target coincides with the start point (1, 0)")
-    r = math.sqrt(r_sq)
     mirror = y < 0.0
-    ya = abs(y)
+    on_axis = abs(y) <= SINGULAR_BAND
+    if on_axis and x >= 1.0:
+        s = math.acosh(max(x, 1.0))
+        return DistanceResult(2.0 * s, 0.0, s, False)
+    if on_axis:
+        # x <= -1: cut-locus segment, reached by the +-c pair at angle pi.
+        beta, mirror = math.pi, False
+    else:
+        beta = math.atan2(abs(y), x)
 
-    if ya <= SINGULAR_BAND:
-        if x >= 1.0:
-            s = math.acosh(max(x, 1.0))
-            return DistanceResult(2.0 * s, 0.0, s, False)
-        # x <= -1: cut-locus segment, reached by the +-c pair.
-        c, s = _solve_on_axis(r)
-        return DistanceResult(2.0 * s, c, s, True)
-
-    beta = math.atan2(ya, x)
     if abs(r_sq - 1.0) <= SINGULAR_BAND:
         # Landing targets: the landing angle is beta when c/sqrt(c^2-1)
         # equals 1 + beta/pi, a closed-form condition.
@@ -153,26 +128,30 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
         s = landing_time(c)
         return DistanceResult(2.0 * s, -c if mirror else c, s, True)
 
+    r = math.sqrt(r_sq)
     radial = math.sqrt(r_sq - 1.0)
-    c_tangent = r / radial  # largest parameter whose peak radius reaches r
+    span = _fan_span(radial)
 
-    def g_rising(c: float) -> float:
-        s = _rising_crossing(c, r, radial, c_tangent)
-        return _FAR if s is None else _polar_angle(c, s) - beta
+    def angle_gap(tau: float) -> float:
+        c, s = _fan_point(tau, radial, span)
+        # Crossings past the optimality horizon have angle beyond pi >= beta,
+        # as the angle grows along each geodesic; falling ones need no test.
+        # Rising ones map to the sentinel: only c <= C_ORTHOGONAL crosses the
+        # axis while rising, only radii r > 3 (span 1) are at stake, and the
+        # radius grows over the whole optimal segment, so the terminal radius
+        # |x_int| decides; a crossing before s = pi/c is always inside the
+        # horizon (which avoids the possibly astronomic |x_int| for tiny c).
+        # Axis targets skip the test: at beta = pi the sign of the angle gap
+        # already is the horizon test, since their answer is the crossing
+        # that lands on the horizon.
+        if (r > 3.0 and tau <= 1.5 and not on_axis and 0.0 < c <= C_ORTHOGONAL
+                and s > math.pi / c and r > -x_int(c) * (1.0 + 1e-15)):
+            return _FAR
+        return _polar_angle(c, s) - beta
 
-    if g_rising(c_tangent) >= 0.0:
-        c = bisect_newton(g_rising, 0.0, c_tangent)
-        s = _rising_crossing(c, r, radial, c_tangent)
-    else:
-        def g_falling(c: float) -> float:
-            s = _falling_crossing(c, r, radial, c_tangent)
-            return _FAR if s is None else _polar_angle(c, s) - beta
-
-        c = bisect_newton(g_falling, 1.0 + 1e-12, c_tangent)
-        s = _falling_crossing(c, r, radial, c_tangent)
-    if s is None:  # pragma: no cover - bisection always lands reachable
-        raise NoRootError(f"no optimal geodesic through ({x}, {y})")
-    return DistanceResult(2.0 * s, -c if mirror else c, s, False)
+    tau = bisect_newton(angle_gap, 0.0, 1.0 + span)
+    c, s = _fan_point(tau, radial, span)
+    return DistanceResult(2.0 * s, -c if mirror else c, s, on_axis)
 
 
 def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
@@ -208,31 +187,20 @@ def verify_solution(sol: SynthesisSolution, xi: np.ndarray, xf: np.ndarray) -> f
 def check_fan_monotone(r: float, n: int = 128) -> float:
     """Largest violation of the angular fan ordering at radius r.
 
-    Samples the rising-crossing angles over increasing c (they must not
-    decrease) and the falling-crossing angles (they must not increase) and
-    returns the worst monotonicity defect, 0.0 for a clean fan.  Used as a
-    runtime validation of the ordering the bisection in
-    :func:`distance_to_class` relies on.
+    Walks the fan coordinate of :func:`distance_to_class` with n samples on
+    each of its hyperbolic and trigonometric parts, keeps the optimal
+    crossings (s <= s_int(c)), whose polar angles must not decrease, and
+    returns the worst decrease, 0.0 for a clean fan.  Used as a runtime
+    validation of the ordering the bisection relies on.
     """
     if r <= 1.0:
         raise UnreachableError("fan check needs a radius strictly above 1")
     radial = math.sqrt(r * r - 1.0)
-    c_tangent = r / radial
-    worst = 0.0
-    rising = []
-    for i in range(n):
-        c = c_tangent * (i + 1) / n
-        s = _rising_crossing(c, r, radial, c_tangent)
-        if s is not None:
-            rising.append(_polar_angle(c, s))
-    for a, b in zip(rising, rising[1:]):
-        worst = max(worst, a - b)
-    falling = []
-    for i in range(n):
-        c = 1.0 + (c_tangent - 1.0) * (i + 1) / n
-        s = _falling_crossing(c, r, radial, c_tangent)
-        if s is not None:
-            falling.append(_polar_angle(c, s))
-    for a, b in zip(falling, falling[1:]):
-        worst = max(worst, b - a)
-    return worst
+    span = _fan_span(radial)
+    angles = []
+    for i in range(1, 2 * n):
+        tau = i / n if i <= n else 1.0 + span * (i - n) / n
+        c, s = _fan_point(tau, radial, span)
+        if s <= s_int(c):
+            angles.append(_polar_angle(c, s))
+    return max([0.0] + [a - b for a, b in zip(angles, angles[1:])])

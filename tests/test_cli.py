@@ -229,12 +229,41 @@ class TestFlags:
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("command", ["project", "classify", "dist"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_exits_2(self, capsys, command, value):
         code, out, err = run(capsys, command, value, "0", "0", "1")
         assert code == 2
         assert out == ""
         assert "not all finite" in err
+
+
+class TestExponentFormReals:
+    """Negative reals in exponent form are values, not unknown flags."""
+
+    def test_project(self, capsys):
+        code, out, _ = run(capsys, "project", "-1e-3", "1", "-1", "0")
+        assert code == 0
+        assert out == "x=-0.0005 y=1 stratum=regular\n"
+
+    @pytest.mark.parametrize("exponent, plain", [
+        (("solve", "0", "-1e0", "1", "0", "2", "1", "1", "1"),
+         ("solve", "0", "-1", "1", "0", "2", "1", "1", "1")),
+        (("path", "-9e-1", "3", "20"), ("path", "-0.9", "3", "20")),
+        (("aut-realize", "-7e-1", "0", "-1E-1", "0", "--pretty"),
+         ("aut-realize", "-0.7", "0", "-0.1", "0", "--pretty")),
+        (("project", "--precision", "3", "-1e-3", "1", "-1", "0"),
+         ("project", "--precision", "3", "-0.001", "1", "-1", "0")),
+    ], ids=["solve", "path", "aut-realize", "project-flag-first"])
+    def test_same_output_as_plain_form(self, capsys, exponent, plain):
+        code, out, _ = run(capsys, *exponent)
+        assert code == 0
+        assert (code, out) == run(capsys, *plain)[:2]
+
+    def test_flags_still_parsed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["project", "-1e-3", "1", "-1", "0", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 class TestFigureCommand:

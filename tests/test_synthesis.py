@@ -51,6 +51,12 @@ class TestDistance:
         with pytest.raises(NonFiniteError, match=f"coordinate {name} = "):
             distance_to_class(QuotientPoint(x, y))
 
+    @pytest.mark.parametrize("x, y", [(1e200, 1e199), (-1e200, 0.0),
+                                      (-1e160, 1e160)])
+    def test_rejects_overflowing_radius(self, x, y):
+        with pytest.raises(NonFiniteError, match="squared radius"):
+            distance_to_class(QuotientPoint(x, y))
+
     def test_positive_axis_closed_form(self):
         res = distance_to_class(QuotientPoint(math.cosh(0.5), 0.0))
         assert res.c == 0.0
@@ -112,6 +118,39 @@ class TestDistance:
     def test_start_point_rejected(self):
         with pytest.raises(StartPointError):
             distance_to_class(QuotientPoint(1.0, 0.0))
+
+
+# Targets just off the axis-cut segment: x = -3 (where the c = 3/(2 sqrt 2)
+# geodesic crosses the axis orthogonally) and its neighbours, and x = -r at
+# other radii down to the edge of the circle's singular band, each with |y|
+# from 1e-9 to 5e-6 on both sides.
+_BAND_YS = [sign * m * 10.0 ** e for sign in (1.0, -1.0)
+            for m in (1.0, 2.0, 5.0) for e in range(-9, -5)]
+_BAND_XS = ([-3.0 + d for d in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)]
+            + [-3.0 + 0.025 * k for k in range(-12, 13)]
+            + [-r for r in (1.0 + 1e-7, 1.0001, 1.05, 2.0, 2.9, 3.1, 10.0)])
+
+
+class TestNearAxisBand:
+    def test_band_targets_solved_to_residual(self):
+        worst = 0.0
+        for x in _BAND_XS:
+            for y in _BAND_YS:
+                res = distance_to_class(QuotientPoint(x, y))
+                p = planar_geodesic(res.c, res.s)
+                scale = max(1.0, math.hypot(x, y))
+                worst = max(worst, math.hypot(p.x - x, p.y - y) / scale)
+        assert worst <= 2e-9
+
+    def test_pinned_crossing_times(self):
+        # 40-digit reference values of the minimizing time.
+        for x, y, t_f, tol in ((-3.0, 0.01, 8.8786948398332663, 1e-9),
+                               (-3.0, 0.001, 8.8850587695668526, 1e-9),
+                               (-1.001, 0.0, 10.793400644616989, 1e-9),
+                               (-3.0, 0.0, 8.8857658763167325, 1e-9),
+                               (-1.00001, 0.0, 10.873851960700912, 1e-8)):
+            res = distance_to_class(QuotientPoint(x, y))
+            assert res.t_f == pytest.approx(t_f, abs=tol), (x, y)
 
 
 class TestSolve:
