@@ -9,6 +9,9 @@ real branches of a single entire function of z:
 Evaluating through z removes the 0/0 boundary between the branches: near
 z = 0 both functions are computed by a short Taylor series, so callers never
 have to special-case the parabolic limit.
+
+bisect is the package's one root finder: the optimality horizon s_int and
+the fan coordinate of the endpoint solver both use it.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ import math
 
 from .errors import NoRootError
 from .tolerances import ROOT_TOL, SERIES_CUTOFF
-
-_MAX_BISECT = 200
-_NEWTON_STEPS = 2
 
 
 def coshc(z: float) -> float:
@@ -75,13 +75,15 @@ def inverse_sinhc_scaled(q: float, radial: float) -> float:
     return radial * math.asin(u) / u
 
 
-def bisect_newton(f, a: float, b: float, df=None) -> float:
-    """Root of f on [a, b] by bracketed bisection plus Newton polishing.
+def bisect(f, a: float, b: float) -> float:
+    """Root of f on [a, b] by bisection, finished with one secant step.
 
-    f(a) and f(b) must have opposite signs (endpoints equal to zero are
-    accepted as roots).  Bisection runs until the bracket is narrower than
-    ROOT_TOL; the optional derivative enables a fixed number of Newton steps
-    to polish the midpoint.
+    f(a) and f(b) must have opposite signs (an endpoint where f is zero is
+    returned as the root).  The bracket is halved, keeping f at both ends,
+    until it is at most ROOT_TOL wide or no float lies strictly between its
+    ends.  The answer is the secant point through the final ends: it costs
+    no evaluation and lies inside the bracket, as the two values have
+    opposite signs.
     """
     fa = f(a)
     if fa == 0.0:
@@ -91,32 +93,15 @@ def bisect_newton(f, a: float, b: float, df=None) -> float:
         return b
     if (fa > 0.0) == (fb > 0.0):
         raise NoRootError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
-    lo, hi = a, b
-    sign_lo = fa > 0.0
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= ROOT_TOL:
+    while b - a > ROOT_TOL:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
             break
-        mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0.0) == sign_lo:
-            lo = mid
+            return mid
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
         else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    if df is not None:
-        for _ in range(_NEWTON_STEPS):
-            d = df(root)
-            if d == 0.0:
-                break
-            step = f(root) / d
-            candidate = root - step
-            if not math.isfinite(candidate):
-                break
-            # Stay near the certified bracket.
-            if candidate < a - ROOT_TOL or candidate > b + ROOT_TOL:
-                break
-            root = candidate
-    return root
+            b, fb = mid, fm
+    return a + (b - a) * (fa / (fa - fb))

@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import adjoint_matrix, adjugate, basis, rotation, to_coords
 from .errors import (DependentFrameError, NotInGroupError,
                      NotUnitDeterminantError, SingularMatrixError)
-from .tolerances import ALG_TOL, DET_TOL, LORENTZ_TOL
+from .tolerances import ALG_TOL, DET_TOL, INVERTIBLE_TOL, LORENTZ_TOL
 from .types import Factorization, StructureKind
 
 I12 = np.diag([-1.0, 1.0, 1.0])
@@ -76,7 +76,7 @@ def is_lie_automorphism(m: np.ndarray) -> bool:
     membership in the determinant-one Lorentz group.
     """
     m = np.asarray(m, dtype=float)
-    if abs(np.linalg.det(m)) < 1e-12:
+    if abs(np.linalg.det(m)) < INVERTIBLE_TOL:
         raise SingularMatrixError("automorphism candidate must be invertible")
     for j, ad_j in enumerate(_ADJ_BASIS):
         image_ad = sum(m[i, j] * _ADJ_BASIS[i] for i in range(3))

@@ -21,10 +21,10 @@ import math
 
 import numpy as np
 
-from ._kernels import bisect_newton, coshc, sinhc
+from ._kernels import bisect, coshc, sinhc
 from .algebra import exp2, from_coords
 from .errors import BadGridError, OutOfRegimeError, UnboundedError
-from .tolerances import SERIES_CUTOFF
+from .tolerances import REGIME_TOL, SERIES_CUTOFF
 from .types import PathSample, PlanarJet, QuotientPoint
 
 C_LANDING = 2.0 / math.sqrt(3.0)
@@ -77,25 +77,20 @@ def radius_sq(c: float, s: float) -> float:
     return k1 * k1 + k2 * k2
 
 
-# One-ulp slack: 2/sqrt(3) and sqrt(4/3) round to different floats, and the
-# boundary parameter must be accepted however the caller computed it.
-_REGIME_SLACK = 1.0 - 1e-12
-
-
 def landing_time(c: float) -> float:
     """Half-time pi/sqrt(c^2-1) at which the geodesic touches the circle.
 
     Defined for |c| >= 2/sqrt(3); beyond that touch the geodesic is no
     longer optimal.
     """
-    if abs(c) < C_LANDING * _REGIME_SLACK:
+    if abs(c) < C_LANDING * (1.0 - REGIME_TOL):
         raise OutOfRegimeError(f"|c| = {abs(c)} < 2/sqrt(3): no landing")
     return math.pi / math.sqrt(c * c - 1.0)
 
 
 def landing_point(c: float) -> QuotientPoint:
     """Point on the unit circle reached at the landing time."""
-    if abs(c) < C_LANDING * _REGIME_SLACK:
+    if abs(c) < C_LANDING * (1.0 - REGIME_TOL):
         raise OutOfRegimeError(f"|c| = {abs(c)} < 2/sqrt(3): no landing")
     alpha = c * math.pi / math.sqrt(c * c - 1.0)
     return QuotientPoint(-math.cos(alpha), -math.sin(alpha))
@@ -104,12 +99,6 @@ def landing_point(c: float) -> QuotientPoint:
 def _y_of_s(c: float, s: float) -> float:
     k1, k2 = k1k2(c, s)
     return k1 * math.sin(c * s) - k2 * math.cos(c * s)
-
-
-def _dy_ds(c: float, s: float) -> float:
-    # dy/ds = s sinhc(z) sin(cs); see planar_jet.
-    z = (1.0 - c * c) * s * s
-    return s * sinhc(z) * math.sin(c * s)
 
 
 def _tau(c: float, s: float) -> float:
@@ -126,13 +115,6 @@ def _tau(c: float, s: float) -> float:
 def _y_reduced(c: float, s: float) -> float:
     # y(s)/k1(s): same sign and roots as y on the crossing bracket.
     return math.sin(c * s) - _tau(c, s) * math.cos(c * s)
-
-
-def _dy_reduced(c: float, s: float) -> float:
-    t = _tau(c, s)
-    w_sq = 1.0 - c * c
-    cs = c * s
-    return (w_sq * t * t / c) * math.cos(cs) + c * t * math.sin(cs)
 
 
 def s_int(c: float) -> float:
@@ -153,16 +135,14 @@ def s_int(c: float) -> float:
     if ac <= 1.0:
         hi = 1.5 * math.pi / ac
         f = lambda s: _y_reduced(ac, s)
-        df = lambda s: _dy_reduced(ac, s)
     else:
         hi = 2.0 * math.pi / ac
         f = lambda s: _y_of_s(ac, s)
-        df = lambda s: _dy_ds(ac, s)
         # At exactly |c| = 2/sqrt(3) the root sits on the bracket endpoint
         # and rounding can leave y(hi) marginally positive; accept it.
         if f(hi) > 0.0:
             return hi
-    return bisect_newton(f, lo, hi, df)
+    return bisect(f, lo, hi)
 
 
 def x_int(c: float) -> float:

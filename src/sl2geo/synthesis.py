@@ -26,13 +26,13 @@ import math
 
 import numpy as np
 
-from ._kernels import bisect_newton, inverse_sinhc_scaled
+from ._kernels import bisect, inverse_sinhc_scaled
 from .algebra import _A2, adjugate
 from .errors import (NoRootError, NonFiniteError, StartPointError,
                      UnreachableError)
 from .geodesics import (C_ORTHOGONAL, k1k2, landing_time, lift,
                         lift_with_direction, s_int, x_int)
-from .quotient import project, recover_rotation
+from .quotient import _check_unimodular, project, recover_rotation
 from .tolerances import SINGULAR_BAND, SYNTH_TOL
 from .types import (CutLocusClass, DistanceResult, QuotientPoint,
                     SynthesisSolution)
@@ -149,7 +149,7 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
             return _FAR
         return _polar_angle(c, s) - beta
 
-    tau = bisect_newton(angle_gap, 0.0, 1.0 + span)
+    tau = bisect(angle_gap, 0.0, 1.0 + span)
     c, s = _fan_point(tau, radial, span)
     return DistanceResult(2.0 * s, -c if mirror else c, s, on_axis)
 
@@ -160,8 +160,10 @@ def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
     Reduces to the identity problem for X_hat = Xf Xi^{-1}, solves the
     planar problem for (c, t_f), lifts with the fixed direction P = A2, and
     conjugates by the recovered rotation to align the lift with X_hat.  The
-    geodesic itself is t -> exp((c A0 + P) t) exp(-c A0 t) Xi.
+    geodesic itself is t -> exp((c A0 + P) t) exp(-c A0 t) Xi.  Xi is
+    checked to be in SL(2); with det(X_hat) = 1 that makes det(Xf) = 1 too.
     """
+    _check_unimodular(xi)
     xf_hat = xf @ adjugate(xi)
     p = project(xf_hat)
     if math.hypot(p.x - 1.0, p.y) <= SINGULAR_BAND:

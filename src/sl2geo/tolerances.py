@@ -20,7 +20,14 @@ SERIES_CUTOFF = 1e-8
 """Switch to Taylor series for the trig/hyperbolic kernels below this."""
 
 ROOT_TOL = 1e-12
-"""Bisection interval width for scalar root finding."""
+"""Bracket width at which bisection stops and takes its final secant step."""
+
+REGIME_TOL = 1e-12
+"""Relative slack on |c| >= 2/sqrt(3): 2/sqrt(3) and sqrt(4/3) round to
+different floats, and the landing boundary must be accepted either way."""
+
+INVERTIBLE_TOL = 1e-12
+"""Smallest |det| accepted for an automorphism candidate."""
 
 SYNTH_TOL = 1e-6
 """Endpoint residual tolerance for the synthesis solver."""

@@ -51,6 +51,13 @@ class TestSolveCommand:
         for key in ("P00", "P01", "P10", "P11", "K00", "K01", "K10", "K11"):
             assert key in kv
 
+    def test_endpoints_outside_sl2_exit_2(self, capsys):
+        code, out, err = run(capsys, "solve", "2", "0", "0", "1",
+                             "0.5", "0", "0", "1")
+        assert code == 2
+        assert out == ""
+        assert "det" in err
+
     def test_trivial_axis_solve(self, capsys):
         b = math.sinh(0.5)
         a = math.cosh(0.5)

@@ -101,8 +101,10 @@ class TestLanding:
         assert landing_time(math.sqrt(2.0)) == pytest.approx(math.pi, abs=1e-15)
 
     def test_boundary_parameter(self):
-        assert landing_time(C_LANDING) == pytest.approx(SQRT3_PI, abs=1e-12)
-        assert landing_point(C_LANDING).x == pytest.approx(-1.0, abs=1e-12)
+        # 2/sqrt(3) and sqrt(4/3) round to different floats; both are accepted.
+        for c in (C_LANDING, math.sqrt(4.0 / 3.0)):
+            assert landing_time(c) == pytest.approx(SQRT3_PI, abs=1e-12)
+            assert landing_point(c).x == pytest.approx(-1.0, abs=1e-12)
 
     def test_out_of_regime(self):
         with pytest.raises(OutOfRegimeError):

@@ -1,0 +1,84 @@
+"""The root solves checked against 40-digit mpmath solutions.
+
+Each reference root comes from mp.findroot on the same closed-form equation,
+seeded from the library's answer; only the root's accuracy is under test.
+"""
+
+import math
+import random
+
+import pytest
+
+from sl2geo import C_ORTHOGONAL, QuotientPoint, distance_to_class, s_int, x_int
+
+mpmath = pytest.importorskip("mpmath")
+mp = mpmath.mp
+
+
+@pytest.fixture(autouse=True)
+def forty_digits():
+    with mpmath.workdps(40):
+        yield
+
+
+def _coshc(z):
+    return mp.cosh(mp.sqrt(z)) if z >= 0 else mp.cos(mp.sqrt(-z))
+
+
+def _sinhc(z):
+    if z == 0:
+        return mp.mpf(1)
+    if z > 0:
+        return mp.sinh(mp.sqrt(z)) / mp.sqrt(z)
+    return mp.sin(mp.sqrt(-z)) / mp.sqrt(-z)
+
+
+def _planar(c, s):
+    z = (1 - c * c) * s * s
+    k1, k2 = _coshc(z), c * s * _sinhc(z)
+    return (k1 * mp.cos(c * s) + k2 * mp.sin(c * s),
+            k1 * mp.sin(c * s) - k2 * mp.cos(c * s))
+
+
+_CROSSING_CS = [0.05, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1, C_ORTHOGONAL]
+
+
+def _crossing_time(c, seed):
+    # Root of sin(polar angle): y scaled to a bounded function, same root.
+    cm = mp.mpf(c)
+    return mp.findroot(lambda s: _planar(cm, s)[1] / mp.hypot(*_planar(cm, s)),
+                       (seed * (1 - 1e-9), seed))
+
+
+@pytest.mark.parametrize("c", _CROSSING_CS)
+def test_s_int(c):
+    got = s_int(c)
+    ref = _crossing_time(c, got)
+    assert abs(got - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("c", _CROSSING_CS)
+def test_x_int(c):
+    # |x| grows like exp(s) for small c, so rounding in s_int carries over
+    # with a factor of about s_int(c) (63 at c = 0.05).
+    ref = _planar(mp.mpf(c), _crossing_time(c, s_int(c)))[0]
+    assert abs(x_int(c) - ref) <= 1e-14 * abs(ref)
+
+
+def _regular_targets(n=60):
+    rng = random.Random(20260601)
+    for _ in range(n):
+        r = math.exp(rng.uniform(math.log(1.0001), math.log(60.0)))
+        beta = rng.uniform(0.05, math.pi - 0.05)
+        yield r * math.cos(beta), r * math.sin(beta)
+
+
+def test_distance_to_class_crossing_times():
+    worst = 0.0
+    for x, y in _regular_targets():
+        res = distance_to_class(QuotientPoint(x, y))
+        c, s = mp.findroot(
+            lambda c, s: [u - v for u, v in zip(_planar(c, s), (x, y))],
+            (mp.mpf(res.c), mp.mpf(res.s)))
+        worst = max(worst, float(abs(res.t_f - 2 * s) / (2 * s)))
+    assert worst <= 1e-13

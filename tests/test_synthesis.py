@@ -245,6 +245,14 @@ class TestSolve:
         with pytest.raises(NotUnimodularError, match="not all finite"):
             solve(np.eye(2), xf)
 
+    def test_endpoints_outside_sl2_rejected(self):
+        # det(Xi) = 2 and det(Xf) = 1/2 give det(Xf adj(Xi)) = 1, so only a
+        # check on Xi itself catches them.
+        xi = np.diag([2.0, 1.0])
+        xf = np.diag([0.5, 1.0])
+        with pytest.raises(NotUnimodularError):
+            solve(xi, xf)
+
 
 class TestVerify:
     def test_reference_solution_residual(self):
