@@ -10,6 +10,8 @@ code 2; selftest failures with code 1.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 
 import numpy as np
@@ -21,6 +23,7 @@ from .selftest import run_selftests
 from .su2 import c_of_omega, landing_match_error, su2_landing_time, su2_planar_geodesic
 from .synthesis import classify_cut_locus, distance_to_class, solve
 from .automorphisms import assemble, factorize, realize
+from .errors import NonFiniteError
 from .types import Factorization
 
 
@@ -81,13 +84,11 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    if args.s_max == "auto":
-        s_max = s_int(args.c)
-    else:
-        s_max = float(args.s_max)
-    print("s,x,y")
-    for sample in sample_path(args.c, s_max, args.n):
-        print(f"{sample.s:.17g},{sample.x:.17g},{sample.y:.17g}")
+    s_max = s_int(args.c) if args.s_max == "auto" else float(args.s_max)
+    # Every row is built before the first write, so an error leaves stdout empty.
+    rows = "".join(f"{s:.17g},{x:.17g},{y:.17g}\n"
+                   for s, x, y in sample_path(args.c, s_max, args.n))
+    sys.stdout.write("s,x,y\n" + rows)
     return 0
 
 
@@ -112,6 +113,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_su2(args) -> int:
+    for name, value in (("omega", args.omega), ("s", args.s)):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"{name} = {value} is not finite")
     x, y = su2_planar_geodesic(args.omega, args.s)
     _emit([("x", _fmt(x, args.precision)),
            ("y", _fmt(y, args.precision)),
@@ -156,7 +160,9 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls.
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument("--precision", type=int, default=12,
                            help="significant digits for printed reals")

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .geodesics import (C_LANDING, C_ORTHOGONAL, landing_time, s_int,
-                        sample_path)
+from .geodesics import (C_LANDING, C_ORTHOGONAL, landing_time,
+                        planar_geodesic, s_int)
 from .su2 import reachable_boundary, su2_landing_time, su2_planar_geodesic
 from .synthesis import distance_to_class
 from .types import QuotientPoint
@@ -47,8 +47,11 @@ def _fmt(v: float) -> str:
 
 
 def _path(points, stroke: str, attrs: str = "", width: float = 0.025) -> str:
-    # SVG y grows downward; flip to keep the upper half-plane on top.
-    coords = " L ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in points)
+    # SVG y grows downward; flip to keep the upper half-plane on top.  Every
+    # number has 12 decimals, so "-0.000000000000" only ever matches a whole
+    # coordinate and one replace normalizes them all, as _fmt does.
+    coords = " L ".join(f"{x:.12f},{-y:.12f}" for x, y in points)
+    coords = coords.replace("-0.000000000000", "0.000000000000")
     return (f'<path {attrs}fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}" d="M {coords}"/>')
 
@@ -72,8 +75,9 @@ def _axes(x0: float, x1: float, y0: float, y1: float) -> list[str]:
     ]
 
 
-def _geodesic_points(c: float, s_max: float) -> list[tuple[float, float]]:
-    return [(p.x, p.y) for p in sample_path(c, s_max, _SAMPLES)]
+def _geodesic_points(c: float, s_max: float) -> list[QuotientPoint]:
+    # The grid of sample_path, without its per-point records.
+    return [planar_geodesic(c, s_max * i / (_SAMPLES - 1)) for i in range(_SAMPLES)]
 
 
 def figure_fan() -> str:

@@ -23,7 +23,8 @@ import numpy as np
 
 from ._kernels import bisect, coshc, sinhc
 from .algebra import exp2, from_coords
-from .errors import BadGridError, OutOfRegimeError, UnboundedError
+from .errors import (BadGridError, NonFiniteError, OutOfRegimeError,
+                     UnboundedError)
 from .tolerances import REGIME_TOL, SERIES_CUTOFF
 from .types import PathSample, PlanarJet, QuotientPoint
 
@@ -126,6 +127,8 @@ def s_int(c: float) -> float:
     c -> 0); for larger |c| it coincides with the landing time.  c = 0
     runs along the positive axis forever and raises UnboundedError.
     """
+    if not math.isfinite(c):
+        raise NonFiniteError(f"geodesic parameter c = {c} is not finite")
     ac = abs(c)
     if ac == 0.0:
         raise UnboundedError("the c = 0 geodesic never leaves the x-axis")
@@ -177,10 +180,14 @@ def lift(c: float, phi: float, t: float) -> np.ndarray:
 
 def sample_path(c: float, s_max: float, n: int) -> list[PathSample]:
     """n uniform samples of the planar geodesic on [0, s_max]."""
+    if not math.isfinite(c):
+        raise NonFiniteError(f"geodesic parameter c = {c} is not finite")
     if n < 2:
         raise BadGridError(f"need at least 2 samples, got {n}")
     if not s_max > 0.0:
         raise BadGridError(f"s_max must be positive, got {s_max}")
+    if not math.isfinite(s_max * (n - 1)):
+        raise BadGridError(f"s_max = {s_max} with {n} samples overflows the grid")
     out = []
     for i in range(n):
         s = s_max * i / (n - 1)

@@ -1,6 +1,10 @@
 import argparse
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +12,10 @@ import pytest
 import sl2geo.quotient
 from sl2geo import selftest
 from sl2geo.cli import _build_parser, main
-from sl2geo.figures import figure_svg
+from sl2geo.figures import FAN_C_VALUES, _fmt, _path, figure_svg
+from sl2geo.geodesics import C_LANDING, landing_time, s_int, sample_path
+from sl2geo.synthesis import distance_to_class
+from sl2geo.types import QuotientPoint
 
 
 def run(capsys, *argv):
@@ -243,6 +250,23 @@ class TestNonFiniteInput:
         assert out == ""
         assert "not all finite" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("path", "nan", "auto", "5"), "c = nan is not finite"),
+        (("path", "inf", "auto", "5"), "c = inf is not finite"),
+        (("path", "-inf", "auto", "5"), "c = -inf is not finite"),
+        (("path", "nan", "1", "5"), "c = nan is not finite"),
+        (("path", "1", "inf", "5"), "overflows the grid"),
+        (("path", "1", "1e308", "3"), "overflows the grid"),
+        (("su2", "nan", "1"), "omega = nan is not finite"),
+        (("su2", "-inf", "0"), "omega = -inf is not finite"),
+        (("su2", "1", "inf"), "s = inf is not finite"),
+    ])
+    def test_path_and_su2_arguments(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestExponentFormReals:
     """Negative reals in exponent form are values, not unknown flags."""
@@ -336,3 +360,95 @@ class TestSelftestCommand:
         start = time.perf_counter()
         assert selftest.run_selftests(out=lambda *_: None) == 0
         assert time.perf_counter() - start < 60.0
+
+
+def _svg_paths(svg):
+    return re.findall(r'<path data-c="([^"]+)" [^>]*d="M ([^"]+)"/>', svg)
+
+
+def _formatted(c, s_max):
+    # Per-coordinate formatting of the sample_path grid, as figures drew it
+    # before they sampled planar_geodesic directly.
+    return " L ".join(f"{_fmt(p.x)},{_fmt(-p.y)}" for p in sample_path(c, s_max, 400))
+
+
+class TestOutputEquivalence:
+    """The batched path output and the figures' one-pass formatting give
+    exactly the bytes of the per-row and per-coordinate formatting."""
+
+    @pytest.mark.parametrize("argv", [
+        ("0", "1", "2"), ("0.9", "3", "20"), ("-0.779765", "auto", "400"),
+        ("1.066617", "auto", "400"), ("1.829843", "auto", "400"), ("1e-3", "2", "7"),
+    ])
+    def test_path_rows(self, capsys, argv):
+        c, n = float(argv[0]), int(argv[2])
+        s_max = s_int(c) if argv[1] == "auto" else float(argv[1])
+        rows = "".join(f"{p.s:.17g},{p.x:.17g},{p.y:.17g}\n"
+                       for p in sample_path(c, s_max, n))
+        assert run(capsys, "path", *argv) == (0, "s,x,y\n" + rows, "")
+
+    def test_figure1_paths(self):
+        paths = _svg_paths(figure_svg(1))
+        assert len(paths) == len(FAN_C_VALUES)
+        for (c, _), (label, d) in zip(FAN_C_VALUES, paths):
+            assert label == _fmt(c)
+            assert d == _formatted(c, s_int(c))
+
+    def test_figure2_paths(self):
+        converged = distance_to_class(QuotientPoint(0.0, 1.5)).c
+        cs = (C_LANDING, 3.0 / math.sqrt(5.0), 1.248171, 1.294906, converged)
+        paths = _svg_paths(figure_svg(2))
+        assert [label for label, _ in paths] == [_fmt(c) for c in cs]
+        for c, (_, d) in zip(cs, paths):
+            assert d == _formatted(c, landing_time(c))
+
+    def test_signed_zeros_print_unsigned(self):
+        svg = _path([(-0.0, -0.0), (1.0, 1e-15), (-1e-15, -1e-15), (-10.0, 0.0)],
+                    "black")
+        assert ('d="M 0.000000000000,0.000000000000 L 1.000000000000,0.000000000000'
+                ' L 0.000000000000,0.000000000000 L -10.000000000000,0.000000000000"'
+                in svg)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may leak into the
+    next one."""
+
+    SEQUENCE = [
+        ("dist", "--precision", "4", "2", "1", "1", "1"),
+        ("dist", "2", "1", "1", "1"),
+        ("solve", "--pretty", "0", "-1", "1", "0", "2", "1", "1", "1"),
+        ("figure", "1", "--bogus"),
+        ("solve", "0", "-1", "1", "0", "2", "1", "1", "1"),
+        ("path", "1.2", "auto", "5"),
+    ]
+
+    @staticmethod
+    def _outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_sequence_matches_fresh_runs(self, capsys):
+        in_sequence = [self._outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert _build_parser() is _build_parser()
+        fresh = []
+        for argv in self.SEQUENCE:
+            _build_parser.cache_clear()
+            fresh.append(self._outcome(capsys, argv))
+        assert in_sequence == fresh
+        assert [code for code, _, _ in in_sequence] == [0, 0, 0, 2, 0, 0]
+        assert parse_kv(in_sequence[0][1])["s"] == "0.9624"
+        assert parse_kv(in_sequence[1][1])["s"] == "0.962423650119"
+
+
+def test_python_m_runs_the_cli():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-m", "sl2geo", "project", "-1", "2", "-1", "1"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "x=0 y=1.5 stratum=regular\n", "")

@@ -6,7 +6,8 @@ import pytest
 from sl2geo import (C_LANDING, C_ORTHOGONAL, basis, exp2, k1k2, landing_point,
                     landing_time, lift, planar_geodesic, planar_jet, project,
                     radius_sq, s_int, sample_path, to_coords, x_int)
-from sl2geo.errors import BadGridError, OutOfRegimeError, UnboundedError
+from sl2geo.errors import (BadGridError, NonFiniteError, OutOfRegimeError,
+                           UnboundedError)
 
 A0, A1, A2 = basis()
 
@@ -150,6 +151,11 @@ class TestSInt:
     def test_unbounded_at_zero(self):
         with pytest.raises(UnboundedError):
             s_int(0.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter(self, c):
+        with pytest.raises(NonFiniteError):
+            s_int(c)
 
     def test_even_in_c(self):
         for c in (0.3, 0.8, 1.1, 1.4):
@@ -306,6 +312,16 @@ class TestSamplePath:
             sample_path(1.0, 1.0, 1)
         with pytest.raises(BadGridError):
             sample_path(1.0, -1.0, 10)
+
+    @pytest.mark.parametrize("s_max, n", [(math.inf, 5), (1e308, 3), (math.nan, 5)])
+    def test_non_finite_grid(self, s_max, n):
+        with pytest.raises(BadGridError):
+            sample_path(1.0, s_max, n)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter(self, c):
+        with pytest.raises(NonFiniteError):
+            sample_path(c, 1.0, 5)
 
 
 class TestPlanarJet:
