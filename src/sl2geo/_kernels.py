@@ -8,7 +8,8 @@ real branches of a single entire function of z:
 
 Evaluating through z removes the 0/0 boundary between the branches: near
 z = 0 both functions are computed by a short Taylor series, so callers never
-have to special-case the parabolic limit.
+have to special-case the parabolic limit.  coshc_sinhc gives both from one
+square root, for callers that need the pair.
 
 bisect is the package's one root finder: the optimality horizon s_int and
 the fan coordinate of the endpoint solver both use it.
@@ -52,6 +53,25 @@ def sinhc(z: float) -> float:
             return math.inf
     w = math.sqrt(-z)
     return math.sin(w) / w
+
+
+def coshc_sinhc(z: float) -> tuple[float, float]:
+    """(coshc(z), sinhc(z)) from one square root, bit-identical to both calls.
+
+    cosh and sinh agree to double precision long before they overflow, so
+    both saturate to inf at the same z (~ 5.05e5).
+    """
+    if abs(z) < SERIES_CUTOFF:
+        return (1.0 + z * (0.5 + z * (1.0 / 24.0 + z / 720.0)),
+                1.0 + z * (1.0 / 6.0 + z * (1.0 / 120.0 + z / 5040.0)))
+    if z > 0.0:
+        w = math.sqrt(z)
+        try:
+            return math.cosh(w), math.sinh(w) / w
+        except OverflowError:
+            return math.inf, math.inf
+    w = math.sqrt(-z)
+    return math.cos(w), math.sin(w) / w
 
 
 def inverse_sinhc_scaled(q: float, radial: float) -> float:

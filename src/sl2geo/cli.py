@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .figures import figure_svg
-from .geodesics import s_int, sample_path
+from .geodesics import planar_curve, s_int
 from .quotient import project
 from .selftest import run_selftests
 from .su2 import c_of_omega, landing_match_error, su2_landing_time, su2_planar_geodesic
@@ -85,10 +85,13 @@ def _cmd_dist(args) -> int:
 
 def _cmd_path(args) -> int:
     s_max = s_int(args.c) if args.s_max == "auto" else float(args.s_max)
-    # Every row is built before the first write, so an error leaves stdout empty.
-    rows = "".join(f"{s:.17g},{x:.17g},{y:.17g}\n"
-                   for s, x, y in sample_path(args.c, s_max, args.n))
-    sys.stdout.write("s,x,y\n" + rows)
+    n = args.n
+    points = planar_curve(args.c, s_max, n)
+    flat = tuple([v for i, (x, y) in enumerate(points)
+                  for v in (s_max * i / (n - 1), x, y)])
+    # Every row is formatted by one % before the only write, so an error
+    # leaves stdout empty.
+    sys.stdout.write("s,x,y\n" + "%.17g,%.17g,%.17g\n" * n % flat)
     return 0
 
 

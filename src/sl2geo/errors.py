@@ -26,7 +26,7 @@ class UnboundedError(GeometryError):
 
 
 class NonFiniteError(GeometryError):
-    """Input coordinate is NaN or infinite."""
+    """Input is NaN or infinite, or finite input overflows a computation."""
 
 
 class NoRootError(GeometryError):

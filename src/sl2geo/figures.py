@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 
-from .geodesics import (C_LANDING, C_ORTHOGONAL, landing_time,
-                        planar_geodesic, s_int)
-from .su2 import reachable_boundary, su2_landing_time, su2_planar_geodesic
+from .geodesics import (C_LANDING, C_ORTHOGONAL, landing_time, planar_curve,
+                        s_int)
+from .su2 import reachable_boundary, su2_curve, su2_landing_time
 from .synthesis import distance_to_class
 from .types import QuotientPoint
 
@@ -47,10 +47,12 @@ def _fmt(v: float) -> str:
 
 
 def _path(points, stroke: str, attrs: str = "", width: float = 0.025) -> str:
-    # SVG y grows downward; flip to keep the upper half-plane on top.  Every
-    # number has 12 decimals, so "-0.000000000000" only ever matches a whole
-    # coordinate and one replace normalizes them all, as _fmt does.
-    coords = " L ".join(f"{x:.12f},{-y:.12f}" for x, y in points)
+    # SVG y grows downward; flip to keep the upper half-plane on top.  One %
+    # formats the whole path.  Every number has 12 decimals, so
+    # "-0.000000000000" only ever matches a whole coordinate and one replace
+    # normalizes them all, as _fmt does.
+    flat = tuple([v for x, y in points for v in (x, -y)])
+    coords = " L ".join(["%.12f,%.12f"] * len(points)) % flat
     coords = coords.replace("-0.000000000000", "0.000000000000")
     return (f'<path {attrs}fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}" d="M {coords}"/>')
@@ -75,18 +77,13 @@ def _axes(x0: float, x1: float, y0: float, y1: float) -> list[str]:
     ]
 
 
-def _geodesic_points(c: float, s_max: float) -> list[QuotientPoint]:
-    # The grid of sample_path, without its per-point records.
-    return [planar_geodesic(c, s_max * i / (_SAMPLES - 1)) for i in range(_SAMPLES)]
-
-
 def figure_fan() -> str:
     """The fan of optimal geodesics, each truncated at its horizon."""
     lines = _header("-6 -5 12 10", 960, 800)
     lines += _axes(-6.0, 6.0, -5.0, 5.0)
     for c, color in FAN_C_VALUES:
         horizon = s_int(c)
-        lines.append(_path(_geodesic_points(c, horizon), color,
+        lines.append(_path(planar_curve(c, horizon, _SAMPLES), color,
                            attrs=f'data-c="{_fmt(c)}" '))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -106,7 +103,7 @@ def figure_worked_example() -> str:
     lines = _header("-2 -0.6 4 2.4", 960, 576)
     lines += _axes(-2.0, 2.0, -0.6, 1.8)
     for c, color in curves:
-        lines.append(_path(_geodesic_points(c, landing_time(c)), color,
+        lines.append(_path(planar_curve(c, landing_time(c), _SAMPLES), color,
                            attrs=f'data-c="{_fmt(c)}" '))
     lines.append(f'<circle cx="{_fmt(target.x)}" cy="{_fmt(-target.y)}" '
                  'r="0.035" fill="black"/>')
@@ -123,8 +120,7 @@ def figure_su2() -> str:
     lines = _header("-1.3 -1.3 2.6 2.6", 800, 800)
     lines += _axes(-1.3, 1.3, -1.3, 1.3)
     for omega in FIG3_OMEGAS:
-        pts = [su2_planar_geodesic(omega, su2_landing_time(omega) * i / (_SAMPLES - 1))
-               for i in range(_SAMPLES)]
+        pts = su2_curve(omega, su2_landing_time(omega), _SAMPLES)
         lines.append(_path(pts, "blue", attrs=f'data-omega="{_fmt(omega)}" ',
                            width=0.008))
     for s in FIG3_TIMES:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from ._kernels import bisect, coshc, sinhc
+from ._kernels import bisect, coshc_sinhc
 from .algebra import exp2, from_coords
 from .errors import (BadGridError, NonFiniteError, OutOfRegimeError,
                      UnboundedError)
@@ -37,8 +37,8 @@ C_ORTHOGONAL = 3.0 / (2.0 * math.sqrt(2.0))
 
 def k1k2(c: float, s: float) -> tuple[float, float]:
     """Radial components (k1, k2) of the planar geodesic at half-time s."""
-    z = (1.0 - c * c) * s * s
-    return coshc(z), c * s * sinhc(z)
+    ch, sh = coshc_sinhc((1.0 - c * c) * s * s)
+    return ch, c * s * sh
 
 
 def planar_geodesic(c: float, s: float) -> QuotientPoint:
@@ -56,10 +56,9 @@ def planar_jet(c: float, s: float) -> PlanarJet:
     dE/ds = k1, which gives closed-form accelerations; the factors 1/2 and
     1/4 convert to t-derivatives.
     """
-    z = (1.0 - c * c) * s * s
-    k1 = coshc(z)
-    k2 = c * s * sinhc(z)
-    speed = s * sinhc(z)
+    k1, sh = coshc_sinhc((1.0 - c * c) * s * s)
+    k2 = c * s * sh
+    speed = s * sh
     cos_cs = math.cos(c * s)
     sin_cs = math.sin(c * s)
     return PlanarJet(
@@ -178,8 +177,11 @@ def lift(c: float, phi: float, t: float) -> np.ndarray:
     return lift_with_direction(c, direction_matrix(phi), t)
 
 
-def sample_path(c: float, s_max: float, n: int) -> list[PathSample]:
-    """n uniform samples of the planar geodesic on [0, s_max]."""
+def planar_curve(c: float, s_max: float, n: int) -> list[tuple[float, float]]:
+    """Points (x, y) of the c-geodesic at s = s_max*i/(n-1), i = 0..n-1.
+
+    Each point equals planar_geodesic at its s, bit for bit.
+    """
     if not math.isfinite(c):
         raise NonFiniteError(f"geodesic parameter c = {c} is not finite")
     if n < 2:
@@ -188,9 +190,26 @@ def sample_path(c: float, s_max: float, n: int) -> list[PathSample]:
         raise BadGridError(f"s_max must be positive, got {s_max}")
     if not math.isfinite(s_max * (n - 1)):
         raise BadGridError(f"s_max = {s_max} with {n} samples overflows the grid")
-    out = []
+    if not (math.isfinite(c * s_max) and math.isfinite((1.0 - c * c) * s_max * s_max)):
+        raise NonFiniteError(f"c = {c} with s_max = {s_max} overflows the geodesic")
+    last = n - 1
+    points = []
     for i in range(n):
-        s = s_max * i / (n - 1)
-        p = planar_geodesic(c, s)
-        out.append(PathSample(s, p.x, p.y))
-    return out
+        s = s_max * i / last
+        k1, k2 = k1k2(c, s)
+        cos_cs = math.cos(c * s)
+        sin_cs = math.sin(c * s)
+        points.append((k1 * cos_cs + k2 * sin_cs, k1 * sin_cs - k2 * cos_cs))
+    # One check per curve: for |c| <= 1 the radius grows monotonically
+    # along s, so the end point is the largest; for |c| > 1 every point is
+    # bounded by 1 + |c s_max|, finite by the check above.
+    x, y = points[-1]
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NonFiniteError(f"c = {c} with s_max = {s_max} overflows the geodesic")
+    return points
+
+
+def sample_path(c: float, s_max: float, n: int) -> list[PathSample]:
+    """n uniform samples of the planar geodesic on [0, s_max]."""
+    return [PathSample(s_max * i / (n - 1), x, y)
+            for i, (x, y) in enumerate(planar_curve(c, s_max, n))]

@@ -13,18 +13,47 @@ from __future__ import annotations
 import math
 
 from ._kernels import coshc, sinhc
-from .errors import BadGridError
+from .errors import BadGridError, NonFiniteError
 from .geodesics import landing_point
+
+
+def _rate(omega: float, s: float) -> float:
+    # The rate mu = sqrt(1 + omega^2), once the angles mu*s and omega*s are
+    # known to be finite.
+    mu = math.sqrt(1.0 + omega * omega)
+    if not (math.isfinite(mu * s) and math.isfinite(omega * s)):
+        raise NonFiniteError(f"omega = {omega} with s = {s} overflows the geodesic")
+    return mu
 
 
 def su2_planar_geodesic(omega: float, s: float) -> tuple[float, float]:
     """Point of the omega-geodesic in the disc at time s."""
-    mu = math.sqrt(1.0 + omega * omega)
+    mu = _rate(omega, s)
     cos_m, sin_m = math.cos(mu * s), math.sin(mu * s)
     cos_o, sin_o = math.cos(omega * s), math.sin(omega * s)
     ratio = omega / mu
     return (cos_m * cos_o + ratio * sin_m * sin_o,
             cos_m * sin_o - ratio * sin_m * cos_o)
+
+
+def su2_curve(omega: float, s_max: float, n: int) -> list[tuple[float, float]]:
+    """Points of the omega-geodesic at s = s_max*i/(n-1), i = 0..n-1.
+
+    Each point equals su2_planar_geodesic at its s, bit for bit.  Every
+    point lies in the disc, so one check of the angles at s_max covers the
+    curve.
+    """
+    mu = _rate(omega, s_max)
+    ratio = omega / mu
+    last = n - 1
+    points = []
+    for i in range(n):
+        s = s_max * i / last
+        cos_m, sin_m = math.cos(mu * s), math.sin(mu * s)
+        cos_o, sin_o = math.cos(omega * s), math.sin(omega * s)
+        points.append((cos_m * cos_o + ratio * sin_m * sin_o,
+                       cos_m * sin_o - ratio * sin_m * cos_o))
+    return points
 
 
 def _su2_from_kernel(omega: float, s: float) -> tuple[float, float]:

@@ -12,8 +12,10 @@ import pytest
 import sl2geo.quotient
 from sl2geo import selftest
 from sl2geo.cli import _build_parser, main
-from sl2geo.figures import FAN_C_VALUES, _fmt, _path, figure_svg
-from sl2geo.geodesics import C_LANDING, landing_time, s_int, sample_path
+from sl2geo.figures import (FAN_C_VALUES, FIG3_OMEGAS, FIG3_TIMES, _fmt, _path,
+                            figure_svg)
+from sl2geo.geodesics import C_LANDING, landing_time, planar_geodesic, s_int
+from sl2geo.su2 import reachable_boundary, su2_landing_time, su2_planar_geodesic
 from sl2geo.synthesis import distance_to_class
 from sl2geo.types import QuotientPoint
 
@@ -260,6 +262,11 @@ class TestNonFiniteInput:
         (("su2", "nan", "1"), "omega = nan is not finite"),
         (("su2", "-inf", "0"), "omega = -inf is not finite"),
         (("su2", "1", "inf"), "s = inf is not finite"),
+        (("path", "1e308", "1", "3"), "c = 1e+308 with s_max = 1.0 overflows the geodesic"),
+        (("path", "1e200", "2", "3"), "c = 1e+200 with s_max = 2.0 overflows the geodesic"),
+        (("path", "0.5", "1000", "3"), "c = 0.5 with s_max = 1000.0 overflows the geodesic"),
+        (("su2", "1e308", "1"), "omega = 1e+308 with s = 1.0 overflows the geodesic"),
+        (("su2", "1e200", "1e200"), "omega = 1e+200 with s = 1e+200 overflows the geodesic"),
     ])
     def test_path_and_su2_arguments(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -362,19 +369,30 @@ class TestSelftestCommand:
         assert time.perf_counter() - start < 60.0
 
 
-def _svg_paths(svg):
-    return re.findall(r'<path data-c="([^"]+)" [^>]*d="M ([^"]+)"/>', svg)
+def _svg_paths(svg, kind="c"):
+    return re.findall(rf'<path data-{kind}="([^"]+)" [^>]*d="M ([^"]+)"/>', svg)
 
 
-def _formatted(c, s_max):
-    # Per-coordinate formatting of the sample_path grid, as figures drew it
-    # before they sampled planar_geodesic directly.
-    return " L ".join(f"{_fmt(p.x)},{_fmt(-p.y)}" for p in sample_path(c, s_max, 400))
+def _grid(s_max, n=400):
+    return [s_max * i / (n - 1) for i in range(n)]
+
+
+def _formatted(points):
+    # Per-coordinate formatting, as the figures drew each point before they
+    # formatted a whole path at once.
+    return " L ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in points)
+
+
+def _planar_formatted(c, s_max):
+    # Per-point planar_geodesic on the figures' grid, not the grid sampler
+    # the figures call, so the test does not check that code against itself.
+    return _formatted(planar_geodesic(c, s) for s in _grid(s_max))
 
 
 class TestOutputEquivalence:
-    """The batched path output and the figures' one-pass formatting give
-    exactly the bytes of the per-row and per-coordinate formatting."""
+    """The grid samplers and the one-% formatting of a whole path or CSV
+    give exactly the bytes of per-point evaluation formatted per row or per
+    coordinate."""
 
     @pytest.mark.parametrize("argv", [
         ("0", "1", "2"), ("0.9", "3", "20"), ("-0.779765", "auto", "400"),
@@ -383,8 +401,10 @@ class TestOutputEquivalence:
     def test_path_rows(self, capsys, argv):
         c, n = float(argv[0]), int(argv[2])
         s_max = s_int(c) if argv[1] == "auto" else float(argv[1])
-        rows = "".join(f"{p.s:.17g},{p.x:.17g},{p.y:.17g}\n"
-                       for p in sample_path(c, s_max, n))
+        rows = ""
+        for s in _grid(s_max, n):
+            p = planar_geodesic(c, s)
+            rows += f"{s:.17g},{p.x:.17g},{p.y:.17g}\n"
         assert run(capsys, "path", *argv) == (0, "s,x,y\n" + rows, "")
 
     def test_figure1_paths(self):
@@ -392,7 +412,7 @@ class TestOutputEquivalence:
         assert len(paths) == len(FAN_C_VALUES)
         for (c, _), (label, d) in zip(FAN_C_VALUES, paths):
             assert label == _fmt(c)
-            assert d == _formatted(c, s_int(c))
+            assert d == _planar_formatted(c, s_int(c))
 
     def test_figure2_paths(self):
         converged = distance_to_class(QuotientPoint(0.0, 1.5)).c
@@ -400,7 +420,19 @@ class TestOutputEquivalence:
         paths = _svg_paths(figure_svg(2))
         assert [label for label, _ in paths] == [_fmt(c) for c in cs]
         for c, (_, d) in zip(cs, paths):
-            assert d == _formatted(c, landing_time(c))
+            assert d == _planar_formatted(c, landing_time(c))
+
+    def test_figure3_paths(self):
+        svg = figure_svg(3)
+        geodesics = _svg_paths(svg, "omega")
+        assert [label for label, _ in geodesics] == [_fmt(w) for w in FIG3_OMEGAS]
+        for omega, (_, d) in zip(FIG3_OMEGAS, geodesics):
+            grid = _grid(su2_landing_time(omega))
+            assert d == _formatted(su2_planar_geodesic(omega, s) for s in grid)
+        boundaries = _svg_paths(svg, "s")
+        assert [label for label, _ in boundaries] == [_fmt(s) for s in FIG3_TIMES]
+        for s, (_, d) in zip(FIG3_TIMES, boundaries):
+            assert d == _formatted(reachable_boundary(s, 256))
 
     def test_signed_zeros_print_unsigned(self):
         svg = _path([(-0.0, -0.0), (1.0, 1e-15), (-1e-15, -1e-15), (-10.0, 0.0)],

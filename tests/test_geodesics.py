@@ -6,8 +6,10 @@ import pytest
 from sl2geo import (C_LANDING, C_ORTHOGONAL, basis, exp2, k1k2, landing_point,
                     landing_time, lift, planar_geodesic, planar_jet, project,
                     radius_sq, s_int, sample_path, to_coords, x_int)
+from sl2geo._kernels import coshc, sinhc
 from sl2geo.errors import (BadGridError, NonFiniteError, OutOfRegimeError,
                            UnboundedError)
+from sl2geo.geodesics import planar_curve
 
 A0, A1, A2 = basis()
 
@@ -49,6 +51,13 @@ class TestK1K2:
             above = k1k2(1.0 + 1e-9, s)
             assert below == pytest.approx(at, abs=1e-7)
             assert above == pytest.approx(at, abs=1e-7)
+
+    def test_same_bits_as_the_separate_kernels(self, rng):
+        for _ in range(200):
+            c = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 3.0))
+            s = float(rng.uniform(0.0, 20.0))
+            z = ((1.0 - c * c) * s) * s
+            assert k1k2(c, s) == (coshc(z), (c * s) * sinhc(z))
 
 
 class TestPlanarGeodesic:
@@ -322,6 +331,42 @@ class TestSamplePath:
     def test_non_finite_parameter(self, c):
         with pytest.raises(NonFiniteError):
             sample_path(c, 1.0, 5)
+
+
+class TestPlanarCurve:
+    @pytest.mark.parametrize("c", [
+        sign * c for c in (1e-3, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1,
+                           C_LANDING, C_ORTHOGONAL, 2.5)
+        for sign in (1.0, -1.0)])
+    def test_equals_planar_geodesic_per_point(self, c):
+        for s_max, n in ((landing_time(2.5), 7), (3.0, 400), (12.0, 33)):
+            points = planar_curve(c, s_max, n)
+            assert len(points) == n
+            for i, point in enumerate(points):
+                # == on floats: the grid loop is planar_geodesic, bit for bit.
+                assert point == tuple(planar_geodesic(c, s_max * i / (n - 1)))
+
+    def test_sample_path_shares_the_grid(self):
+        samples = sample_path(0.9, 3.0, 20)
+        assert [(p.x, p.y) for p in samples] == planar_curve(0.9, 3.0, 20)
+        assert [p.s for p in samples] == [3.0 * i / 19 for i in range(20)]
+
+    @pytest.mark.parametrize("c, s_max", [
+        (1e308, 1.0),   # 1 - c^2 overflows
+        (1e200, 2.0),
+        (-1e200, 2.0),
+        (0.5, 1000.0),  # the hyperbolic radius overflows at the end
+        (1e-3, 900.0),
+        (1e300, 1e10),  # c s_max overflows
+    ])
+    def test_overflow_raises(self, c, s_max):
+        with pytest.raises(NonFiniteError, match="overflows the geodesic"):
+            planar_curve(c, s_max, 3)
+
+    def test_largest_finite_hyperbolic_end(self):
+        # Just below the overflow of cosh the end point is still finite.
+        points = planar_curve(0.0, 710.0, 3)
+        assert all(math.isfinite(v) for point in points for v in point)
 
 
 class TestPlanarJet:

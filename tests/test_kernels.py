@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from sl2geo._kernels import bisect
+from sl2geo._kernels import bisect, coshc, coshc_sinhc, sinhc
 from sl2geo.errors import NoRootError
+from sl2geo.tolerances import SERIES_CUTOFF
 
 
 def counted(f):
@@ -41,3 +42,28 @@ class TestBisect:
         assert len(calls) <= 64
         assert lo <= got <= hi
         assert abs(got - (1e5 + 1.0 / 3.0)) <= math.ulp(1e5)
+
+
+# The smallest z at which cosh(sqrt(z)) overflows; the float below it does not.
+_COSH_EDGE = 710.475860073944 ** 2
+
+
+class TestCoshcSinhc:
+    @pytest.mark.parametrize("z", [
+        0.0, -0.0, 1e-300, -1e-300, 1e-12, -1e-12,
+        0.5 * SERIES_CUTOFF, -0.5 * SERIES_CUTOFF,
+        math.nextafter(SERIES_CUTOFF, 0.0), SERIES_CUTOFF,
+        math.nextafter(SERIES_CUTOFF, 1.0), -math.nextafter(SERIES_CUTOFF, 0.0),
+        -SERIES_CUTOFF, -math.nextafter(SERIES_CUTOFF, 1.0),
+        1e-6, -1e-6, 0.25, -0.25, 1.0, -1.0, math.pi, -math.pi ** 2, 37.5,
+        -1234.5, 1e4, -1e4, 5e5, -5e5, -1e12, -1e300,
+        math.nextafter(_COSH_EDGE, 0.0), _COSH_EDGE, math.nextafter(_COSH_EDGE, 1e6),
+        5.1e5, 1e6, 1e300,
+    ])
+    def test_equals_the_separate_kernels(self, z):
+        # == on floats: the pair must be bit-identical to the two calls.
+        assert coshc_sinhc(z) == (coshc(z), sinhc(z))
+
+    def test_saturates_past_the_overflow_edge(self):
+        assert coshc_sinhc(math.nextafter(_COSH_EDGE, 0.0))[0] < math.inf
+        assert coshc_sinhc(_COSH_EDGE) == (math.inf, math.inf)

@@ -5,10 +5,33 @@ import pytest
 
 from sl2geo import (c_of_omega, landing_match_error, reachable_boundary,
                     su2_landing_point, su2_landing_time, su2_planar_geodesic)
-from sl2geo.errors import BadGridError
-from sl2geo.su2 import _su2_from_kernel
+from sl2geo.errors import BadGridError, NonFiniteError
+from sl2geo.su2 import _su2_from_kernel, su2_curve
 
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
+
+
+class TestCurve:
+    @pytest.mark.parametrize("omega", [0.0, 1e-9, 0.5, -0.5, 1.0, -2.0, 4.0, -4.0, 1e6])
+    def test_equals_su2_planar_geodesic_per_point(self, omega):
+        for s_max, n in ((su2_landing_time(omega), 400), (2.5, 9)):
+            points = su2_curve(omega, s_max, n)
+            assert len(points) == n
+            for i, point in enumerate(points):
+                # == on floats: the grid loop is su2_planar_geodesic, bit for bit.
+                assert point == su2_planar_geodesic(omega, s_max * i / (n - 1))
+
+    @pytest.mark.parametrize("omega, s", [
+        (1e308, 1.0),     # omega^2, and so mu, overflows
+        (1e200, 1e200),   # omega s overflows
+        (-1e200, 1e200),
+        (1e300, 0.0),     # mu s = inf * 0
+    ])
+    def test_overflow_raises(self, omega, s):
+        with pytest.raises(NonFiniteError, match="overflows the geodesic"):
+            su2_planar_geodesic(omega, s)
+        with pytest.raises(NonFiniteError, match="overflows the geodesic"):
+            su2_curve(omega, s, 3)
 
 
 class TestPlanarGeodesic:
