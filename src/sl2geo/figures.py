@@ -22,21 +22,20 @@ from .su2 import reachable_boundary, su2_curve, su2_landing_time
 from .synthesis import distance_to_class
 from .types import QuotientPoint
 
-FAN_C_VALUES: tuple[tuple[float, str], ...] = tuple(
-    (sign * c, color)
-    for c, color in (
-        (0.9, "green"),
-        (0.95, "green"),
-        (1.0, "black"),
-        (1.03, "blue"),
-        (1.12, "blue"),
-        (C_LANDING, "blue"),
-        (C_ORTHOGONAL, "red"),
-        (1.2, "purple"),
-        (1.5, "purple"),
-    )
-    for sign in (1.0, -1.0)
+_FAN: tuple[tuple[float, str], ...] = (
+    (0.9, "green"),
+    (0.95, "green"),
+    (1.0, "black"),
+    (1.03, "blue"),
+    (1.12, "blue"),
+    (C_LANDING, "blue"),
+    (C_ORTHOGONAL, "red"),
+    (1.2, "purple"),
+    (1.5, "purple"),
 )
+
+FAN_C_VALUES: tuple[tuple[float, str], ...] = tuple(
+    (sign * c, color) for c, color in _FAN for sign in (1.0, -1.0))
 
 _SAMPLES = 400
 
@@ -46,16 +45,42 @@ def _fmt(v: float) -> str:
     return "0.000000000000" if out == "-0.000000000000" else out
 
 
-def _path(points, stroke: str, attrs: str = "", width: float = 0.025) -> str:
+def _coords(points) -> str:
     # SVG y grows downward; flip to keep the upper half-plane on top.  One %
     # formats the whole path.  Every number has 12 decimals, so
     # "-0.000000000000" only ever matches a whole coordinate and one replace
     # normalizes them all, as _fmt does.
     flat = tuple([v for x, y in points for v in (x, -y)])
     coords = " L ".join(["%.12f,%.12f"] * len(points)) % flat
-    coords = coords.replace("-0.000000000000", "0.000000000000")
+    return coords.replace("-0.000000000000", "0.000000000000")
+
+
+def _mirrored(coords: str) -> str:
+    # The coordinates of the reflection y -> -y: every y string follows a
+    # comma, so one replace flips its sign, the next cancels a double minus,
+    # and the last keeps a zero unsigned.
+    return (coords.replace(",", ",-").replace(",--", ",")
+            .replace(",-0.000000000000", ",0.000000000000"))
+
+
+def _element(coords: str, stroke: str, attrs: str, width: float) -> str:
     return (f'<path {attrs}fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}" d="M {coords}"/>')
+
+
+def _path(points, stroke: str, attrs: str = "", width: float = 0.025) -> str:
+    return _element(_coords(points), stroke, attrs, width)
+
+
+def _path_pair(points, stroke: str, name: str, value: float,
+               width: float = 0.025) -> tuple[str, str]:
+    """The paths of the curve with data-name = value and of its reflection
+    y -> -y with data-name = -value, from one formatting of the curve: the
+    same bytes as _path of each."""
+    coords = _coords(points)
+    return (_element(coords, stroke, f'data-{name}="{_fmt(value)}" ', width),
+            _element(_mirrored(coords), stroke, f'data-{name}="{_fmt(-value)}" ',
+                     width))
 
 
 def _header(view: str, width: int, height: int) -> list[str]:
@@ -81,10 +106,10 @@ def figure_fan() -> str:
     """The fan of optimal geodesics, each truncated at its horizon."""
     lines = _header("-6 -5 12 10", 960, 800)
     lines += _axes(-6.0, 6.0, -5.0, 5.0)
-    for c, color in FAN_C_VALUES:
-        horizon = s_int(c)
-        lines.append(_path(planar_curve(c, horizon, _SAMPLES), color,
-                           attrs=f'data-c="{_fmt(c)}" '))
+    # The -c geodesic is the reflection of the c one, bit for bit, with
+    # the same horizon: one curve is sampled and formatted per pair.
+    for c, color in _FAN:
+        lines += _path_pair(planar_curve(c, s_int(c), _SAMPLES), color, "c", c)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -111,7 +136,8 @@ def figure_worked_example() -> str:
     return "\n".join(lines) + "\n"
 
 
-FIG3_OMEGAS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0)
+_FIG3_MIRRORED = (0.5, 1.0, 2.0, 4.0)
+FIG3_OMEGAS = (0.0,) + tuple(sign * w for w in _FIG3_MIRRORED for sign in (1.0, -1.0))
 FIG3_TIMES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
@@ -119,10 +145,12 @@ def figure_su2() -> str:
     """SU(2) geodesics (blue) and reachable-set boundaries (red)."""
     lines = _header("-1.3 -1.3 2.6 2.6", 800, 800)
     lines += _axes(-1.3, 1.3, -1.3, 1.3)
-    for omega in FIG3_OMEGAS:
+    lines.append(_path(su2_curve(0.0, su2_landing_time(0.0), _SAMPLES), "blue",
+                       attrs=f'data-omega="{_fmt(0.0)}" ', width=0.008))
+    # As in figure 1, the -omega geodesic is the reflection of the omega one.
+    for omega in _FIG3_MIRRORED:
         pts = su2_curve(omega, su2_landing_time(omega), _SAMPLES)
-        lines.append(_path(pts, "blue", attrs=f'data-omega="{_fmt(omega)}" ',
-                           width=0.008))
+        lines += _path_pair(pts, "blue", "omega", omega, width=0.008)
     for s in FIG3_TIMES:
         pts = reachable_boundary(s, 256)
         lines.append(_path(pts, "red", attrs=f'data-s="{_fmt(s)}" ',

@@ -180,7 +180,9 @@ def lift(c: float, phi: float, t: float) -> np.ndarray:
 def planar_curve(c: float, s_max: float, n: int) -> list[tuple[float, float]]:
     """Points (x, y) of the c-geodesic at s = s_max*i/(n-1), i = 0..n-1.
 
-    Each point equals planar_geodesic at its s, bit for bit.
+    Each point equals planar_geodesic at its s, bit for bit, and the -c
+    curve is exactly (x, -y) of the c curve: z and k1 depend on c^2 only,
+    k2 and sin(cs) are odd in c, cos(cs) is even, and negation is exact.
     """
     if not math.isfinite(c):
         raise NonFiniteError(f"geodesic parameter c = {c} is not finite")
@@ -192,11 +194,13 @@ def planar_curve(c: float, s_max: float, n: int) -> list[tuple[float, float]]:
         raise BadGridError(f"s_max = {s_max} with {n} samples overflows the grid")
     if not (math.isfinite(c * s_max) and math.isfinite((1.0 - c * c) * s_max * s_max)):
         raise NonFiniteError(f"c = {c} with s_max = {s_max} overflows the geodesic")
+    q = 1.0 - c * c
     last = n - 1
     points = []
     for i in range(n):
         s = s_max * i / last
-        k1, k2 = k1k2(c, s)
+        k1, sh = coshc_sinhc(q * s * s)
+        k2 = c * s * sh
         cos_cs = math.cos(c * s)
         sin_cs = math.sin(c * s)
         points.append((k1 * cos_cs + k2 * sin_cs, k1 * sin_cs - k2 * cos_cs))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-from ._kernels import coshc, sinhc
 from .errors import BadGridError, NonFiniteError
 from .geodesics import landing_point
 
@@ -39,9 +38,9 @@ def su2_planar_geodesic(omega: float, s: float) -> tuple[float, float]:
 def su2_curve(omega: float, s_max: float, n: int) -> list[tuple[float, float]]:
     """Points of the omega-geodesic at s = s_max*i/(n-1), i = 0..n-1.
 
-    Each point equals su2_planar_geodesic at its s, bit for bit.  Every
-    point lies in the disc, so one check of the angles at s_max covers the
-    curve.
+    Each point equals su2_planar_geodesic at its s, bit for bit, and the
+    -omega curve is exactly (x, -y) of the omega curve.  Every point lies
+    in the disc, so one check of the angles at s_max covers the curve.
     """
     mu = _rate(omega, s_max)
     ratio = omega / mu
@@ -54,17 +53,6 @@ def su2_curve(omega: float, s_max: float, n: int) -> list[tuple[float, float]]:
         points.append((cos_m * cos_o + ratio * sin_m * sin_o,
                        cos_m * sin_o - ratio * sin_m * cos_o))
     return points
-
-
-def _su2_from_kernel(omega: float, s: float) -> tuple[float, float]:
-    # Same point evaluated through the shared trig/hyperbolic kernel with
-    # the substituted parameters (rate omega, z = -(1+omega^2) s^2); used to
-    # cross-check the direct formula above.
-    z = -(1.0 + omega * omega) * s * s
-    k1 = coshc(z)
-    k2 = omega * s * sinhc(z)
-    cos_o, sin_o = math.cos(omega * s), math.sin(omega * s)
-    return k1 * cos_o + k2 * sin_o, k1 * sin_o - k2 * cos_o
 
 
 def su2_landing_time(omega: float) -> float:
@@ -84,15 +72,16 @@ def c_of_omega(omega: float) -> float:
     Monotone decreasing on each branch: omega >= 0 maps into (-inf, -2/sqrt(3)]
     and omega <= 0 maps into [2/sqrt(3), inf); only |c| = 2/sqrt(3) is
     attained, at omega = 0 (on the nonnegative branch).
+
+    With r = sqrt(omega^2 + 1) and a = |omega|, c^2 is
+    (5a^2 + 4 - 4ar)/(4a^2 + 3 - 4ar) = (2r - a)^2 (r + a)/(3r - a); the
+    factored form has no cancellation, so c keeps full relative accuracy
+    for every omega whose r is finite.
     """
-    root = math.sqrt(omega * omega + 1.0)
-    if omega >= 0.0:
-        num = 5.0 * omega * omega + 4.0 - 4.0 * omega * root
-        den = 4.0 * omega * omega + 3.0 - 4.0 * omega * root
-        return -math.sqrt(num / den)
-    num = (omega + 2.0 * root) ** 2
-    den = 4.0 * omega * omega + 3.0 + 4.0 * omega * root
-    return math.sqrt(num / den)
+    r = math.sqrt(omega * omega + 1.0)
+    a = abs(omega)
+    c = (2.0 * r - a) * math.sqrt((r + a) / (3.0 * r - a))
+    return -c if omega >= 0.0 else c
 
 
 def landing_match_error(omega: float) -> float:

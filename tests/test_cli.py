@@ -13,7 +13,7 @@ import sl2geo.quotient
 from sl2geo import selftest
 from sl2geo.cli import _build_parser, main
 from sl2geo.figures import (FAN_C_VALUES, FIG3_OMEGAS, FIG3_TIMES, _fmt, _path,
-                            figure_svg)
+                            _path_pair, figure_svg)
 from sl2geo.geodesics import C_LANDING, landing_time, planar_geodesic, s_int
 from sl2geo.su2 import reachable_boundary, su2_landing_time, su2_planar_geodesic
 from sl2geo.synthesis import distance_to_class
@@ -173,6 +173,15 @@ class TestSu2Command:
         assert float(kv["x"]) == pytest.approx(0.0, abs=1e-12)
         assert float(kv["c"]) == pytest.approx(-2.0 / math.sqrt(3.0), abs=1e-12)
         assert float(kv["match_err"]) < 1e-9
+
+    @pytest.mark.parametrize("omega", ["1e10", "-1e10"])
+    def test_huge_omega(self, capsys, omega):
+        # Here the unfactored form of c(omega) has a denominator that rounds to 0.
+        code, out, err = run(capsys, "su2", omega, "0.1")
+        assert (code, err) == (0, "")
+        c = float(parse_kv(out)["c"])
+        assert math.isfinite(c)
+        assert c == pytest.approx(-float(omega), rel=1e-12)
 
 
 class TestAutCommands:
@@ -440,6 +449,18 @@ class TestOutputEquivalence:
         assert ('d="M 0.000000000000,0.000000000000 L 1.000000000000,0.000000000000'
                 ' L 0.000000000000,0.000000000000 L -10.000000000000,0.000000000000"'
                 in svg)
+
+    @pytest.mark.parametrize("points", [
+        # y rounds to +-0 at 12 decimals, on either side of the axis.
+        [(1.0, 1e-15), (-1e-15, -4e-13), (-0.0, -0.0), (0.0, 0.0)],
+        [(-0.0, 5e-13), (2.5, -5e-13), (-3.0, 4.9e-13), (1e-13, -1e-300)],
+        [(0.5, 0.25), (-1.5, -0.75), (10.0, -1e-12), (-10.0, 1e-12)],
+    ])
+    def test_pair_matches_path_of_each(self, points):
+        reflected = [(x, -y) for x, y in points]
+        assert _path_pair(points, "red", "c", 1.5, width=0.008) == (
+            _path(points, "red", 'data-c="1.500000000000" ', width=0.008),
+            _path(reflected, "red", 'data-c="-1.500000000000" ', width=0.008))
 
 
 class TestParserReuse:

@@ -9,6 +9,7 @@ from sl2geo import (C_LANDING, C_ORTHOGONAL, basis, exp2, k1k2, landing_point,
 from sl2geo._kernels import coshc, sinhc
 from sl2geo.errors import (BadGridError, NonFiniteError, OutOfRegimeError,
                            UnboundedError)
+from sl2geo.figures import FAN_C_VALUES
 from sl2geo.geodesics import planar_curve
 
 A0, A1, A2 = basis()
@@ -313,8 +314,9 @@ class TestSamplePath:
         up = sample_path(0.9, 3.0, 50)
         down = sample_path(-0.9, 3.0, 50)
         for a, b in zip(up, down):
-            assert a.x == pytest.approx(b.x, abs=1e-13)
-            assert a.y == pytest.approx(-b.y, abs=1e-13)
+            # == on floats: the reflection is exact, bit for bit.
+            assert a.x == b.x
+            assert a.y == -b.y
 
     def test_bad_grid(self):
         with pytest.raises(BadGridError):
@@ -333,18 +335,33 @@ class TestSamplePath:
             sample_path(c, 1.0, 5)
 
 
+_CURVE_CS = [sign * c for c in (1e-3, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1,
+                                 C_LANDING, C_ORTHOGONAL, 2.5)
+             for sign in (1.0, -1.0)]
+_CURVE_GRIDS = ((landing_time(2.5), 7), (3.0, 400), (12.0, 33))
+
+
 class TestPlanarCurve:
-    @pytest.mark.parametrize("c", [
-        sign * c for c in (1e-3, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1,
-                           C_LANDING, C_ORTHOGONAL, 2.5)
-        for sign in (1.0, -1.0)])
+    @pytest.mark.parametrize("c", _CURVE_CS)
     def test_equals_planar_geodesic_per_point(self, c):
-        for s_max, n in ((landing_time(2.5), 7), (3.0, 400), (12.0, 33)):
+        for s_max, n in _CURVE_GRIDS:
             points = planar_curve(c, s_max, n)
             assert len(points) == n
             for i, point in enumerate(points):
                 # == on floats: the grid loop is planar_geodesic, bit for bit.
                 assert point == tuple(planar_geodesic(c, s_max * i / (n - 1)))
+
+    @pytest.mark.parametrize("c", _CURVE_CS)
+    def test_mirror_is_exact_reflection(self, c):
+        # The figures draw the -c curve as the reflection of the c curve.
+        for s_max, n in _CURVE_GRIDS:
+            assert planar_curve(-c, s_max, n) == [
+                (x, -y) for x, y in planar_curve(c, s_max, n)]
+
+    @pytest.mark.parametrize("c", [c for c, _ in FAN_C_VALUES])
+    def test_fan_mirror_is_exact_reflection(self, c):
+        assert planar_curve(-c, s_int(-c), 400) == [
+            (x, -y) for x, y in planar_curve(c, s_int(c), 400)]
 
     def test_sample_path_shares_the_grid(self):
         samples = sample_path(0.9, 3.0, 20)

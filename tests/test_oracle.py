@@ -2,6 +2,8 @@
 
 Each reference root comes from mp.findroot on the same closed-form equation,
 seeded from the library's answer; only the root's accuracy is under test.
+The SU(2) bridge c(omega) is checked against its unfactored closed form at
+50 digits.
 """
 
 import math
@@ -9,7 +11,8 @@ import random
 
 import pytest
 
-from sl2geo import C_ORTHOGONAL, QuotientPoint, distance_to_class, s_int, x_int
+from sl2geo import (C_ORTHOGONAL, QuotientPoint, c_of_omega, distance_to_class,
+                    s_int, x_int)
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -82,3 +85,17 @@ def test_distance_to_class_crossing_times():
             (mp.mpf(res.c), mp.mpf(res.s)))
         worst = max(worst, float(abs(res.t_f - 2 * s) / (2 * s)))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5, -0.5, 1.0, -1.0, 10.0, -10.0, 1e3, -1e3,
+                                   1e6, -1e6, 1e10, -1e10])
+def test_c_of_omega(omega):
+    # c^2 = (5w^2 + 4 - 4|w|r)/(4w^2 + 3 - 4|w|r), r = sqrt(w^2 + 1): numerator
+    # and denominator each lose about 2 log10|w| digits to cancellation, 20
+    # of the 50 at |w| = 1e10.
+    with mpmath.workdps(50):
+        w = abs(mp.mpf(omega))
+        r = mp.sqrt(w * w + 1)
+        ref = mp.sqrt((5 * w * w + 4 - 4 * w * r) / (4 * w * w + 3 - 4 * w * r))
+        ref = -ref if omega >= 0.0 else ref
+        assert abs(c_of_omega(omega) - ref) <= 1e-14 * abs(ref)

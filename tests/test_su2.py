@@ -5,8 +5,10 @@ import pytest
 
 from sl2geo import (c_of_omega, landing_match_error, reachable_boundary,
                     su2_landing_point, su2_landing_time, su2_planar_geodesic)
+from sl2geo._kernels import coshc, sinhc
 from sl2geo.errors import BadGridError, NonFiniteError
-from sl2geo.su2 import _su2_from_kernel, su2_curve
+from sl2geo.figures import FIG3_OMEGAS
+from sl2geo.su2 import su2_curve
 
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
 
@@ -20,6 +22,13 @@ class TestCurve:
             for i, point in enumerate(points):
                 # == on floats: the grid loop is su2_planar_geodesic, bit for bit.
                 assert point == su2_planar_geodesic(omega, s_max * i / (n - 1))
+
+    @pytest.mark.parametrize("omega", FIG3_OMEGAS)
+    def test_mirror_is_exact_reflection(self, omega):
+        # Figure 3 draws the -omega curve as the reflection of the omega one.
+        s_max = su2_landing_time(omega)
+        assert su2_curve(-omega, s_max, 400) == [
+            (x, -y) for x, y in su2_curve(omega, s_max, 400)]
 
     @pytest.mark.parametrize("omega, s", [
         (1e308, 1.0),     # omega^2, and so mu, overflows
@@ -72,13 +81,16 @@ class TestPlanarGeodesic:
 
     def test_matches_shared_kernel_route(self, rng):
         # The direct trigonometric formula against the same point computed
-        # through the analytic continuation of the planar-family kernel.
+        # through the analytic continuation of the planar-family kernel:
+        # rate omega and z = -(1 + omega^2) s^2.
         for _ in range(100):
             omega = rng.uniform(-5.0, 5.0)
             s = rng.uniform(0.0, math.pi)
-            direct = su2_planar_geodesic(omega, s)
-            kernel = _su2_from_kernel(omega, s)
-            assert direct == pytest.approx(kernel, abs=1e-9)
+            z = -(1.0 + omega * omega) * s * s
+            k1, k2 = coshc(z), omega * s * sinhc(z)
+            cos_o, sin_o = math.cos(omega * s), math.sin(omega * s)
+            kernel = (k1 * cos_o + k2 * sin_o, k1 * sin_o - k2 * cos_o)
+            assert su2_planar_geodesic(omega, s) == pytest.approx(kernel, abs=1e-9)
 
 
 class TestParameterBridge:
