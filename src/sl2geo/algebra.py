@@ -8,6 +8,10 @@ so span{A0} / span{A1, A2} is a Cartan-type splitting; the horizontal
 distribution of the sub-Riemannian structure is span{A1, A2}.  Every
 traceless 2x2 matrix M satisfies M^2 = -det(M) I, which gives the
 closed-form exponential used everywhere in the package.
+
+The group operations on the endpoint solver's path have private float cores
+that take and return row-major 4-tuples (a, b, c, d); the public functions
+read their array's entries once, call the core and build one result array.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 
 import numpy as np
 
-from ._kernels import coshc, sinhc
+from ._kernels import coshc_sinhc
 
 _A0 = np.array([[0.0, -0.5], [0.5, 0.0]])
 _A1 = np.array([[0.0, 0.5], [0.5, 0.0]])
@@ -38,9 +42,31 @@ def basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _A0.copy(), _A1.copy(), _A2.copy()
 
 
+def _entries(x: np.ndarray) -> tuple[float, float, float, float]:
+    """Row-major entries (a, b, c, d) of a 2x2 array, as floats."""
+    return tuple(x.astype(float, copy=False).ravel().tolist())
+
+
+def _matrix(x: tuple[float, float, float, float]) -> np.ndarray:
+    """2x2 array from row-major entries (a, b, c, d)."""
+    a, b, c, d = x
+    return np.array(((a, b), (c, d)))
+
+
+def _adj(x: tuple) -> tuple:
+    a, b, c, d = x
+    return d, -b, -c, a
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
 def adjugate(x: np.ndarray) -> np.ndarray:
     """Adjugate [[d, -b], [-c, a]]: the inverse of an SL(2) element."""
-    return np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]])
+    return _matrix(_adj(_entries(x)))
 
 
 def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -56,18 +82,19 @@ def metric_g(b: np.ndarray, c: np.ndarray) -> float:
     return 2.0 * float(np.sum(b * c))
 
 
+def _exp2(m: tuple) -> tuple:
+    a, b, c, d = m
+    cc, ss = coshc_sinhc(-(a * d - b * c))
+    return cc + ss * a, ss * b, ss * c, cc + ss * d
+
+
 def exp2(m: np.ndarray) -> np.ndarray:
     """Exponential of a traceless 2x2 matrix.
 
     Uses M^2 = -det(M) I: the result is coshc(-det) I + sinhc(-det) M, which
     covers the rotation, boost and parabolic cases in one expression.
     """
-    a, b = float(m[0, 0]), float(m[0, 1])
-    c, d = float(m[1, 0]), float(m[1, 1])
-    z = -(a * d - b * c)
-    cc = coshc(z)
-    ss = sinhc(z)
-    return np.array([[cc + ss * a, ss * b], [ss * c, cc + ss * d]])
+    return _matrix(_exp2(_entries(m)))
 
 
 def rotation(angle: float) -> np.ndarray:

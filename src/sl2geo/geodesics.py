@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from ._kernels import bisect, coshc_sinhc
-from .algebra import exp2, from_coords
+from .algebra import _entries, _exp2, _matrix, _mul
 from .errors import (BadGridError, NonFiniteError, OutOfRegimeError,
                      UnboundedError)
 from .tolerances import REGIME_TOL, SERIES_CUTOFF
@@ -157,15 +157,27 @@ def x_int(c: float) -> float:
     return -math.sqrt(radius_sq(ac, s_int(ac)))
 
 
+def _direction(phi: float) -> tuple:
+    h, v = 0.5 * math.cos(phi), 0.5 * math.sin(phi)
+    return v, h, h, -v
+
+
 def direction_matrix(phi: float) -> np.ndarray:
     """Unit horizontal direction P = cos(phi) A1 + sin(phi) A2."""
-    return from_coords((0.0, math.cos(phi), math.sin(phi)))
+    return _matrix(_direction(phi))
+
+
+def _lift_with_direction(c: float, p: tuple, t: float) -> tuple:
+    # (c A0 + P) t and -c A0 t in entries, with c A0 = [[0, -c/2], [c/2, 0]].
+    p0, p1, p2, p3 = p
+    h = 0.5 * c
+    return _mul(_exp2((p0 * t, (p1 - h) * t, (p2 + h) * t, p3 * t)),
+                _exp2((0.0, h * t, -h * t, 0.0)))
 
 
 def lift_with_direction(c: float, p: np.ndarray, t: float) -> np.ndarray:
     """Sub-Riemannian geodesic exp((c A0 + P) t) exp(-c A0 t) for unit P."""
-    generator = from_coords((c, 0.0, 0.0)) + p
-    return exp2(generator * t) @ exp2(from_coords((-c * t, 0.0, 0.0)))
+    return _matrix(_lift_with_direction(c, _entries(p), t))
 
 
 def lift(c: float, phi: float, t: float) -> np.ndarray:
@@ -174,7 +186,7 @@ def lift(c: float, phi: float, t: float) -> np.ndarray:
     The projection is independent of phi, which only rotates the
     representative within the conjugacy class.
     """
-    return lift_with_direction(c, direction_matrix(phi), t)
+    return _matrix(_lift_with_direction(c, _direction(phi), t))
 
 
 def planar_curve(c: float, s_max: float, n: int) -> list[tuple[float, float]]:

@@ -19,22 +19,30 @@ import math
 import numpy as np
 
 from . import geodesics
+from .algebra import _entries, _matrix
 from .errors import ClassMismatchError, NotUnimodularError, SingularPointError
 from .tolerances import DET_TOL, MATCH_TOL, SINGULAR_BAND
 from .types import PlanarJet, QuotientPoint, RecoveredRotation, TangentVec2
 
 
-def _check_unimodular(x: np.ndarray) -> None:
+def _check_unimodular(x: tuple) -> None:
     # Non-finite entries go first: a NaN determinant passes the comparison
     # below.  The determinant of a stored matrix is only representable to
     # about eps * ||X||^2, so the tolerance scales with the squared matrix
     # size; for moderate entries this is the plain absolute check.
-    if not all(map(math.isfinite, x.flat)):
-        raise NotUnimodularError(f"entries {x.tolist()} are not all finite")
-    det = float(x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0])
-    scale = max(1.0, float(np.sum(x * x)))
+    a, b, c, d = x
+    if not all(map(math.isfinite, x)):
+        raise NotUnimodularError(f"entries {[[a, b], [c, d]]} are not all finite")
+    det = a * d - b * c
+    scale = max(1.0, a * a + b * b + c * c + d * d)
     if abs(det - 1.0) > DET_TOL * scale:
         raise NotUnimodularError(f"det = {det!r} is not 1 within {DET_TOL * scale}")
+
+
+def _project(x: tuple) -> tuple[float, float]:
+    _check_unimodular(x)
+    a, b, c, d = x
+    return 0.5 * (a + d), 0.5 * (b - c)
 
 
 def project(x: np.ndarray) -> QuotientPoint:
@@ -42,14 +50,24 @@ def project(x: np.ndarray) -> QuotientPoint:
 
     Conjugation-invariant: project(K X K^T) == project(X) for K in SO(2).
     """
-    _check_unimodular(x)
-    return QuotientPoint(0.5 * float(x[0, 0] + x[1, 1]),
-                         0.5 * float(x[0, 1] - x[1, 0]))
+    return QuotientPoint(*_project(_entries(x)))
 
 
-def _symmetric_part_coords(x: np.ndarray) -> tuple[float, float]:
-    # Writing X = [[x, y], [-y, x]] + [[m, k], [k, -m]], return (m, k).
-    return (0.5 * float(x[0, 0] - x[1, 1]), 0.5 * float(x[0, 1] + x[1, 0]))
+def _recover_rotation(x1: tuple, x2: tuple, tol: float) -> tuple[tuple, bool]:
+    (px1, py1), (px2, py2) = _project(x1), _project(x2)
+    scale = max(1.0, math.hypot(px1, py1))
+    if math.hypot(px1 - px2, py1 - py2) > tol * scale:
+        raise ClassMismatchError(f"projections {QuotientPoint(px1, py1)} and "
+                                 f"{QuotientPoint(px2, py2)} differ")
+    # Writing X = [[x, y], [-y, x]] + [[m, k], [k, -m]], the rotation acts
+    # on the symmetric part (m, k).
+    m1, k1 = 0.5 * (x1[0] - x1[3]), 0.5 * (x1[1] + x1[2])
+    m2, k2 = 0.5 * (x2[0] - x2[3]), 0.5 * (x2[1] + x2[2])
+    if m1 * m1 + k1 * k1 <= SINGULAR_BAND:
+        return (1.0, 0.0, 0.0, 1.0), False
+    theta = 0.5 * math.atan2(k1 * m2 - m1 * k2, m1 * m2 + k1 * k2)
+    c, s = math.cos(theta), math.sin(theta)
+    return (c, s, -s, c), True
 
 
 def recover_rotation(x1: np.ndarray, x2: np.ndarray,
@@ -62,19 +80,8 @@ def recover_rotation(x1: np.ndarray, x2: np.ndarray,
     returned.  On the singular stratum every K works: the identity is
     returned with unique=False.
     """
-    p1 = project(x1)
-    p2 = project(x2)
-    scale = max(1.0, math.hypot(p1.x, p1.y))
-    if math.hypot(p1.x - p2.x, p1.y - p2.y) > tol * scale:
-        raise ClassMismatchError(f"projections {p1} and {p2} differ")
-    m1, k1 = _symmetric_part_coords(x1)
-    m2, k2 = _symmetric_part_coords(x2)
-    if m1 * m1 + k1 * k1 <= SINGULAR_BAND:
-        return RecoveredRotation(np.eye(2), False)
-    double = math.atan2(k1 * m2 - m1 * k2, m1 * m2 + k1 * k2)
-    theta = 0.5 * double
-    c, s = math.cos(theta), math.sin(theta)
-    return RecoveredRotation(np.array([[c, s], [-s, c]]), True)
+    k, unique = _recover_rotation(_entries(x1), _entries(x2), tol)
+    return RecoveredRotation(_matrix(k), unique)
 
 
 def pushforward_frame(x: np.ndarray) -> tuple[TangentVec2, TangentVec2]:

@@ -27,17 +27,19 @@ import math
 import numpy as np
 
 from ._kernels import bisect, inverse_sinhc_scaled
-from .algebra import _A2, adjugate
+from .algebra import _A2, _adj, _entries, _matrix, _mul
 from .errors import (NoRootError, NonFiniteError, StartPointError,
                      UnreachableError)
-from .geodesics import (C_ORTHOGONAL, k1k2, landing_time, lift,
-                        lift_with_direction, s_int, x_int)
-from .quotient import _check_unimodular, project, recover_rotation
-from .tolerances import SINGULAR_BAND, SYNTH_TOL
+from .geodesics import (C_ORTHOGONAL, _lift_with_direction, k1k2,
+                        landing_time, lift_with_direction, s_int, x_int)
+from .quotient import (_check_unimodular, _project, _recover_rotation,
+                       project)
+from .tolerances import MATCH_TOL, SINGULAR_BAND, SYNTH_TOL
 from .types import (CutLocusClass, DistanceResult, QuotientPoint,
                     SynthesisSolution)
 
 _FAR = 1e9  # sentinel angle for rising crossings beyond the optimality horizon
+_A2_ENTRIES = _entries(_A2)  # the fixed lift direction
 
 
 def classify_cut_locus(x: np.ndarray) -> CutLocusClass:
@@ -122,10 +124,15 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
 
     if abs(r_sq - 1.0) <= SINGULAR_BAND:
         # Landing targets: the landing angle is beta when c/sqrt(c^2-1)
-        # equals 1 + beta/pi, a closed-form condition.
+        # equals 1 + beta/pi, a closed-form condition.  Outside the circle
+        # the minimizer stops short of the landing: the conformal factor is
+        # 4/(r^2-1) and the geodesic meets the circle transversally, so the
+        # last stretch has half-time sqrt(r^2-1) to first order.
         rho = 1.0 + beta / math.pi
         c = rho / math.sqrt(rho * rho - 1.0)
         s = landing_time(c)
+        if r_sq > 1.0:
+            s -= math.sqrt(r_sq - 1.0)
         return DistanceResult(2.0 * s, -c if mirror else c, s, True)
 
     r = math.sqrt(r_sq)
@@ -162,22 +169,28 @@ def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
     conjugates by the recovered rotation to align the lift with X_hat.  The
     geodesic itself is t -> exp((c A0 + P) t) exp(-c A0 t) Xi.  Xi is
     checked to be in SL(2); with det(X_hat) = 1 that makes det(Xf) = 1 too.
+    Each matrix is read once; the group algebra runs on float entries, and
+    P and K are the only arrays built.
     """
+    xi = _entries(xi)
     _check_unimodular(xi)
-    xf_hat = xf @ adjugate(xi)
-    p = project(xf_hat)
-    if math.hypot(p.x - 1.0, p.y) <= SINGULAR_BAND:
+    xf_hat = _mul(_entries(xf), _adj(xi))
+    px, py = _project(xf_hat)
+    if math.hypot(px - 1.0, py) <= SINGULAR_BAND:
         raise StartPointError("Xf and Xi coincide: the geodesic is a point")
-    dist = distance_to_class(p)
-    y_f = lift(dist.c, 0.5 * math.pi, dist.t_f)
-    k = recover_rotation(y_f, xf_hat).matrix
-    direction = k @ _A2 @ k.T
-    recon = lift_with_direction(dist.c, direction, dist.t_f)
-    residual = float(np.linalg.norm(recon - xf_hat))
-    if residual > SYNTH_TOL * max(1.0, float(np.linalg.norm(xf_hat))):
+    dist = distance_to_class(QuotientPoint(px, py))
+    y_f = _lift_with_direction(dist.c, _A2_ENTRIES, dist.t_f)
+    k, _ = _recover_rotation(y_f, xf_hat, MATCH_TOL)
+    k_t = (k[0], k[2], k[1], k[3])
+    direction = _mul(_mul(k, _A2_ENTRIES), k_t)  # K A2 K^T
+    recon = _lift_with_direction(dist.c, direction, dist.t_f)
+    residual = math.hypot(recon[0] - xf_hat[0], recon[1] - xf_hat[1],
+                          recon[2] - xf_hat[2], recon[3] - xf_hat[3])
+    if residual > SYNTH_TOL * max(1.0, math.hypot(*xf_hat)):
         raise NoRootError(f"endpoint residual {residual} exceeds {SYNTH_TOL}")
-    return SynthesisSolution(c=dist.c, t_f=dist.t_f, P=direction, K=k,
-                             residual=residual, on_cut_locus=dist.on_cut_locus)
+    return SynthesisSolution(c=dist.c, t_f=dist.t_f, P=_matrix(direction),
+                             K=_matrix(k), residual=residual,
+                             on_cut_locus=dist.on_cut_locus)
 
 
 def verify_solution(sol: SynthesisSolution, xi: np.ndarray, xf: np.ndarray) -> float:

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from sl2geo import (C_ORTHOGONAL, QuotientPoint, c_of_omega, distance_to_class,
-                    s_int, x_int)
+                    landing_time, s_int, x_int)
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -76,15 +76,36 @@ def _regular_targets(n=60):
         yield r * math.cos(beta), r * math.sin(beta)
 
 
+def _planar_solve(x, y, res):
+    # The (c, s) reaching (x, y), seeded from the library's answer.
+    return mp.findroot(
+        lambda c, s: [u - v for u, v in zip(_planar(c, s), (x, y))],
+        (mp.mpf(res.c), mp.mpf(res.s)))
+
+
 def test_distance_to_class_crossing_times():
     worst = 0.0
     for x, y in _regular_targets():
         res = distance_to_class(QuotientPoint(x, y))
-        c, s = mp.findroot(
-            lambda c, s: [u - v for u, v in zip(_planar(c, s), (x, y))],
-            (mp.mpf(res.c), mp.mpf(res.s)))
+        c, s = _planar_solve(x, y, res)
         worst = max(worst, float(abs(res.t_f - 2 * s) / (2 * s)))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("excess", [5e-10, 1e-10, 1e-12, 1e-14])
+@pytest.mark.parametrize("beta", [0.05, 0.66, 1.27, 1.88, 2.49, 3.1])
+def test_distance_to_class_landing_band(excess, beta):
+    # Targets within SINGULAR_BAND outside the circle: the minimizer stops
+    # short of the landing by about sqrt(r^2 - 1) in half-time.  The
+    # reference root is the crossing before the landing, not the one after.
+    r = math.sqrt(1.0 + excess)
+    x, y = r * math.cos(beta), r * math.sin(beta)
+    res = distance_to_class(QuotientPoint(x, y))
+    c, s = _planar_solve(x, y, res)
+    assert s < mp.pi / mp.sqrt(c * c - 1)
+    assert abs(res.t_f - 2 * s) <= 1e-9 * max(1.0, res.t_f)
+    assert abs(res.c - c) <= 1e-9 * abs(c)
+    assert res.t_f < 2.0 * landing_time(res.c)
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.5, -0.5, 1.0, -1.0, 10.0, -10.0, 1e3, -1e3,

@@ -253,6 +253,30 @@ class TestSolve:
         with pytest.raises(NotUnimodularError):
             solve(xi, xf)
 
+    def test_endpoint_outside_sl2_rejected_with_det(self):
+        # The tolerance scales with the squared entries: 1e-12 * (4 + 1).
+        with pytest.raises(NotUnimodularError) as err:
+            solve(np.eye(2), np.diag([2.0, 1.0]))
+        assert str(err.value) == "det = 2.0 is not 1 within 5e-12"
+
+    def test_non_finite_start_rejected(self):
+        xi = np.array([[math.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(NotUnimodularError) as err:
+            solve(xi, np.eye(2))
+        assert str(err.value) == "entries [[nan, 0.0], [0.0, 1.0]] are not all finite"
+
+    def test_coinciding_endpoints_rejected(self, rng):
+        xi = random_sl2(rng)
+        with pytest.raises(StartPointError):
+            solve(xi, xi)
+
+    def test_matrices_are_float_arrays(self):
+        sol = solve(np.eye(2), np.array([[2, 1], [1, 1]]))
+        for m in (sol.P, sol.K):
+            assert isinstance(m, np.ndarray)
+            assert m.dtype == np.float64
+            assert m.shape == (2, 2)
+
 
 class TestVerify:
     def test_reference_solution_residual(self):
