@@ -14,8 +14,8 @@ from .algebra import (adjoint_matrix, basis, bracket, exp2, from_coords,
 from .automorphisms import (assemble, aut_matrix_from_group, classify_structure,
                             factorize, is_lie_automorphism, is_so12,
                             lorentz_boost, lorentz_rotation, realize)
-from .geodesics import (C_LANDING, C_ORTHOGONAL, direction_matrix, k1k2,
-                        landing_point, landing_time, lift, lift_with_direction,
+from .geodesics import (C_LANDING, C_ORTHOGONAL, k1k2, landing_point,
+                        landing_time, lift, lift_with_direction,
                         planar_geodesic, planar_jet, radius_sq, s_int,
                         sample_path, x_int)
 from .quotient import (christoffel, geodesic_ode_rhs, ode_residual, project,
@@ -34,7 +34,7 @@ __all__ = [
     "C_LANDING", "C_ORTHOGONAL",
     "adjoint_matrix", "assemble", "aut_matrix_from_group", "basis", "bracket",
     "c_of_omega", "check_fan_monotone", "christoffel", "classify_cut_locus",
-    "classify_structure", "direction_matrix", "distance_to_class", "exp2",
+    "classify_structure", "distance_to_class", "exp2",
     "factorize", "from_coords", "geodesic_ode_rhs", "is_lie_automorphism",
     "is_so12", "k1k2", "landing_match_error", "landing_point", "landing_time",
     "lift", "lift_with_direction", "lorentz_boost", "lorentz_rotation",

@@ -1,4 +1,4 @@
-"""Scalar kernels shared by the matrix exponential and the geodesic family.
+"""Scalar kernels and the float cores of the endpoint solver.
 
 The trig and hyperbolic regimes of every formula in this package are the two
 real branches of a single entire function of z:
@@ -13,14 +13,20 @@ square root, for callers that need the pair.
 
 bisect is the package's one root finder: the optimality horizon s_int and
 the fan coordinate of the endpoint solver both use it.
+
+The rest is the endpoint solver's 2x2 algebra on row-major float 4-tuples
+(a, b, c, d), the one home of that format.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NoRootError
-from .tolerances import ROOT_TOL, SERIES_CUTOFF
+from .errors import ClassMismatchError, NoRootError, NotUnimodularError
+from .tolerances import DET_TOL, ROOT_TOL, SERIES_CUTOFF, SINGULAR_BAND
+from .types import QuotientPoint
+
+_A2_ENTRIES = (0.5, 0.0, 0.0, -0.5)  # A2, the endpoint solver's lift direction
 
 
 def coshc(z: float) -> float:
@@ -125,3 +131,70 @@ def bisect(f, a: float, b: float) -> float:
         else:
             b, fb = mid, fm
     return a + (b - a) * (fa / (fa - fb))
+
+
+def _adj(x: tuple) -> tuple:
+    a, b, c, d = x
+    return d, -b, -c, a
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _exp2(m: tuple) -> tuple:
+    a, b, c, d = m
+    cc, ss = coshc_sinhc(-(a * d - b * c))
+    return cc + ss * a, ss * b, ss * c, cc + ss * d
+
+
+def _direction(phi: float) -> tuple:
+    h, v = 0.5 * math.cos(phi), 0.5 * math.sin(phi)
+    return v, h, h, -v
+
+
+def _lift_with_direction(c: float, p: tuple, t: float) -> tuple:
+    # (c A0 + P) t and -c A0 t in entries, with c A0 = [[0, -c/2], [c/2, 0]].
+    p0, p1, p2, p3 = p
+    h = 0.5 * c
+    return _mul(_exp2((p0 * t, (p1 - h) * t, (p2 + h) * t, p3 * t)),
+                _exp2((0.0, h * t, -h * t, 0.0)))
+
+
+def _check_unimodular(x: tuple) -> None:
+    # Non-finite entries go first: a NaN determinant passes the comparison
+    # below.  The determinant of a stored matrix is only representable to
+    # about eps * ||X||^2, so the tolerance scales with the squared matrix
+    # size; for moderate entries this is the plain absolute check.
+    a, b, c, d = x
+    if not all(map(math.isfinite, x)):
+        raise NotUnimodularError(f"entries {[[a, b], [c, d]]} are not all finite")
+    det = a * d - b * c
+    scale = max(1.0, a * a + b * b + c * c + d * d)
+    if abs(det - 1.0) > DET_TOL * scale:
+        raise NotUnimodularError(f"det = {det!r} is not 1 within {DET_TOL * scale}")
+
+
+def _project(x: tuple) -> tuple[float, float]:
+    _check_unimodular(x)
+    a, b, c, d = x
+    return 0.5 * (a + d), 0.5 * (b - c)
+
+
+def _recover_rotation(x1: tuple, x2: tuple, tol: float) -> tuple[tuple, bool]:
+    (px1, py1), (px2, py2) = _project(x1), _project(x2)
+    scale = max(1.0, math.hypot(px1, py1))
+    if math.hypot(px1 - px2, py1 - py2) > tol * scale:
+        raise ClassMismatchError(f"projections {QuotientPoint(px1, py1)} and "
+                                 f"{QuotientPoint(px2, py2)} differ")
+    # Writing X = [[x, y], [-y, x]] + [[m, k], [k, -m]], the rotation acts
+    # on the symmetric part (m, k).
+    m1, k1 = 0.5 * (x1[0] - x1[3]), 0.5 * (x1[1] + x1[2])
+    m2, k2 = 0.5 * (x2[0] - x2[3]), 0.5 * (x2[1] + x2[2])
+    if m1 * m1 + k1 * k1 <= SINGULAR_BAND:
+        return (1.0, 0.0, 0.0, 1.0), False
+    theta = 0.5 * math.atan2(k1 * m2 - m1 * k2, m1 * m2 + k1 * k2)
+    c, s = math.cos(theta), math.sin(theta)
+    return (c, s, -s, c), True

@@ -9,9 +9,9 @@ distribution of the sub-Riemannian structure is span{A1, A2}.  Every
 traceless 2x2 matrix M satisfies M^2 = -det(M) I, which gives the
 closed-form exponential used everywhere in the package.
 
-The group operations on the endpoint solver's path have private float cores
-that take and return row-major 4-tuples (a, b, c, d); the public functions
-read their array's entries once, call the core and build one result array.
+The group operations on the endpoint solver's path run on float cores in
+_kernels, on row-major 4-tuples (a, b, c, d); _entries and _matrix below are
+the one boundary between those tuples and numpy arrays.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ import math
 
 import numpy as np
 
-from ._kernels import coshc_sinhc
-
-_A0 = np.array([[0.0, -0.5], [0.5, 0.0]])
-_A1 = np.array([[0.0, 0.5], [0.5, 0.0]])
-_A2 = np.array([[0.5, 0.0], [0.0, -0.5]])
-for _m in (_A0, _A1, _A2):
-    _m.setflags(write=False)
+from ._kernels import _adj, _exp2
 
 # Matrices of ad_{A0}, ad_{A1}, ad_{A2} in the basis {A0, A1, A2}; column j
 # holds the coordinates of [A_i, basis_j].
@@ -38,8 +32,10 @@ for _m in (_AD0, _AD1, _AD2):
 
 
 def basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fresh copies of the orthonormal basis (A0, A1, A2) of sl(2)."""
-    return _A0.copy(), _A1.copy(), _A2.copy()
+    """A fresh copy of the orthonormal basis (A0, A1, A2) of sl(2)."""
+    return (np.array([[0.0, -0.5], [0.5, 0.0]]),
+            np.array([[0.0, 0.5], [0.5, 0.0]]),
+            np.array([[0.5, 0.0], [0.0, -0.5]]))
 
 
 def _entries(x: np.ndarray) -> tuple[float, float, float, float]:
@@ -51,17 +47,6 @@ def _matrix(x: tuple[float, float, float, float]) -> np.ndarray:
     """2x2 array from row-major entries (a, b, c, d)."""
     a, b, c, d = x
     return np.array(((a, b), (c, d)))
-
-
-def _adj(x: tuple) -> tuple:
-    a, b, c, d = x
-    return d, -b, -c, a
-
-
-def _mul(x: tuple, y: tuple) -> tuple:
-    a, b, c, d = x
-    e, f, g, h = y
-    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
 def adjugate(x: np.ndarray) -> np.ndarray:
@@ -80,12 +65,6 @@ def metric_g(b: np.ndarray, c: np.ndarray) -> float:
     The basis A0, A1, A2 is orthonormal for g.
     """
     return 2.0 * float(np.sum(b * c))
-
-
-def _exp2(m: tuple) -> tuple:
-    a, b, c, d = m
-    cc, ss = coshc_sinhc(-(a * d - b * c))
-    return cc + ss * a, ss * b, ss * c, cc + ss * d
 
 
 def exp2(m: np.ndarray) -> np.ndarray:

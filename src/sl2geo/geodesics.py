@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from ._kernels import bisect, coshc_sinhc
-from .algebra import _entries, _exp2, _matrix, _mul
+from ._kernels import _direction, _lift_with_direction, bisect, coshc_sinhc
+from .algebra import _entries, _matrix
 from .errors import (BadGridError, NonFiniteError, OutOfRegimeError,
                      UnboundedError)
 from .tolerances import REGIME_TOL, SERIES_CUTOFF
@@ -155,24 +155,6 @@ def x_int(c: float) -> float:
     if ac > C_LANDING:
         raise OutOfRegimeError(f"|c| = {ac} > 2/sqrt(3): geodesic lands instead")
     return -math.sqrt(radius_sq(ac, s_int(ac)))
-
-
-def _direction(phi: float) -> tuple:
-    h, v = 0.5 * math.cos(phi), 0.5 * math.sin(phi)
-    return v, h, h, -v
-
-
-def direction_matrix(phi: float) -> np.ndarray:
-    """Unit horizontal direction P = cos(phi) A1 + sin(phi) A2."""
-    return _matrix(_direction(phi))
-
-
-def _lift_with_direction(c: float, p: tuple, t: float) -> tuple:
-    # (c A0 + P) t and -c A0 t in entries, with c A0 = [[0, -c/2], [c/2, 0]].
-    p0, p1, p2, p3 = p
-    h = 0.5 * c
-    return _mul(_exp2((p0 * t, (p1 - h) * t, (p2 + h) * t, p3 * t)),
-                _exp2((0.0, h * t, -h * t, 0.0)))
 
 
 def lift_with_direction(c: float, p: np.ndarray, t: float) -> np.ndarray:

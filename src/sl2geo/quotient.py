@@ -19,30 +19,11 @@ import math
 import numpy as np
 
 from . import geodesics
+from ._kernels import _project, _recover_rotation
 from .algebra import _entries, _matrix
-from .errors import ClassMismatchError, NotUnimodularError, SingularPointError
-from .tolerances import DET_TOL, MATCH_TOL, SINGULAR_BAND
+from .errors import SingularPointError
+from .tolerances import MATCH_TOL, SINGULAR_BAND
 from .types import PlanarJet, QuotientPoint, RecoveredRotation, TangentVec2
-
-
-def _check_unimodular(x: tuple) -> None:
-    # Non-finite entries go first: a NaN determinant passes the comparison
-    # below.  The determinant of a stored matrix is only representable to
-    # about eps * ||X||^2, so the tolerance scales with the squared matrix
-    # size; for moderate entries this is the plain absolute check.
-    a, b, c, d = x
-    if not all(map(math.isfinite, x)):
-        raise NotUnimodularError(f"entries {[[a, b], [c, d]]} are not all finite")
-    det = a * d - b * c
-    scale = max(1.0, a * a + b * b + c * c + d * d)
-    if abs(det - 1.0) > DET_TOL * scale:
-        raise NotUnimodularError(f"det = {det!r} is not 1 within {DET_TOL * scale}")
-
-
-def _project(x: tuple) -> tuple[float, float]:
-    _check_unimodular(x)
-    a, b, c, d = x
-    return 0.5 * (a + d), 0.5 * (b - c)
 
 
 def project(x: np.ndarray) -> QuotientPoint:
@@ -51,23 +32,6 @@ def project(x: np.ndarray) -> QuotientPoint:
     Conjugation-invariant: project(K X K^T) == project(X) for K in SO(2).
     """
     return QuotientPoint(*_project(_entries(x)))
-
-
-def _recover_rotation(x1: tuple, x2: tuple, tol: float) -> tuple[tuple, bool]:
-    (px1, py1), (px2, py2) = _project(x1), _project(x2)
-    scale = max(1.0, math.hypot(px1, py1))
-    if math.hypot(px1 - px2, py1 - py2) > tol * scale:
-        raise ClassMismatchError(f"projections {QuotientPoint(px1, py1)} and "
-                                 f"{QuotientPoint(px2, py2)} differ")
-    # Writing X = [[x, y], [-y, x]] + [[m, k], [k, -m]], the rotation acts
-    # on the symmetric part (m, k).
-    m1, k1 = 0.5 * (x1[0] - x1[3]), 0.5 * (x1[1] + x1[2])
-    m2, k2 = 0.5 * (x2[0] - x2[3]), 0.5 * (x2[1] + x2[2])
-    if m1 * m1 + k1 * k1 <= SINGULAR_BAND:
-        return (1.0, 0.0, 0.0, 1.0), False
-    theta = 0.5 * math.atan2(k1 * m2 - m1 * k2, m1 * m2 + k1 * k2)
-    c, s = math.cos(theta), math.sin(theta)
-    return (c, s, -s, c), True
 
 
 def recover_rotation(x1: np.ndarray, x2: np.ndarray,
@@ -90,8 +54,7 @@ def pushforward_frame(x: np.ndarray) -> tuple[TangentVec2, TangentVec2]:
     Returns (pi_* f1, pi_* f2) in d/dx, d/dy components; both degenerate to
     zero exactly on the singular circle.
     """
-    a, b = float(x[0, 0]), float(x[0, 1])
-    c, d = float(x[1, 0]), float(x[1, 1])
+    a, b, c, d = _entries(x)
     f1 = TangentVec2(0.25 * (b + c), 0.25 * (d - a))
     f2 = TangentVec2(0.25 * (a - d), 0.25 * (b + c))
     return f1, f2

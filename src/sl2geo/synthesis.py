@@ -26,20 +26,20 @@ import math
 
 import numpy as np
 
-from ._kernels import bisect, inverse_sinhc_scaled
-from .algebra import _A2, _adj, _entries, _matrix, _mul
+from ._kernels import (_A2_ENTRIES, _adj, _check_unimodular,
+                       _lift_with_direction, _mul, _project, _recover_rotation,
+                       bisect, inverse_sinhc_scaled)
+from .algebra import _entries, _matrix
 from .errors import (NoRootError, NonFiniteError, StartPointError,
                      UnreachableError)
-from .geodesics import (C_ORTHOGONAL, _lift_with_direction, k1k2,
-                        landing_time, lift_with_direction, s_int, x_int)
-from .quotient import (_check_unimodular, _project, _recover_rotation,
-                       project)
+from .geodesics import (C_ORTHOGONAL, k1k2, landing_time, lift_with_direction,
+                        s_int, x_int)
+from .quotient import project
 from .tolerances import MATCH_TOL, SINGULAR_BAND, SYNTH_TOL
 from .types import (CutLocusClass, DistanceResult, QuotientPoint,
                     SynthesisSolution)
 
 _FAR = 1e9  # sentinel angle for rising crossings beyond the optimality horizon
-_A2_ENTRIES = _entries(_A2)  # the fixed lift direction
 
 
 def classify_cut_locus(x: np.ndarray) -> CutLocusClass:

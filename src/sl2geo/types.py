@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .tolerances import SINGULAR_BAND
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class QuotientPoint(NamedTuple):

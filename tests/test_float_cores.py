@@ -12,14 +12,12 @@ import math
 import numpy as np
 
 from sl2geo import (C_LANDING, CutLocusClass, QuotientPoint,
-                    classify_cut_locus, direction_matrix, distance_to_class,
-                    exp2, from_coords, landing_time, lift,
-                    lift_with_direction, project, recover_rotation, rotation,
-                    s_int, solve)
-from sl2geo._kernels import coshc, sinhc
-from sl2geo.algebra import _entries, _exp2, _matrix
-from sl2geo.geodesics import _lift_with_direction
-from sl2geo.quotient import _project, _recover_rotation
+                    classify_cut_locus, distance_to_class, exp2, from_coords,
+                    landing_time, lift, lift_with_direction, project,
+                    recover_rotation, rotation, s_int, solve)
+from sl2geo._kernels import (_direction, _exp2, _lift_with_direction,
+                             _project, _recover_rotation, coshc, sinhc)
+from sl2geo.algebra import _entries, _matrix
 from sl2geo.tolerances import MATCH_TOL, SINGULAR_BAND
 
 from conftest import random_sl2
@@ -57,7 +55,7 @@ def test_lift_wrappers_equal_core(rng):
         c = rng.uniform(-2.5, 2.5)
         phi = rng.uniform(-math.pi, math.pi)
         t = rng.uniform(0.0, 10.0)
-        p = direction_matrix(phi)
+        p = _matrix(_direction(phi))
         core = _matrix(_lift_with_direction(c, _entries(p), t))
         assert _exact(lift_with_direction(c, p, t), core)
         assert _exact(lift(c, phi, t), core)
