@@ -190,11 +190,12 @@ def _recover_rotation(x1: tuple, x2: tuple, tol: float) -> tuple[tuple, bool]:
         raise ClassMismatchError(f"projections {QuotientPoint(px1, py1)} and "
                                  f"{QuotientPoint(px2, py2)} differ")
     # Writing X = [[x, y], [-y, x]] + [[m, k], [k, -m]], the rotation acts
-    # on the symmetric part (m, k).
+    # on the symmetric part (m, k), of squared size x^2 + y^2 - 1.
     m1, k1 = 0.5 * (x1[0] - x1[3]), 0.5 * (x1[1] + x1[2])
     m2, k2 = 0.5 * (x2[0] - x2[3]), 0.5 * (x2[1] + x2[2])
-    if m1 * m1 + k1 * k1 <= SINGULAR_BAND:
+    sym_sq = m1 * m1 + k1 * k1
+    if sym_sq <= SINGULAR_BAND * SINGULAR_BAND:
         return (1.0, 0.0, 0.0, 1.0), False
     theta = 0.5 * math.atan2(k1 * m2 - m1 * k2, m1 * m2 + k1 * k2)
     c, s = math.cos(theta), math.sin(theta)
-    return (c, s, -s, c), True
+    return (c, s, -s, c), sym_sq > SINGULAR_BAND

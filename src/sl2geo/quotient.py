@@ -40,9 +40,10 @@ def recover_rotation(x1: np.ndarray, x2: np.ndarray,
 
     The rotation acts on the symmetric parts (m, k) by the double angle, so
     theta is half the atan2 angle aligning (m1, k1) with (m2, k2); of the
-    two valid angles theta and theta + pi the one in (-pi/2, pi/2] is
-    returned.  On the singular stratum every K works: the identity is
-    returned with unique=False.
+    two valid angles the one in (-pi/2, pi/2] is returned.  unique=False
+    flags the singular band, m1^2 + k1^2 <= SINGULAR_BAND, where the angle
+    is still computed; only once |(m1, k1)| <= SINGULAR_BAND, where any K
+    aligns the two to that order, is the identity returned.
     """
     k, unique = _recover_rotation(_entries(x1), _entries(x2), tol)
     return RecoveredRotation(_matrix(k), unique)

@@ -184,8 +184,7 @@ def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
     k_t = (k[0], k[2], k[1], k[3])
     direction = _mul(_mul(k, _A2_ENTRIES), k_t)  # K A2 K^T
     recon = _lift_with_direction(dist.c, direction, dist.t_f)
-    residual = math.hypot(recon[0] - xf_hat[0], recon[1] - xf_hat[1],
-                          recon[2] - xf_hat[2], recon[3] - xf_hat[3])
+    residual = math.dist(recon, xf_hat)
     if residual > SYNTH_TOL * max(1.0, math.hypot(*xf_hat)):
         raise NoRootError(f"endpoint residual {residual} exceeds {SYNTH_TOL}")
     return SynthesisSolution(c=dist.c, t_f=dist.t_f, P=_matrix(direction),

@@ -73,8 +73,9 @@ class PlanarJet(NamedTuple):
 class RecoveredRotation(NamedTuple):
     """Result of aligning two matrices of one conjugacy class.
 
-    `unique` is False on the singular stratum, where every rotation works
-    and the identity is returned by convention.
+    `unique` is False in the singular band around the unit circle; the
+    matrix still aligns the two there, and is the identity only where their
+    symmetric parts are too small to fix it (see recover_rotation).
     """
 
     matrix: np.ndarray

@@ -84,6 +84,17 @@ class TestSolveCommand:
         assert code == 0
         assert kv["cut_flag"] == "true"
 
+    def test_singular_band_target(self, capsys):
+        # x^2 + y^2 - 1 = 5.0e-10, inside the singular band, with a
+        # symmetric part of size 2.2e-5 that fixes the rotation.
+        code, out, err = run(capsys, "solve", "1", "0", "0", "1",
+                             "0.8775946436366115", "0.4794443545872906",
+                             "-0.4794067228608282", "0.8775704805829252")
+        assert (code, err) == (0, "")
+        kv = parse_kv(out)
+        assert float(kv["residual"]) <= 1e-6
+        assert kv["cut_flag"] == "true"
+
     def test_pretty_multiline(self, capsys):
         code, out, _ = run(capsys, "solve", "--pretty", "1", "0", "0", "1",
                            "0", "1", "-1", "0")

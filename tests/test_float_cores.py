@@ -119,7 +119,7 @@ def _reference_solve(xi, xf):
     y_f = _lift_ref(dist.c, a2, dist.t_f)
     m1, k1 = _sym(y_f)
     m2, k2 = _sym(x_hat)
-    if m1 * m1 + k1 * k1 <= SINGULAR_BAND:
+    if m1 * m1 + k1 * k1 <= SINGULAR_BAND * SINGULAR_BAND:
         k = np.eye(2)
     else:
         theta = 0.5 * math.atan2(k1 * m2 - m1 * k2, m1 * m2 + k1 * k2)

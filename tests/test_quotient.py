@@ -122,6 +122,22 @@ class TestRecoverRotation:
         with pytest.raises(ClassMismatchError):
             recover_rotation(np.eye(2), np.array([[2.0, 1.0], [1.0, 1.0]]))
 
+    def test_band_class_aligned_but_flagged(self, rng):
+        # Symmetric parts of size 1e-8 to 1e-5 (x^2 + y^2 - 1 from 1e-16 to
+        # 1e-10): inside the singular band, yet the rotation is fixed.
+        for size in (1e-8, 1e-7, 1e-6, 1e-5):
+            psi, beta, theta = rng.uniform(-math.pi, math.pi, 3)
+            r = math.sqrt(1.0 + size * size)
+            x, y, m, k = (r * math.cos(beta), r * math.sin(beta),
+                          size * math.cos(psi), size * math.sin(psi))
+            x1 = np.array([[x + m, y + k], [k - y, x - m]])
+            rot = rotation(theta)
+            x2 = rot @ x1 @ rot.T
+            rec = recover_rotation(x1, x2)
+            assert not rec.unique
+            err = np.max(np.abs(rec.matrix @ x1 @ rec.matrix.T - x2))
+            assert err <= 1e-6 * size
+
     def test_singular_class_flagged_non_unique(self):
         k = rotation(0.3)
         rec = recover_rotation(k, k)

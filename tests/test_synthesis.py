@@ -236,6 +236,24 @@ class TestSolve:
                 continue
             assert sol.t_f <= 2.0 * s_int(abs(sol.c)) + 1e-6
 
+    def test_singular_band_targets_solved(self, rng):
+        # X_hat = [[x + m, y + k], [k - y, x - m]] has det 1 when its
+        # symmetric part (m, k) has m^2 + k^2 = r^2 - 1: targets in and just
+        # outside the singular band, whose lift still has to be rotated.
+        for _ in range(500):
+            band = 10.0 ** rng.uniform(-16.0, -8.0)  # r^2 - 1
+            beta, psi = rng.uniform(-math.pi, math.pi, 2)
+            x, y = math.sqrt(1.0 + band) * np.array([math.cos(beta), math.sin(beta)])
+            m, k = math.sqrt(band) * np.array([math.cos(psi), math.sin(psi)])
+            x_hat = np.array([[x + m, y + k], [k - y, x - m]])
+            xi = random_sl2(rng)
+            xf = x_hat @ xi
+            sol = solve(xi, xf)
+            # The endpoint error against X_hat, times at most |Xi| for Xf.
+            scale = max(1.0, float(np.linalg.norm(x_hat)))
+            assert sol.residual <= 1e-6 * scale
+            assert verify_solution(sol, xi, xf) <= 1e-6 * scale * np.linalg.norm(xi)
+
     def test_start_point_target_rejected(self):
         with pytest.raises(StartPointError):
             solve(np.eye(2), np.eye(2))
