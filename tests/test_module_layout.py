@@ -1,0 +1,110 @@
+"""Module boundaries: the numpy-free core and the names the benchmark traces.
+
+`_kernels` holds the endpoint solver's float core, so it and every package
+module it imports must not import numpy.  `import sl2geo._kernels` runs the
+package `__init__`, which does, so the check reads the sources with `ast`
+instead of importing them.
+"""
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+import sl2geo
+
+PACKAGE = pathlib.Path(sl2geo.__file__).parent
+TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+
+
+def _runtime_imports(module: str) -> list[tuple[str, list[str]]]:
+    """(imported module, names) for each import the module runs.
+
+    Package modules are named without the `sl2geo.` prefix; imports under
+    `if TYPE_CHECKING:` never run and are left out.
+    """
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def visit_If(self, node):
+            if ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                for child in node.orelse:
+                    self.visit(child)
+            else:
+                self.generic_visit(node)
+
+        def visit_Import(self, node):
+            found.extend((alias.name, []) for alias in node.names)
+
+        def visit_ImportFrom(self, node):
+            names = [alias.name for alias in node.names]
+            if node.level == 0:
+                found.append((node.module, names))
+            elif node.module is None:  # from . import a, b
+                found.extend((name, []) for name in names)
+            else:
+                found.append((node.module, names))
+
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    Visitor().visit(tree)
+    return [(name.removeprefix("sl2geo."), names) for name, names in found]
+
+
+def _is_package_module(name: str) -> bool:
+    return (PACKAGE / f"{name}.py").is_file()
+
+
+def test_kernels_and_their_imports_are_numpy_free():
+    seen, todo = set(), ["_kernels"]
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        for name, _ in _runtime_imports(module):
+            assert name.split(".")[0] != "numpy", f"{module} imports {name}"
+            if _is_package_module(name):
+                todo.append(name)
+    assert seen == {"_kernels", "errors", "tolerances", "types"}
+
+
+def test_runtime_import_scan_sees_numpy():
+    # The scan above would pass vacuously if it missed imports.
+    assert ("numpy", []) in _runtime_imports("algebra")
+    assert all(name != "numpy" for name, _ in _runtime_imports("types"))
+
+
+@pytest.mark.parametrize("module", ["geodesics", "quotient", "synthesis"])
+def test_private_imports_only_from_the_core(module):
+    # The float core lives in _kernels; the other modules share only the
+    # numpy boundary _entries/_matrix, and no other private name.
+    for name, names in _runtime_imports(module):
+        private = {n for n in names if n.startswith("_")}
+        if name == "algebra":
+            assert private <= {"_entries", "_matrix"}, (module, private)
+        elif name != "_kernels":
+            assert not private, (module, name, private)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve(monkeypatch):
+    # perfbench/tracing.py wraps these functions by name; a rename or a move
+    # must not leave one of its spans or counts without a target.
+    monkeypatch.setattr("sys.dont_write_bytecode", True)
+    tracing = _load_tracing()
+    for module, func in tracing.SPANNED:
+        assert callable(getattr(importlib.import_module(f"sl2geo.{module}"), func))
+    for module, func, only in tracing.COUNTED:
+        target = getattr(importlib.import_module(f"sl2geo.{module}"), func)
+        assert callable(target)
+        for user in only or ():
+            bound = vars(importlib.import_module(f"sl2geo.{user}"))
+            assert any(value is target for value in bound.values()), (user, func)
