@@ -86,12 +86,14 @@ def _cmd_dist(args) -> int:
 def _cmd_path(args) -> int:
     s_max = s_int(args.c) if args.s_max == "auto" else float(args.s_max)
     n = args.n
-    points = planar_curve(args.c, s_max, n)
-    flat = tuple([v for i, (x, y) in enumerate(points)
-                  for v in (s_max * i / (n - 1), x, y)])
+    xy = planar_curve(args.c, s_max, n)
+    rows = [0.0] * (3 * n)
+    rows[0::3] = [s_max * i / (n - 1) for i in range(n)]
+    rows[1::3] = xy[0::2]
+    rows[2::3] = xy[1::2]
     # Every row is formatted by one % before the only write, so an error
     # leaves stdout empty.
-    sys.stdout.write("s,x,y\n" + "%.17g,%.17g,%.17g\n" * n % flat)
+    sys.stdout.write("s,x,y\n" + "%.17g,%.17g,%.17g\n" * n % tuple(rows))
     return 0
 
 

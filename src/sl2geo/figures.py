@@ -18,7 +18,7 @@ import math
 
 from .geodesics import (C_LANDING, C_ORTHOGONAL, landing_time, planar_curve,
                         s_int)
-from .su2 import reachable_boundary, su2_curve, su2_landing_time
+from .su2 import _reachable_boundaries, su2_curve, su2_landing_time
 from .synthesis import distance_to_class
 from .types import QuotientPoint
 
@@ -45,13 +45,14 @@ def _fmt(v: float) -> str:
     return "0.000000000000" if out == "-0.000000000000" else out
 
 
-def _coords(points) -> str:
-    # SVG y grows downward; flip to keep the upper half-plane on top.  One %
-    # formats the whole path.  Every number has 12 decimals, so
-    # "-0.000000000000" only ever matches a whole coordinate and one replace
-    # normalizes them all, as _fmt does.
-    flat = tuple([v for x, y in points for v in (x, -y)])
-    coords = " L ".join(["%.12f,%.12f"] * len(points)) % flat
+def _coords(xy: list[float]) -> str:
+    # xy is a flat list in SVG coordinates, whose y grows downward: the
+    # figures sample each curve at its mirrored parameter (-c or -omega),
+    # which gives (x, -y) of the curve, bit for bit.  One % formats the
+    # whole list.  Every number has 12 decimals, so "-0.000000000000" only
+    # ever matches a whole coordinate and one replace normalizes them all,
+    # as _fmt does.
+    coords = " L ".join(["%.12f,%.12f"] * (len(xy) // 2)) % tuple(xy)
     return coords.replace("-0.000000000000", "0.000000000000")
 
 
@@ -68,16 +69,18 @@ def _element(coords: str, stroke: str, attrs: str, width: float) -> str:
             f'stroke-width="{_fmt(width)}" d="M {coords}"/>')
 
 
-def _path(points, stroke: str, attrs: str = "", width: float = 0.025) -> str:
-    return _element(_coords(points), stroke, attrs, width)
+def _path(xy: list[float], stroke: str, attrs: str = "",
+          width: float = 0.025) -> str:
+    """The path through the flat SVG coordinates xy."""
+    return _element(_coords(xy), stroke, attrs, width)
 
 
-def _path_pair(points, stroke: str, name: str, value: float,
+def _path_pair(xy: list[float], stroke: str, name: str, value: float,
                width: float = 0.025) -> tuple[str, str]:
-    """The paths of the curve with data-name = value and of its reflection
-    y -> -y with data-name = -value, from one formatting of the curve: the
-    same bytes as _path of each."""
-    coords = _coords(points)
+    """The paths of the curve with data-name = value, whose flat SVG
+    coordinates are xy, and of its reflection y -> -y with data-name =
+    -value, from one formatting of xy: the same bytes as _path of each."""
+    coords = _coords(xy)
     return (_element(coords, stroke, f'data-{name}="{_fmt(value)}" ', width),
             _element(_mirrored(coords), stroke, f'data-{name}="{_fmt(-value)}" ',
                      width))
@@ -109,7 +112,7 @@ def figure_fan() -> str:
     # The -c geodesic is the reflection of the c one, bit for bit, with
     # the same horizon: one curve is sampled and formatted per pair.
     for c, color in _FAN:
-        lines += _path_pair(planar_curve(c, s_int(c), _SAMPLES), color, "c", c)
+        lines += _path_pair(planar_curve(-c, s_int(c), _SAMPLES), color, "c", c)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -128,7 +131,7 @@ def figure_worked_example() -> str:
     lines = _header("-2 -0.6 4 2.4", 960, 576)
     lines += _axes(-2.0, 2.0, -0.6, 1.8)
     for c, color in curves:
-        lines.append(_path(planar_curve(c, landing_time(c), _SAMPLES), color,
+        lines.append(_path(planar_curve(-c, landing_time(c), _SAMPLES), color,
                            attrs=f'data-c="{_fmt(c)}" '))
     lines.append(f'<circle cx="{_fmt(target.x)}" cy="{_fmt(-target.y)}" '
                  'r="0.035" fill="black"/>')
@@ -145,16 +148,15 @@ def figure_su2() -> str:
     """SU(2) geodesics (blue) and reachable-set boundaries (red)."""
     lines = _header("-1.3 -1.3 2.6 2.6", 800, 800)
     lines += _axes(-1.3, 1.3, -1.3, 1.3)
-    lines.append(_path(su2_curve(0.0, su2_landing_time(0.0), _SAMPLES), "blue",
+    lines.append(_path(su2_curve(-0.0, su2_landing_time(0.0), _SAMPLES), "blue",
                        attrs=f'data-omega="{_fmt(0.0)}" ', width=0.008))
     # As in figure 1, the -omega geodesic is the reflection of the omega one.
     for omega in _FIG3_MIRRORED:
-        pts = su2_curve(omega, su2_landing_time(omega), _SAMPLES)
-        lines += _path_pair(pts, "blue", "omega", omega, width=0.008)
-    for s in FIG3_TIMES:
-        pts = reachable_boundary(s, 256)
-        lines.append(_path(pts, "red", attrs=f'data-s="{_fmt(s)}" ',
-                           width=0.008))
+        xy = su2_curve(-omega, su2_landing_time(omega), _SAMPLES)
+        lines += _path_pair(xy, "blue", "omega", omega, width=0.008)
+    boundaries = _reachable_boundaries(FIG3_TIMES, 256, -1.0)
+    for s, xy in zip(FIG3_TIMES, boundaries):
+        lines.append(_path(xy, "red", attrs=f'data-s="{_fmt(s)}" ', width=0.008))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -25,7 +25,7 @@ from ._kernels import _direction, _lift_with_direction, bisect, coshc_sinhc
 from .algebra import _entries, _matrix
 from .errors import (BadGridError, NonFiniteError, OutOfRegimeError,
                      UnboundedError)
-from .tolerances import REGIME_TOL, SERIES_CUTOFF
+from .tolerances import HUGE_PARAM, REGIME_TOL, SERIES_CUTOFF
 from .types import PathSample, PlanarJet, QuotientPoint
 
 C_LANDING = 2.0 / math.sqrt(3.0)
@@ -92,7 +92,11 @@ def landing_point(c: float) -> QuotientPoint:
     """Point on the unit circle reached at the landing time."""
     if abs(c) < C_LANDING * (1.0 - REGIME_TOL):
         raise OutOfRegimeError(f"|c| = {abs(c)} < 2/sqrt(3): no landing")
-    alpha = c * math.pi / math.sqrt(c * c - 1.0)
+    if abs(c) <= HUGE_PARAM:
+        alpha = c * math.pi / math.sqrt(c * c - 1.0)
+    else:
+        # sqrt(c^2 - 1) is |c| to double precision: alpha is +-pi.
+        alpha = math.copysign(math.pi, c)
     return QuotientPoint(-math.cos(alpha), -math.sin(alpha))
 
 
@@ -171,10 +175,11 @@ def lift(c: float, phi: float, t: float) -> np.ndarray:
     return _matrix(_lift_with_direction(c, _direction(phi), t))
 
 
-def planar_curve(c: float, s_max: float, n: int) -> list[tuple[float, float]]:
-    """Points (x, y) of the c-geodesic at s = s_max*i/(n-1), i = 0..n-1.
+def planar_curve(c: float, s_max: float, n: int) -> list[float]:
+    """Flat coordinates [x0, y0, x1, y1, ...] of the c-geodesic at
+    s = s_max*i/(n-1), i = 0..n-1.
 
-    Each point equals planar_geodesic at its s, bit for bit, and the -c
+    Each (x, y) equals planar_geodesic at its s, bit for bit, and the -c
     curve is exactly (x, -y) of the c curve: z and k1 depend on c^2 only,
     k2 and sin(cs) are odd in c, cos(cs) is even, and negation is exact.
     """
@@ -190,24 +195,50 @@ def planar_curve(c: float, s_max: float, n: int) -> list[tuple[float, float]]:
         raise NonFiniteError(f"c = {c} with s_max = {s_max} overflows the geodesic")
     q = 1.0 - c * c
     last = n - 1
-    points = []
-    for i in range(n):
+    xy = []
+    # |z| = |q| s^2 grows with i, so the series band of coshc_sinhc is a
+    # prefix of the grid (all of it for |c| = 1).  Past it the sign of q
+    # fixes the regime, and one loop repeats coshc_sinhc's operations for
+    # that branch.
+    i = 0
+    while i < n:
         s = s_max * i / last
-        k1, sh = coshc_sinhc(q * s * s)
-        k2 = c * s * sh
-        cos_cs = math.cos(c * s)
-        sin_cs = math.sin(c * s)
-        points.append((k1 * cos_cs + k2 * sin_cs, k1 * sin_cs - k2 * cos_cs))
+        z = q * s * s
+        if not abs(z) < SERIES_CUTOFF:
+            break
+        k1, sh = coshc_sinhc(z)
+        cs = c * s
+        k2 = cs * sh
+        cos_cs, sin_cs = math.cos(cs), math.sin(cs)
+        xy.append(k1 * cos_cs + k2 * sin_cs)
+        xy.append(k1 * sin_cs - k2 * cos_cs)
+        i += 1
+    even, odd = (math.cosh, math.sinh) if q > 0.0 else (math.cos, math.sin)
+    try:
+        for i in range(i, n):
+            s = s_max * i / last
+            w = math.sqrt(abs(q * s * s))
+            k1, sh = even(w), odd(w) / w
+            cs = c * s
+            k2 = cs * sh
+            cos_cs, sin_cs = math.cos(cs), math.sin(cs)
+            xy.append(k1 * cos_cs + k2 * sin_cs)
+            xy.append(k1 * sin_cs - k2 * cos_cs)
+    except OverflowError:
+        # Only cosh and sinh overflow.  coshc_sinhc saturates to inf there,
+        # and as z grows with i the end point would not be finite either.
+        raise NonFiniteError(
+            f"c = {c} with s_max = {s_max} overflows the geodesic") from None
     # One check per curve: for |c| <= 1 the radius grows monotonically
     # along s, so the end point is the largest; for |c| > 1 every point is
     # bounded by 1 + |c s_max|, finite by the check above.
-    x, y = points[-1]
-    if not (math.isfinite(x) and math.isfinite(y)):
+    if not (math.isfinite(xy[-2]) and math.isfinite(xy[-1])):
         raise NonFiniteError(f"c = {c} with s_max = {s_max} overflows the geodesic")
-    return points
+    return xy
 
 
 def sample_path(c: float, s_max: float, n: int) -> list[PathSample]:
     """n uniform samples of the planar geodesic on [0, s_max]."""
-    return [PathSample(s_max * i / (n - 1), x, y)
-            for i, (x, y) in enumerate(planar_curve(c, s_max, n))]
+    xy = planar_curve(c, s_max, n)
+    return [PathSample(s_max * i / (n - 1), xy[2 * i], xy[2 * i + 1])
+            for i in range(n)]

@@ -14,12 +14,18 @@ import math
 
 from .errors import BadGridError, NonFiniteError
 from .geodesics import landing_point
+from .tolerances import HUGE_PARAM
+
+
+def _mu(omega: float) -> float:
+    # sqrt(1 + omega^2), which is |omega| exactly beyond HUGE_PARAM.
+    return math.sqrt(1.0 + omega * omega) if abs(omega) <= HUGE_PARAM else abs(omega)
 
 
 def _rate(omega: float, s: float) -> float:
     # The rate mu = sqrt(1 + omega^2), once the angles mu*s and omega*s are
     # known to be finite.
-    mu = math.sqrt(1.0 + omega * omega)
+    mu = _mu(omega)
     if not (math.isfinite(mu * s) and math.isfinite(omega * s)):
         raise NonFiniteError(f"omega = {omega} with s = {s} overflows the geodesic")
     return mu
@@ -35,34 +41,44 @@ def su2_planar_geodesic(omega: float, s: float) -> tuple[float, float]:
             cos_m * sin_o - ratio * sin_m * cos_o)
 
 
-def su2_curve(omega: float, s_max: float, n: int) -> list[tuple[float, float]]:
-    """Points of the omega-geodesic at s = s_max*i/(n-1), i = 0..n-1.
+def su2_curve(omega: float, s_max: float, n: int) -> list[float]:
+    """Flat coordinates [x0, y0, x1, y1, ...] of the omega-geodesic at
+    s = s_max*i/(n-1), i = 0..n-1.
 
-    Each point equals su2_planar_geodesic at its s, bit for bit, and the
+    Each (x, y) equals su2_planar_geodesic at its s, bit for bit, and the
     -omega curve is exactly (x, -y) of the omega curve.  Every point lies
     in the disc, so one check of the angles at s_max covers the curve.
     """
+    if n < 2:
+        raise BadGridError(f"need at least 2 samples, got {n}")
+    if not s_max > 0.0:
+        raise BadGridError(f"s_max must be positive, got {s_max}")
+    if not math.isfinite(s_max * (n - 1)):
+        raise BadGridError(f"s_max = {s_max} with {n} samples overflows the grid")
     mu = _rate(omega, s_max)
     ratio = omega / mu
     last = n - 1
-    points = []
+    xy = []
     for i in range(n):
         s = s_max * i / last
         cos_m, sin_m = math.cos(mu * s), math.sin(mu * s)
         cos_o, sin_o = math.cos(omega * s), math.sin(omega * s)
-        points.append((cos_m * cos_o + ratio * sin_m * sin_o,
-                       cos_m * sin_o - ratio * sin_m * cos_o))
-    return points
+        xy.append(cos_m * cos_o + ratio * sin_m * sin_o)
+        xy.append(cos_m * sin_o - ratio * sin_m * cos_o)
+    return xy
 
 
 def su2_landing_time(omega: float) -> float:
     """Time pi/sqrt(1+omega^2) at which the geodesic reaches the circle."""
-    return math.pi / math.sqrt(1.0 + omega * omega)
+    return math.pi / _mu(omega)
 
 
 def su2_landing_point(omega: float) -> tuple[float, float]:
     """Circle point where the omega-geodesic loses optimality."""
-    angle = omega * math.pi / math.sqrt(omega * omega + 1.0)
+    if abs(omega) <= HUGE_PARAM:
+        angle = omega * math.pi / _mu(omega)
+    else:
+        angle = math.copysign(math.pi, omega)  # omega/mu is +-1 exactly
     return -math.cos(angle), -math.sin(angle)
 
 
@@ -75,12 +91,15 @@ def c_of_omega(omega: float) -> float:
 
     With r = sqrt(omega^2 + 1) and a = |omega|, c^2 is
     (5a^2 + 4 - 4ar)/(4a^2 + 3 - 4ar) = (2r - a)^2 (r + a)/(3r - a); the
-    factored form has no cancellation, so c keeps full relative accuracy
-    for every omega whose r is finite.
+    factored form has no cancellation, so c keeps full relative accuracy.
+    It is a (1 + O(1/a^2)), so beyond HUGE_PARAM c is a itself.
     """
-    r = math.sqrt(omega * omega + 1.0)
     a = abs(omega)
-    c = (2.0 * r - a) * math.sqrt((r + a) / (3.0 * r - a))
+    if a <= HUGE_PARAM:
+        r = _mu(omega)
+        c = (2.0 * r - a) * math.sqrt((r + a) / (3.0 * r - a))
+    else:
+        c = a
     return -c if omega >= 0.0 else c
 
 
@@ -91,6 +110,46 @@ def landing_match_error(omega: float) -> float:
     return math.hypot(ux - lp.x, uy - lp.y)
 
 
+def _reachable_boundaries(times, n: int, sign: float) -> list[list[float]]:
+    """Flat coordinates of the time-s reachable-set boundary for each s in
+    times, from one sweep of n omegas.
+
+    The sweep is uniform in arctan(omega), which resolves both small and
+    large parameters; sign = -1.0 sweeps -omega instead, which gives the
+    reflection (x, -y) of every point, bit for bit.  Each point is
+    su2_planar_geodesic(omega, min(s, su2_landing_time(omega))): a geodesic
+    that has landed contributes its circle point.  The rate, ratio and
+    landing time of each omega are computed once for all times, and its
+    circle point once, when the first time past its landing needs it.
+    """
+    if n < 2:
+        raise BadGridError(f"need at least 2 boundary samples, got {n}")
+    for s in times:
+        if not s > 0.0:
+            raise BadGridError(f"time must be positive, got {s}")
+    sweep = []
+    for i in range(n):
+        omega = sign * math.tan(-0.5 * math.pi + math.pi * (i + 0.5) / n)
+        mu = _mu(omega)
+        sweep.append((omega, mu, omega / mu, math.pi / mu))
+    landed = [None] * n
+    boundaries = []
+    for s in times:
+        xy = []
+        for i, (omega, mu, ratio, landing) in enumerate(sweep):
+            if s < landing:
+                cos_m, sin_m = math.cos(mu * s), math.sin(mu * s)
+                cos_o, sin_o = math.cos(omega * s), math.sin(omega * s)
+                xy.append(cos_m * cos_o + ratio * sin_m * sin_o)
+                xy.append(cos_m * sin_o - ratio * sin_m * cos_o)
+            else:
+                if landed[i] is None:
+                    landed[i] = su2_planar_geodesic(omega, landing)
+                xy += landed[i]
+        boundaries.append(xy)
+    return boundaries
+
+
 def reachable_boundary(s: float, n: int) -> list[tuple[float, float]]:
     """Boundary of the time-s reachable set in the disc.
 
@@ -99,13 +158,5 @@ def reachable_boundary(s: float, n: int) -> list[tuple[float, float]]:
     landing time: geodesics that have already landed contribute their circle
     point.
     """
-    if n < 2:
-        raise BadGridError(f"need at least 2 boundary samples, got {n}")
-    if not s > 0.0:
-        raise BadGridError(f"time must be positive, got {s}")
-    points = []
-    for i in range(n):
-        u = -0.5 * math.pi + math.pi * (i + 0.5) / n
-        omega = math.tan(u)
-        points.append(su2_planar_geodesic(omega, min(s, su2_landing_time(omega))))
-    return points
+    xy = _reachable_boundaries((s,), n, 1.0)[0]
+    return list(zip(xy[0::2], xy[1::2]))

@@ -37,3 +37,9 @@ MATCH_TOL = 1e-6
 
 LORENTZ_TOL = 1e-9
 """Lorentz-group membership check before factorizing a 3x3 matrix."""
+
+HUGE_PARAM = 1e150
+"""Above this |c| or |omega|, c^2 - 1 and 1 + omega^2 round to the bare
+square, whose root is the parameter's magnitude exactly.  The landing and
+bridge formulas take that limit there instead of squaring, which overflows
+from |c| ~ 1.34e154; at and below it they keep their exact operations."""

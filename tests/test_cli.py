@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import sl2geo.quotient
-from sl2geo import selftest
+from sl2geo import figures, selftest
 from sl2geo.cli import _build_parser, main
 from sl2geo.figures import (FAN_C_VALUES, FIG3_OMEGAS, FIG3_TIMES, _fmt, _path,
                             _path_pair, figure_svg)
 from sl2geo.geodesics import C_LANDING, landing_time, planar_geodesic, s_int
-from sl2geo.su2 import reachable_boundary, su2_landing_time, su2_planar_geodesic
+from sl2geo.su2 import su2_landing_time, su2_planar_geodesic
 from sl2geo.synthesis import distance_to_class
 from sl2geo.types import QuotientPoint
 
@@ -194,6 +194,15 @@ class TestSu2Command:
         assert math.isfinite(c)
         assert c == pytest.approx(-float(omega), rel=1e-12)
 
+    def test_omega_beyond_squaring(self, capsys):
+        # 1 + omega^2 overflows here, but omega s = 1e-40: the point is (1, 0).
+        code, out, err = run(capsys, "su2", "1e160", "1e-200")
+        assert (code, err) == (0, "")
+        kv = parse_kv(out)
+        assert (kv["x"], kv["y"], kv["c"]) == ("1", "0", "-1e+160")
+        assert float(kv["landing_s"]) == pytest.approx(math.pi / 1e160, rel=1e-11)
+        assert float(kv["match_err"]) <= 1e-15
+
 
 class TestAutCommands:
     def test_factor_round_trip(self, capsys):
@@ -285,7 +294,7 @@ class TestNonFiniteInput:
         (("path", "1e308", "1", "3"), "c = 1e+308 with s_max = 1.0 overflows the geodesic"),
         (("path", "1e200", "2", "3"), "c = 1e+200 with s_max = 2.0 overflows the geodesic"),
         (("path", "0.5", "1000", "3"), "c = 0.5 with s_max = 1000.0 overflows the geodesic"),
-        (("su2", "1e308", "1"), "omega = 1e+308 with s = 1.0 overflows the geodesic"),
+        (("su2", "1e308", "10"), "omega = 1e+308 with s = 10.0 overflows the geodesic"),
         (("su2", "1e200", "1e200"), "omega = 1e+200 with s = 1e+200 overflows the geodesic"),
     ])
     def test_path_and_su2_arguments(self, capsys, argv, message):
@@ -409,6 +418,16 @@ def _planar_formatted(c, s_max):
     return _formatted(planar_geodesic(c, s) for s in _grid(s_max))
 
 
+def _boundary_formatted(s, n=256):
+    # Per-point su2_planar_geodesic at each sweep parameter, clipped at its
+    # landing time, not the sweep figure 3 shares between its boundaries.
+    points = []
+    for i in range(n):
+        omega = math.tan(-0.5 * math.pi + math.pi * (i + 0.5) / n)
+        points.append(su2_planar_geodesic(omega, min(s, su2_landing_time(omega))))
+    return _formatted(points)
+
+
 class TestOutputEquivalence:
     """The grid samplers and the one-% formatting of a whole path or CSV
     give exactly the bytes of per-point evaluation formatted per row or per
@@ -452,23 +471,31 @@ class TestOutputEquivalence:
         boundaries = _svg_paths(svg, "s")
         assert [label for label, _ in boundaries] == [_fmt(s) for s in FIG3_TIMES]
         for s, (_, d) in zip(FIG3_TIMES, boundaries):
-            assert d == _formatted(reachable_boundary(s, 256))
+            assert d == _boundary_formatted(s)
+
+    def test_figure3_boundary_past_every_landing(self, monkeypatch):
+        # At s = 4 > pi every geodesic of the sweep has landed, and each
+        # circle point comes from an earlier time's boundary.
+        times = FIG3_TIMES + (4.0,)
+        monkeypatch.setattr(figures, "FIG3_TIMES", times)
+        boundaries = _svg_paths(figure_svg(3), "s")
+        assert [label for label, _ in boundaries] == [_fmt(s) for s in times]
+        assert boundaries[-1][1] == _boundary_formatted(4.0)
 
     def test_signed_zeros_print_unsigned(self):
-        svg = _path([(-0.0, -0.0), (1.0, 1e-15), (-1e-15, -1e-15), (-10.0, 0.0)],
-                    "black")
+        svg = _path([-0.0, -0.0, 1.0, 1e-15, -1e-15, -1e-15, -10.0, 0.0], "black")
         assert ('d="M 0.000000000000,0.000000000000 L 1.000000000000,0.000000000000'
                 ' L 0.000000000000,0.000000000000 L -10.000000000000,0.000000000000"'
                 in svg)
 
     @pytest.mark.parametrize("points", [
         # y rounds to +-0 at 12 decimals, on either side of the axis.
-        [(1.0, 1e-15), (-1e-15, -4e-13), (-0.0, -0.0), (0.0, 0.0)],
-        [(-0.0, 5e-13), (2.5, -5e-13), (-3.0, 4.9e-13), (1e-13, -1e-300)],
-        [(0.5, 0.25), (-1.5, -0.75), (10.0, -1e-12), (-10.0, 1e-12)],
+        [1.0, 1e-15, -1e-15, -4e-13, -0.0, -0.0, 0.0, 0.0],
+        [-0.0, 5e-13, 2.5, -5e-13, -3.0, 4.9e-13, 1e-13, -1e-300],
+        [0.5, 0.25, -1.5, -0.75, 10.0, -1e-12, -10.0, 1e-12],
     ])
     def test_pair_matches_path_of_each(self, points):
-        reflected = [(x, -y) for x, y in points]
+        reflected = [-v if i % 2 else v for i, v in enumerate(points)]
         assert _path_pair(points, "red", "c", 1.5, width=0.008) == (
             _path(points, "red", 'data-c="1.500000000000" ', width=0.008),
             _path(reflected, "red", 'data-c="-1.500000000000" ', width=0.008))

@@ -11,6 +11,7 @@ from sl2geo.errors import (BadGridError, NonFiniteError, OutOfRegimeError,
                            UnboundedError)
 from sl2geo.figures import FAN_C_VALUES
 from sl2geo.geodesics import planar_curve
+from sl2geo.tolerances import SERIES_CUTOFF
 
 A0, A1, A2 = basis()
 
@@ -135,6 +136,19 @@ class TestLanding:
         assert all(b > a for a, b in zip(xs, xs[1:]))
         assert landing_time(grid[-1]) < 0.1  # short geodesics for large c
         assert xs[-1] > 0.98  # abscissa approaches 1
+
+    @pytest.mark.parametrize("c", [2.5, -40.0, 1e8, 1e100, 1e150, -1e150])
+    def test_direct_formula_up_to_huge_param(self, c):
+        alpha = c * math.pi / math.sqrt(c * c - 1.0)
+        assert landing_point(c) == (-math.cos(alpha), -math.sin(alpha))
+
+    @pytest.mark.parametrize("c", [1.0000001e150, 1e160, -1e160, 1e300, -1.7e308])
+    def test_huge_parameter_lands_at_one(self, c):
+        # c^2 overflows from |c| ~ 1.34e154; alpha = c pi/sqrt(c^2 - 1) is
+        # +-pi to double precision well before that.
+        p = landing_point(c)
+        assert p.x == 1.0
+        assert abs(p.y) <= 1.3e-16
 
 
 class TestSInt:
@@ -341,31 +355,53 @@ _CURVE_CS = [sign * c for c in (1e-3, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1,
 _CURVE_GRIDS = ((landing_time(2.5), 7), (3.0, 400), (12.0, 33))
 
 
+def _per_point(c, s_max, n):
+    # planar_geodesic at each grid point, flattened as planar_curve returns it.
+    return [v for i in range(n) for v in planar_geodesic(c, s_max * i / (n - 1))]
+
+
+def _reflected(xy):
+    return [-v if i % 2 else v for i, v in enumerate(xy)]
+
+
 class TestPlanarCurve:
     @pytest.mark.parametrize("c", _CURVE_CS)
     def test_equals_planar_geodesic_per_point(self, c):
         for s_max, n in _CURVE_GRIDS:
-            points = planar_curve(c, s_max, n)
-            assert len(points) == n
-            for i, point in enumerate(points):
-                # == on floats: the grid loop is planar_geodesic, bit for bit.
-                assert point == tuple(planar_geodesic(c, s_max * i / (n - 1)))
+            # == on floats: the grid loops are planar_geodesic, bit for bit.
+            assert planar_curve(c, s_max, n) == _per_point(c, s_max, n)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, -1.0, 1.0 + 1e-9, 1.0 - 1e-9,
+                                   1.0 + 1e-6, 1.0 - 1e-6, 1e-3, -1e-3])
+    def test_regime_change_mid_grid(self, c):
+        # z = (1 - c^2) s^2 leaves the series band of coshc_sinhc in the
+        # middle of one of these grids, where the sampler's series prefix
+        # hands over to its cosh/sinh or cos/sin loop; for |c| = 1, z = 0
+        # and the whole grid is the prefix.
+        q = 1.0 - c * c
+        prefixes = []
+        for s_max, n in ((1e-3, 401), (3.0, 400)):
+            grid = [s_max * i / (n - 1) for i in range(n)]
+            prefixes.append(sum(abs(q * s * s) < SERIES_CUTOFF for s in grid))
+            assert planar_curve(c, s_max, n) == _per_point(c, s_max, n)
+        if q == 0.0:
+            assert prefixes == [401, 400]
+        else:
+            assert any(2 < prefix < 398 for prefix in prefixes)
 
     @pytest.mark.parametrize("c", _CURVE_CS)
     def test_mirror_is_exact_reflection(self, c):
         # The figures draw the -c curve as the reflection of the c curve.
         for s_max, n in _CURVE_GRIDS:
-            assert planar_curve(-c, s_max, n) == [
-                (x, -y) for x, y in planar_curve(c, s_max, n)]
+            assert planar_curve(-c, s_max, n) == _reflected(planar_curve(c, s_max, n))
 
     @pytest.mark.parametrize("c", [c for c, _ in FAN_C_VALUES])
     def test_fan_mirror_is_exact_reflection(self, c):
-        assert planar_curve(-c, s_int(-c), 400) == [
-            (x, -y) for x, y in planar_curve(c, s_int(c), 400)]
+        assert planar_curve(-c, s_int(-c), 400) == _reflected(planar_curve(c, s_int(c), 400))
 
     def test_sample_path_shares_the_grid(self):
         samples = sample_path(0.9, 3.0, 20)
-        assert [(p.x, p.y) for p in samples] == planar_curve(0.9, 3.0, 20)
+        assert [v for p in samples for v in (p.x, p.y)] == planar_curve(0.9, 3.0, 20)
         assert [p.s for p in samples] == [3.0 * i / 19 for i in range(20)]
 
     @pytest.mark.parametrize("c, s_max", [
@@ -382,8 +418,14 @@ class TestPlanarCurve:
 
     def test_largest_finite_hyperbolic_end(self):
         # Just below the overflow of cosh the end point is still finite.
-        points = planar_curve(0.0, 710.0, 3)
-        assert all(math.isfinite(v) for point in points for v in point)
+        assert all(math.isfinite(v) for v in planar_curve(0.0, 710.0, 3))
+
+    def test_saturated_hyperbolic_end_raises(self):
+        # Past s = 710 cosh overflows: coshc_sinhc saturates to inf, so the
+        # per-point end is not finite, and the sampler raises, not OverflowError.
+        assert not math.isfinite(_per_point(0.0, 711.0, 3)[-2])
+        with pytest.raises(NonFiniteError, match="overflows the geodesic"):
+            planar_curve(0.0, 711.0, 3)
 
 
 class TestPlanarJet:

@@ -17,30 +17,42 @@ class TestCurve:
     @pytest.mark.parametrize("omega", [0.0, 1e-9, 0.5, -0.5, 1.0, -2.0, 4.0, -4.0, 1e6])
     def test_equals_su2_planar_geodesic_per_point(self, omega):
         for s_max, n in ((su2_landing_time(omega), 400), (2.5, 9)):
-            points = su2_curve(omega, s_max, n)
-            assert len(points) == n
-            for i, point in enumerate(points):
-                # == on floats: the grid loop is su2_planar_geodesic, bit for bit.
-                assert point == su2_planar_geodesic(omega, s_max * i / (n - 1))
+            # == on floats: the grid loop is su2_planar_geodesic, bit for bit.
+            assert su2_curve(omega, s_max, n) == [
+                v for i in range(n)
+                for v in su2_planar_geodesic(omega, s_max * i / (n - 1))]
 
     @pytest.mark.parametrize("omega", FIG3_OMEGAS)
     def test_mirror_is_exact_reflection(self, omega):
         # Figure 3 draws the -omega curve as the reflection of the omega one.
         s_max = su2_landing_time(omega)
         assert su2_curve(-omega, s_max, 400) == [
-            (x, -y) for x, y in su2_curve(omega, s_max, 400)]
+            -v if i % 2 else v for i, v in enumerate(su2_curve(omega, s_max, 400))]
 
     @pytest.mark.parametrize("omega, s", [
-        (1e308, 1.0),     # omega^2, and so mu, overflows
-        (1e200, 1e200),   # omega s overflows
+        (1e308, 10.0),    # omega s and mu s overflow
+        (1e200, 1e200),
         (-1e200, 1e200),
-        (1e300, 0.0),     # mu s = inf * 0
     ])
     def test_overflow_raises(self, omega, s):
         with pytest.raises(NonFiniteError, match="overflows the geodesic"):
             su2_planar_geodesic(omega, s)
         with pytest.raises(NonFiniteError, match="overflows the geodesic"):
             su2_curve(omega, s, 3)
+
+    @pytest.mark.parametrize("omega, s_max, n", [
+        (0.5, 1.0, 1),
+        (0.5, 1.0, 0),
+        (0.5, -1.0, 3),
+        (0.5, 0.0, 3),
+        (0.5, math.nan, 3),
+        (0.5, math.inf, 3),
+        (0.5, 1e308, 3),  # s_max (n - 1) overflows
+        (1e300, 0.0, 3),
+    ])
+    def test_bad_grid(self, omega, s_max, n):
+        with pytest.raises(BadGridError):
+            su2_curve(omega, s_max, n)
 
 
 class TestPlanarGeodesic:
@@ -55,6 +67,11 @@ class TestPlanarGeodesic:
     def test_starts_at_one_zero(self, rng):
         for omega in rng.uniform(-6.0, 6.0, 20):
             assert su2_planar_geodesic(float(omega), 0.0) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("omega, s", [(1e160, 1e-200), (-1e300, 1e-310), (1e300, 0.0)])
+    def test_huge_omega_point(self, omega, s):
+        # Both angles mu s and omega s are tiny: the point is (1, 0).
+        assert su2_planar_geodesic(omega, s) == pytest.approx((1.0, 0.0), abs=1e-15)
 
     def test_lands_on_circle(self, rng):
         for omega in rng.uniform(-6.0, 6.0, 20):
@@ -122,6 +139,26 @@ class TestParameterBridge:
         for omega in np.linspace(-5.0, 5.0, 100):
             assert landing_match_error(float(omega)) <= 1e-9
 
+    @pytest.mark.parametrize("omega", [1e-3, -0.7, 6.1e7, -1e10, 1e100, 1e150, -1e150])
+    def test_direct_formulas_up_to_huge_param(self, omega):
+        # At and below HUGE_PARAM every sqrt(1 + omega^2) is the direct one.
+        r = math.sqrt(omega * omega + 1.0)
+        a = abs(omega)
+        c = (2.0 * r - a) * math.sqrt((r + a) / (3.0 * r - a))
+        assert c_of_omega(omega) == (-c if omega >= 0.0 else c)
+        assert su2_landing_time(omega) == math.pi / r
+        angle = omega * math.pi / r
+        assert su2_landing_point(omega) == (-math.cos(angle), -math.sin(angle))
+
+    @pytest.mark.parametrize("omega", [1e160, -1e300, 1.7e308])
+    def test_huge_omega(self, omega):
+        # sqrt(1 + omega^2) overflows from |omega| ~ 1.34e154, where c(omega)
+        # = -omega and both geodesics land at (1, 0) to double precision.
+        assert c_of_omega(omega) == -omega
+        assert su2_landing_time(omega) == math.pi / abs(omega)
+        assert su2_landing_point(omega)[0] == 1.0
+        assert landing_match_error(omega) <= 1e-15
+
 
 class TestReachableBoundary:
     def test_small_time_stays_near_start(self):
@@ -138,6 +175,16 @@ class TestReachableBoundary:
         # At s >= pi every geodesic has landed: all samples on the circle.
         for x, y in reachable_boundary(math.pi, 64):
             assert x * x + y * y == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("s", [0.5, 2.0, 4.0])
+    def test_equals_clipped_geodesic_per_point(self, s):
+        # == on floats: each point is the geodesic at min(s, landing time).
+        n = 32
+        expected = []
+        for i in range(n):
+            omega = math.tan(-0.5 * math.pi + math.pi * (i + 0.5) / n)
+            expected.append(su2_planar_geodesic(omega, min(s, su2_landing_time(omega))))
+        assert reachable_boundary(s, n) == expected
 
     def test_bad_grid(self):
         with pytest.raises(BadGridError):
