@@ -81,24 +81,16 @@ def coshc_sinhc(z: float) -> tuple[float, float]:
 
 
 def inverse_sinhc_scaled(q: float, radial: float) -> float:
-    """Smallest s >= 0 with s*sinhc(q*s*s) == radial, on the rising branch.
+    """Smallest s >= 0 with s*sinhc(q*s*s) == radial, for q >= 0.
 
-    For q > 0 this is asinh(sqrt(q)*radial)/sqrt(q); for q < 0 it is
-    asin(sqrt(-q)*radial)/sqrt(-q) and requires sqrt(-q)*radial <= 1 (the
-    caller checks reachability).  Both branches share one alternating series
-    in z = q*radial^2.
+    This is asinh(sqrt(q)*radial)/sqrt(q), taken from its series in
+    z = q*radial^2 near z = 0.
     """
     z = q * radial * radial
-    if abs(z) < SERIES_CUTOFF:
+    if z < SERIES_CUTOFF:
         return radial * (1.0 - z * (1.0 / 6.0 - z * (3.0 / 40.0 - z * 15.0 / 336.0)))
-    if z > 0.0:
-        u = math.sqrt(z)
-        return radial * math.asinh(u) / u
-    # Rounding in the caller's q can push u past 1 at the tangent parameter
-    # (badly so when q comes from a cancellation near c = 1); clamp onto the
-    # attainable branch, where the inverse is the quarter-period.
-    u = min(math.sqrt(-z), 1.0)
-    return radial * math.asin(u) / u
+    u = math.sqrt(z)
+    return radial * math.asinh(u) / u
 
 
 def bisect(f, a: float, b: float) -> float:

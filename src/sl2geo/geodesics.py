@@ -85,7 +85,11 @@ def landing_time(c: float) -> float:
     """
     if abs(c) < C_LANDING * (1.0 - REGIME_TOL):
         raise OutOfRegimeError(f"|c| = {abs(c)} < 2/sqrt(3): no landing")
-    return math.pi / math.sqrt(c * c - 1.0)
+    if abs(c) <= HUGE_PARAM:
+        return math.pi / math.sqrt(c * c - 1.0)
+    if not math.isfinite(c):  # nan and inf pass both tests above
+        raise NonFiniteError(f"geodesic parameter c = {c} is not finite")
+    return math.pi / abs(c)  # sqrt(c^2 - 1) is |c| to double precision
 
 
 def landing_point(c: float) -> QuotientPoint:
@@ -94,6 +98,8 @@ def landing_point(c: float) -> QuotientPoint:
         raise OutOfRegimeError(f"|c| = {abs(c)} < 2/sqrt(3): no landing")
     if abs(c) <= HUGE_PARAM:
         alpha = c * math.pi / math.sqrt(c * c - 1.0)
+    elif not math.isfinite(c):
+        raise NonFiniteError(f"geodesic parameter c = {c} is not finite")
     else:
         # sqrt(c^2 - 1) is |c| to double precision: alpha is +-pi.
         alpha = math.copysign(math.pi, c)

@@ -77,6 +77,8 @@ def su2_landing_point(omega: float) -> tuple[float, float]:
     """Circle point where the omega-geodesic loses optimality."""
     if abs(omega) <= HUGE_PARAM:
         angle = omega * math.pi / _mu(omega)
+    elif not math.isfinite(omega):
+        raise NonFiniteError(f"omega = {omega} is not finite")
     else:
         angle = math.copysign(math.pi, omega)  # omega/mu is +-1 exactly
     return -math.cos(angle), -math.sin(angle)

@@ -1,8 +1,8 @@
 """Shared value types.
 
-Matrices are plain numpy arrays throughout (2x2 for group/algebra elements,
-3x3 for Lorentz matrices); the classes here are small records for everything
-that is not a matrix.
+The public API passes matrices as numpy arrays (2x2 group and algebra
+elements, 3x3 Lorentz matrices); the endpoint solver's 2x2 core runs on
+float 4-tuples in `_kernels`.  The classes here are records for the rest.
 """
 
 from __future__ import annotations

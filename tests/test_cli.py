@@ -132,6 +132,16 @@ class TestDistCommand:
         assert code == 2
         assert "start point" in err
 
+    def test_rotation_near_start_lands(self, capsys):
+        # classify puts this 1e-9 rad rotation on the singular circle; dist
+        # agrees, with the landing distance 2 sqrt(beta (2 pi + beta)).
+        entries = ("1.0000000000000002", "1e-9", "-1e-9", "1.0000000000000002")
+        assert run(capsys, "classify", *entries)[1] == "class=SingularCircle\n"
+        code, out, _ = run(capsys, "dist", *entries)
+        kv = parse_kv(out)
+        assert (code, kv["cut_flag"]) == (0, "true")
+        assert float(kv["t_f"]) == pytest.approx(1.5853e-4, rel=1e-2)
+
 
 class TestPathCommand:
     def test_axis_two_rows(self, capsys):
@@ -296,6 +306,8 @@ class TestNonFiniteInput:
         (("path", "0.5", "1000", "3"), "c = 0.5 with s_max = 1000.0 overflows the geodesic"),
         (("su2", "1e308", "10"), "omega = 1e+308 with s = 10.0 overflows the geodesic"),
         (("su2", "1e200", "1e200"), "omega = 1e+200 with s = 1e+200 overflows the geodesic"),
+        (("path", "1e160", "auto", "3"),
+         "c = 1e+160 with s_max = 3.141592653589793e-160 overflows the geodesic"),
     ])
     def test_path_and_su2_arguments(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

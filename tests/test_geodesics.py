@@ -141,6 +141,7 @@ class TestLanding:
     def test_direct_formula_up_to_huge_param(self, c):
         alpha = c * math.pi / math.sqrt(c * c - 1.0)
         assert landing_point(c) == (-math.cos(alpha), -math.sin(alpha))
+        assert landing_time(c) == math.pi / math.sqrt(c * c - 1.0)
 
     @pytest.mark.parametrize("c", [1.0000001e150, 1e160, -1e160, 1e300, -1.7e308])
     def test_huge_parameter_lands_at_one(self, c):
@@ -149,6 +150,13 @@ class TestLanding:
         p = landing_point(c)
         assert p.x == 1.0
         assert abs(p.y) <= 1.3e-16
+        assert landing_time(c) == s_int(c) == math.pi / abs(c)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter(self, c):
+        for landing in (landing_time, landing_point):
+            with pytest.raises(NonFiniteError, match="is not finite"):
+                landing(c)
 
 
 class TestSInt:

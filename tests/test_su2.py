@@ -159,6 +159,11 @@ class TestParameterBridge:
         assert su2_landing_point(omega)[0] == 1.0
         assert landing_match_error(omega) <= 1e-15
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_landing_point(self, omega):
+        with pytest.raises(NonFiniteError, match="is not finite"):
+            su2_landing_point(omega)
+
 
 class TestReachableBoundary:
     def test_small_time_stays_near_start(self):

@@ -1,4 +1,6 @@
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,10 +10,10 @@ from sl2geo import (C_LANDING, CutLocusClass, QuotientPoint, SynthesisSolution,
                     distance_to_class, exp2, landing_point, lift,
                     planar_geodesic, project, rotation, s_int, solve,
                     verify_solution)
-from sl2geo.errors import (NonFiniteError, NotUnimodularError,
+from sl2geo.errors import (NonFiniteError, NoRootError, NotUnimodularError,
                            StartPointError, UnreachableError)
 
-from conftest import random_sl2
+from conftest import random_sl2, strata_targets
 
 A0, A1, A2 = basis()
 
@@ -40,6 +42,67 @@ class TestClassify:
     def test_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodularError):
             classify_cut_locus(np.array([[2.0, 0.0], [0.0, 2.0]]))
+
+
+def _flag(call):
+    """on_cut_locus of the call's answer, or None for StartPointError."""
+    try:
+        return call().on_cut_locus
+    except StartPointError:
+        return None
+
+
+class TestOneCutLocusRule:
+    """classify_cut_locus, distance_to_class and solve share one classifier."""
+
+    # A rotation by 1e-9 rad: in the circle's band and the axis band, just
+    # outside the start disc.
+    ROTATION = np.array([[1.0000000000000002, 1e-9], [-1e-9, 1.0000000000000002]])
+
+    def test_classify_dist_and_solve_agree(self, rng):
+        cases = [(name, xm) for name, _, _, xm in strata_targets(rng, 2500)
+                 if xm is not None]
+        # Near (1, 0) the bands overlap outside the start disc only in a
+        # sliver about 1e-10 wide, which few of the targets above reach.
+        cases += [(name, xm) for name, _, _, xm in strata_targets(rng, 3000, ["overlap+1"])
+                  if xm is not None]
+        cases += [("random", random_sl2(rng)) for _ in range(500)]
+        counts, sliver = Counter(name for name, _ in cases), 0
+        assert min(counts["overlap+1"], counts["overlap-1"]) >= 200
+        for name, xm in cases:
+            tag = classify_cut_locus(xm)
+            p = project(xm)
+            want = None if tag is CutLocusClass.START_POINT else (
+                tag is not CutLocusClass.REGULAR)
+            sliver += tag is CutLocusClass.SINGULAR_CIRCLE and abs(p.y) <= 1e-9 and p.x > 0.0
+            assert _flag(lambda: distance_to_class(p)) == want, (name, p)
+            try:
+                assert _flag(lambda: solve(np.eye(2), xm)) == want, (name, p)
+            except NoRootError:
+                # The known defect pinned by test_band_residual_near_start.
+                assert tag is CutLocusClass.SINGULAR_CIRCLE and p.x > 0.99, (name, p)
+        assert sliver > 0
+
+    def test_rotation_lands(self):
+        beta = math.atan2(1e-9, 1.0000000000000002)
+        landing = 2.0 * math.sqrt(beta * (2.0 * math.pi + beta))  # 1.5853e-4
+        for res in (distance_to_class(project(self.ROTATION)),
+                    solve(np.eye(2), self.ROTATION)):
+            assert res.on_cut_locus
+            assert res.t_f == pytest.approx(landing, rel=1e-2)
+
+    def test_band_target_inside_circle_lands_near_start(self):
+        res = distance_to_class(QuotientPoint(0.9999999996, 9.5e-10))
+        assert res.on_cut_locus
+        assert res.t_f == pytest.approx(1.5452e-4, rel=1e-2)
+
+    @pytest.mark.xfail(raises=NoRootError, strict=True, reason=(
+        "near (1, 0) the landing band's first-order t_f is too short for "
+        "solve's endpoint residual bound"))
+    def test_band_residual_near_start(self):
+        x, y = 1.000000000444152, -3.1042849165784786e-09
+        m = math.sqrt(x * x + y * y - 1.0)
+        solve(np.eye(2), np.array([[x + m, y], [-y, x - m]]))
 
 
 class TestDistance:
@@ -324,3 +387,10 @@ class TestFanOrdering:
     def test_needs_exterior_radius(self):
         with pytest.raises(UnreachableError):
             check_fan_monotone(0.9)
+
+    @pytest.mark.parametrize("r, message", [
+        (math.nan, "r = nan is not finite"), (math.inf, "r = inf is not finite"),
+        (-math.inf, "r = -inf is not finite"), (1e200, "r = 1e+200 overflows")])
+    def test_rejects_non_finite_radius(self, r, message):
+        with pytest.raises(NonFiniteError, match=re.escape(message)):
+            check_fan_monotone(r)
