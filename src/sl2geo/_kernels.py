@@ -14,6 +14,8 @@ square root, for callers that need the pair.
 bisect is the package's one root finder: the optimality horizon s_int and
 the fan coordinate of the endpoint solver both use it.
 
+_finite and _grid state once the argument domains the public functions share.
+
 The rest is the endpoint solver's 2x2 algebra on row-major float 4-tuples
 (a, b, c, d), the one home of that format.  Nothing here imports numpy.
 """
@@ -22,11 +24,26 @@ from __future__ import annotations
 
 import math
 
-from .errors import ClassMismatchError, NoRootError, NotUnimodularError
+from .errors import (BadGridError, ClassMismatchError, NoRootError,
+                     NonFiniteError, NotUnimodularError)
 from .tolerances import DET_TOL, ROOT_TOL, SERIES_CUTOFF, SINGULAR_BAND
 from .types import QuotientPoint
 
 _A2_ENTRIES = (0.5, 0.0, 0.0, -0.5)  # A2, the endpoint solver's lift direction
+
+
+def _finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{name} = {value} is not finite")
+
+
+def _grid(s_max: float, n: int) -> None:
+    if n < 2:
+        raise BadGridError(f"need at least 2 samples, got {n}")
+    if not s_max > 0.0:
+        raise BadGridError(f"s_max must be positive, got {s_max}")
+    if not math.isfinite(s_max * (n - 1)):
+        raise BadGridError(f"s_max = {s_max} with {n} samples overflows the grid")
 
 
 def coshc(z: float) -> float:
@@ -65,7 +82,8 @@ def coshc_sinhc(z: float) -> tuple[float, float]:
     """(coshc(z), sinhc(z)) from one square root, bit-identical to both calls.
 
     cosh and sinh agree to double precision long before they overflow, so
-    both saturate to inf at the same z (~ 5.05e5).
+    both saturate to inf at the same z (~ 5.05e5).  It is an unguarded
+    inner kernel: its callers check that z is finite.
     """
     if abs(z) < SERIES_CUTOFF:
         return (1.0 + z * (0.5 + z * (1.0 / 24.0 + z / 720.0)),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 import numpy as np
@@ -23,7 +22,6 @@ from .selftest import run_selftests
 from .su2 import c_of_omega, landing_match_error, su2_landing_time, su2_planar_geodesic
 from .synthesis import classify_cut_locus, distance_to_class, solve
 from .automorphisms import assemble, factorize, realize
-from .errors import NonFiniteError
 from .types import Factorization
 
 
@@ -118,9 +116,6 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_su2(args) -> int:
-    for name, value in (("omega", args.omega), ("s", args.s)):
-        if not math.isfinite(value):
-            raise NonFiniteError(f"{name} = {value} is not finite")
     x, y = su2_planar_geodesic(args.omega, args.s)
     _emit([("x", _fmt(x, args.precision)),
            ("y", _fmt(y, args.precision)),

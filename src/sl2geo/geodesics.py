@@ -21,10 +21,10 @@ import math
 
 import numpy as np
 
-from ._kernels import _direction, _lift_with_direction, bisect, coshc_sinhc
+from ._kernels import (_direction, _finite, _grid, _lift_with_direction,
+                       bisect, coshc_sinhc)
 from .algebra import _entries, _matrix
-from .errors import (BadGridError, NonFiniteError, OutOfRegimeError,
-                     UnboundedError)
+from .errors import NonFiniteError, OutOfRegimeError, UnboundedError
 from .tolerances import HUGE_PARAM, REGIME_TOL, SERIES_CUTOFF
 from .types import PathSample, PlanarJet, QuotientPoint
 
@@ -36,13 +36,27 @@ C_ORTHOGONAL = 3.0 / (2.0 * math.sqrt(2.0))
 
 
 def k1k2(c: float, s: float) -> tuple[float, float]:
-    """Radial components (k1, k2) of the planar geodesic at half-time s."""
+    """Radial components (k1, k2) of the planar geodesic at half-time s.
+
+    An unguarded inner kernel of the solvers: its callers check that c*s
+    and (1 - c^2) s^2 are finite.
+    """
     ch, sh = coshc_sinhc((1.0 - c * c) * s * s)
     return ch, c * s * sh
 
 
+def _reach(c: float, s: float, name: str = "s") -> None:
+    # Typed errors for a non-finite c or s, and for finite ones whose angle
+    # c*s or z = (1 - c^2) s^2 overflows, where cos and sin would raise.
+    _finite("geodesic parameter c", c)
+    _finite(name, s)
+    if not (math.isfinite(c * s) and math.isfinite((1.0 - c * c) * s * s)):
+        raise NonFiniteError(f"c = {c} with {name} = {s} overflows the geodesic")
+
+
 def planar_geodesic(c: float, s: float) -> QuotientPoint:
     """Point of the c-geodesic at half-time s; starts at (1, 0)."""
+    _reach(c, s)
     k1, k2 = k1k2(c, s)
     cos_cs = math.cos(c * s)
     sin_cs = math.sin(c * s)
@@ -56,6 +70,7 @@ def planar_jet(c: float, s: float) -> PlanarJet:
     dE/ds = k1, which gives closed-form accelerations; the factors 1/2 and
     1/4 convert to t-derivatives.
     """
+    _reach(c, s)
     k1, sh = coshc_sinhc((1.0 - c * c) * s * s)
     k2 = c * s * sh
     speed = s * sh
@@ -73,8 +88,17 @@ def planar_jet(c: float, s: float) -> PlanarJet:
 
 def radius_sq(c: float, s: float) -> float:
     """Squared distance from the origin, k1^2 + k2^2."""
+    _reach(c, s)
     k1, k2 = k1k2(c, s)
     return k1 * k1 + k2 * k2
+
+
+def _landing_rate(c: float) -> float:
+    # sqrt(c^2 - 1) for |c| >= 2/sqrt(3), |c| to double precision past HUGE_PARAM.
+    _finite("geodesic parameter c", c)
+    if abs(c) < C_LANDING * (1.0 - REGIME_TOL):
+        raise OutOfRegimeError(f"|c| = {abs(c)} < 2/sqrt(3): no landing")
+    return math.sqrt(c * c - 1.0) if abs(c) <= HUGE_PARAM else abs(c)
 
 
 def landing_time(c: float) -> float:
@@ -83,23 +107,14 @@ def landing_time(c: float) -> float:
     Defined for |c| >= 2/sqrt(3); beyond that touch the geodesic is no
     longer optimal.
     """
-    if abs(c) < C_LANDING * (1.0 - REGIME_TOL):
-        raise OutOfRegimeError(f"|c| = {abs(c)} < 2/sqrt(3): no landing")
-    if abs(c) <= HUGE_PARAM:
-        return math.pi / math.sqrt(c * c - 1.0)
-    if not math.isfinite(c):  # nan and inf pass both tests above
-        raise NonFiniteError(f"geodesic parameter c = {c} is not finite")
-    return math.pi / abs(c)  # sqrt(c^2 - 1) is |c| to double precision
+    return math.pi / _landing_rate(c)
 
 
 def landing_point(c: float) -> QuotientPoint:
     """Point on the unit circle reached at the landing time."""
-    if abs(c) < C_LANDING * (1.0 - REGIME_TOL):
-        raise OutOfRegimeError(f"|c| = {abs(c)} < 2/sqrt(3): no landing")
+    rate = _landing_rate(c)
     if abs(c) <= HUGE_PARAM:
-        alpha = c * math.pi / math.sqrt(c * c - 1.0)
-    elif not math.isfinite(c):
-        raise NonFiniteError(f"geodesic parameter c = {c} is not finite")
+        alpha = c * math.pi / rate
     else:
         # sqrt(c^2 - 1) is |c| to double precision: alpha is +-pi.
         alpha = math.copysign(math.pi, c)
@@ -136,8 +151,7 @@ def s_int(c: float) -> float:
     c -> 0); for larger |c| it coincides with the landing time.  c = 0
     runs along the positive axis forever and raises UnboundedError.
     """
-    if not math.isfinite(c):
-        raise NonFiniteError(f"geodesic parameter c = {c} is not finite")
+    _finite("geodesic parameter c", c)
     ac = abs(c)
     if ac == 0.0:
         raise UnboundedError("the c = 0 geodesic never leaves the x-axis")
@@ -159,6 +173,7 @@ def s_int(c: float) -> float:
 
 def x_int(c: float) -> float:
     """x-coordinate (negative) of the first x-axis crossing, 0 < |c| <= 2/sqrt(3)."""
+    _finite("geodesic parameter c", c)
     ac = abs(c)
     if ac == 0.0:
         raise UnboundedError("the c = 0 geodesic never crosses the negative axis")
@@ -168,7 +183,12 @@ def x_int(c: float) -> float:
 
 
 def lift_with_direction(c: float, p: np.ndarray, t: float) -> np.ndarray:
-    """Sub-Riemannian geodesic exp((c A0 + P) t) exp(-c A0 t) for unit P."""
+    """Sub-Riemannian geodesic exp((c A0 + P) t) exp(-c A0 t) for unit P.
+
+    Its projection is planar_geodesic(c, t/2), and c and s = t/2 are
+    checked as there.
+    """
+    _reach(c, 0.5 * t)
     return _matrix(_lift_with_direction(c, _entries(p), t))
 
 
@@ -178,6 +198,8 @@ def lift(c: float, phi: float, t: float) -> np.ndarray:
     The projection is independent of phi, which only rotates the
     representative within the conjugacy class.
     """
+    _reach(c, 0.5 * t)
+    _finite("phi", phi)
     return _matrix(_lift_with_direction(c, _direction(phi), t))
 
 
@@ -189,16 +211,9 @@ def planar_curve(c: float, s_max: float, n: int) -> list[float]:
     curve is exactly (x, -y) of the c curve: z and k1 depend on c^2 only,
     k2 and sin(cs) are odd in c, cos(cs) is even, and negation is exact.
     """
-    if not math.isfinite(c):
-        raise NonFiniteError(f"geodesic parameter c = {c} is not finite")
-    if n < 2:
-        raise BadGridError(f"need at least 2 samples, got {n}")
-    if not s_max > 0.0:
-        raise BadGridError(f"s_max must be positive, got {s_max}")
-    if not math.isfinite(s_max * (n - 1)):
-        raise BadGridError(f"s_max = {s_max} with {n} samples overflows the grid")
-    if not (math.isfinite(c * s_max) and math.isfinite((1.0 - c * c) * s_max * s_max)):
-        raise NonFiniteError(f"c = {c} with s_max = {s_max} overflows the geodesic")
+    _finite("geodesic parameter c", c)
+    _grid(s_max, n)
+    _reach(c, s_max, "s_max")
     q = 1.0 - c * c
     last = n - 1
     xy = []

@@ -12,20 +12,25 @@ from __future__ import annotations
 
 import math
 
+from ._kernels import _finite, _grid
 from .errors import BadGridError, NonFiniteError
 from .geodesics import landing_point
 from .tolerances import HUGE_PARAM
 
 
 def _mu(omega: float) -> float:
-    # sqrt(1 + omega^2), which is |omega| exactly beyond HUGE_PARAM.
-    return math.sqrt(1.0 + omega * omega) if abs(omega) <= HUGE_PARAM else abs(omega)
+    # sqrt(1 + omega^2), or |omega| past HUGE_PARAM, where NaN and inf are refused.
+    if abs(omega) <= HUGE_PARAM:
+        return math.sqrt(1.0 + omega * omega)
+    _finite("omega", omega)
+    return abs(omega)
 
 
 def _rate(omega: float, s: float) -> float:
-    # The rate mu = sqrt(1 + omega^2), once the angles mu*s and omega*s are
-    # known to be finite.
+    # The rate mu = sqrt(1 + omega^2), once omega, s and the angles mu*s and
+    # omega*s are known to be finite.
     mu = _mu(omega)
+    _finite("s", s)
     if not (math.isfinite(mu * s) and math.isfinite(omega * s)):
         raise NonFiniteError(f"omega = {omega} with s = {s} overflows the geodesic")
     return mu
@@ -49,12 +54,7 @@ def su2_curve(omega: float, s_max: float, n: int) -> list[float]:
     -omega curve is exactly (x, -y) of the omega curve.  Every point lies
     in the disc, so one check of the angles at s_max covers the curve.
     """
-    if n < 2:
-        raise BadGridError(f"need at least 2 samples, got {n}")
-    if not s_max > 0.0:
-        raise BadGridError(f"s_max must be positive, got {s_max}")
-    if not math.isfinite(s_max * (n - 1)):
-        raise BadGridError(f"s_max = {s_max} with {n} samples overflows the grid")
+    _grid(s_max, n)
     mu = _rate(omega, s_max)
     ratio = omega / mu
     last = n - 1
@@ -75,10 +75,9 @@ def su2_landing_time(omega: float) -> float:
 
 def su2_landing_point(omega: float) -> tuple[float, float]:
     """Circle point where the omega-geodesic loses optimality."""
+    mu = _mu(omega)
     if abs(omega) <= HUGE_PARAM:
-        angle = omega * math.pi / _mu(omega)
-    elif not math.isfinite(omega):
-        raise NonFiniteError(f"omega = {omega} is not finite")
+        angle = omega * math.pi / mu
     else:
         angle = math.copysign(math.pi, omega)  # omega/mu is +-1 exactly
     return -math.cos(angle), -math.sin(angle)
@@ -96,12 +95,8 @@ def c_of_omega(omega: float) -> float:
     factored form has no cancellation, so c keeps full relative accuracy.
     It is a (1 + O(1/a^2)), so beyond HUGE_PARAM c is a itself.
     """
-    a = abs(omega)
-    if a <= HUGE_PARAM:
-        r = _mu(omega)
-        c = (2.0 * r - a) * math.sqrt((r + a) / (3.0 * r - a))
-    else:
-        c = a
+    a, r = abs(omega), _mu(omega)
+    c = (2.0 * r - a) * math.sqrt((r + a) / (3.0 * r - a)) if a <= HUGE_PARAM else a
     return -c if omega >= 0.0 else c
 
 

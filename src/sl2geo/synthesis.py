@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from ._kernels import (_A2_ENTRIES, _adj, _check_unimodular,
+from ._kernels import (_A2_ENTRIES, _adj, _check_unimodular, _finite,
                        _lift_with_direction, _mul, _project, _recover_rotation,
                        bisect, inverse_sinhc_scaled)
 from .algebra import _entries, _matrix
@@ -110,9 +110,8 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
     the unit disc are not in the quotient and raise UnreachableError.
     """
     x, y = float(p[0]), float(p[1])
-    for name, value in (("x", x), ("y", y)):
-        if not math.isfinite(value):
-            raise NonFiniteError(f"target coordinate {name} = {value} is not finite")
+    _finite("target coordinate x", x)
+    _finite("target coordinate y", y)
     r_sq = x * x + y * y
     if not math.isfinite(r_sq):
         raise NonFiniteError(f"squared radius of ({x}, {y}) overflows")
@@ -215,8 +214,7 @@ def check_fan_monotone(r: float, n: int = 128) -> float:
     returns the worst decrease, 0.0 for a clean fan.  Used as a runtime
     validation of the ordering the bisection relies on.
     """
-    if not math.isfinite(r):
-        raise NonFiniteError(f"fan radius r = {r} is not finite")
+    _finite("fan radius r", r)
     if r <= 1.0:
         raise UnreachableError("fan check needs a radius strictly above 1")
     if not math.isfinite(r * r):

@@ -1,15 +1,18 @@
-"""Module boundaries: the numpy-free core and the names the benchmark traces.
+"""Module boundaries: the numpy-free core, the one home of the argument
+checks, and the names the benchmark traces.
 
 `_kernels` holds the endpoint solver's float core, so it and every package
 module it imports must not import numpy.  `import sl2geo._kernels` runs the
 package `__init__`, which does, so the check reads the sources with `ast`
-instead of importing them.
+instead of importing them.  The argument guards `_kernels._finite` and
+`_kernels._grid` are likewise found in the sources.
 """
 
 import ast
 import importlib
 import importlib.util
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -86,6 +89,56 @@ def test_private_imports_only_from_the_core(module):
             assert private <= {"_entries", "_matrix"}, (module, private)
         elif name != "_kernels":
             assert not private, (module, name, private)
+
+
+def _error_constructions(module: str) -> list[tuple[str, str, str]]:
+    """(enclosing function, error class, literal text of the message) for
+    each call of a class of `sl2geo.errors` in the module's source."""
+    errors = {node.name for node in ast.parse(
+        (PACKAGE / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)}
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in errors:
+                text = "".join(part.value for arg in node.args[:1]
+                               for part in ast.walk(arg)
+                               if isinstance(part, ast.Constant)
+                               and isinstance(part.value, str))
+                found.append((function, name, text))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")), None)
+    return found
+
+
+# Message fragments of the shared argument checks: the non-finite argument
+# and the three sampler-grid errors.
+_GUARD_MESSAGES = (" is not finite", "need at least 2 samples, got ",
+                   "s_max must be positive, got ", " samples overflows the grid")
+
+
+def test_argument_checks_have_one_home():
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
+    homes = Counter()
+    for module in modules:
+        for function, error, text in _error_constructions(module):
+            if any(fragment in text for fragment in _GUARD_MESSAGES):
+                homes[(module, function, error)] += 1
+    assert homes == {("_kernels", "_finite", "NonFiniteError"): 1,
+                     ("_kernels", "_grid", "BadGridError"): 3}
+
+
+def test_cli_raises_no_geometry_error_of_its_own():
+    # The library names every domain problem; the CLI only reports it.
+    assert _error_constructions("cli") == []
+    assert _error_constructions("su2")  # the scan sees constructions
 
 
 def _load_tracing():

@@ -216,6 +216,62 @@ class TestNearAxisBand:
             assert res.t_f == pytest.approx(t_f, abs=tol), (x, y)
 
 
+# Off-axis targets with 3 < r <= 60 whose fan search reaches the rising-branch
+# horizon test, so that distance_to_class calls x_int at least once for each
+# (checked with a counting wrapper when they were drawn: random.Random(20150),
+# r log-uniform in [3, 60], polar angle uniform in (-pi, pi); every one of the
+# first 40 draws qualified).  (x, y, t_f, c), recorded with that test in place:
+# removing the test must leave both answers bit-identical.
+_HORIZON_PINS = [
+    (5.2610429606604505, -41.63819891318304, 9.446022743896284, -0.39100296230985987),
+    (-10.548578901243847, 1.003852986720156, 9.442463423125854, 0.8651284862125431),
+    (-4.016929354150478, 11.085086269850937, 7.800699316260637, 0.6841851820584479),
+    (-13.474647665272258, -11.176480022731672, 9.110550478229204, -0.7108797158741813),
+    (-19.706531011524774, 32.65200431543374, 9.904604067734683, 0.5425992052048171),
+    (-4.3496729983217515, -2.5381390549509124, 8.001564238772024, -0.9580997931885679),
+    (-10.288943191055647, 29.061203721588274, 9.32780970197894, 0.5292745935115801),
+    (58.04145599431788, 0.9879908595939775, 9.508827866009065, 0.004533292752412108),
+    (22.06935781688788, -5.3404081700965085, 7.650593341780106, -0.08403949017901996),
+    (16.514289787261017, -18.939331983061685, 8.078697937995015, -0.28208039816239244),
+    (1.2769772678296987, -5.30273317215524, 5.864370408392551, -0.7263089130993859),
+    (17.866145458126695, 2.666684319375149, 7.181086330183103, 0.057172806817566736),
+    (-4.575184363069441, -10.605611272997058, 7.8533572642831, -0.7004407371106695),
+    (-10.065990675888527, -7.109603631637539, 8.756138383340637, -0.7808320788768089),
+    (2.030654458111557, 5.73764808181268, 5.883232122633912, 0.6588500683531807),
+    (-28.533710307733667, 2.8766445880503975, 10.649025356446222, 0.7227403051288741),
+    (4.44157087106237, 3.0445326643643877, 4.987770453414693, 0.4051167963787856),
+    (-20.697196097416924, 5.820155315172206, 10.001298274709773, 0.7396779190275549),
+    (33.04063001927018, 18.888155751091404, 8.744688534521838, 0.15416200403755326),
+    (5.933850315916666, 12.712825852472395, 7.191290264863308, 0.44255984426254097),
+    (-6.531166244717587, 2.8272031989870237, 8.503829551253657, 0.9029388587133744),
+    (-31.98563405680688, 38.190839755112464, 10.52092551429334, 0.5394252140459672),
+    (-15.93340210190161, -14.686478669018099, 9.347911354330048, -0.6695771707477425),
+    (-2.677242025171417, 6.456048680198697, 7.161064558888891, 0.806760830092665),
+    (-5.153028425762168, -12.71424343166238, 8.07626670917024, -0.6633850168536964),
+    (3.6795254247777143, -2.2917896145645367, 4.546780501123596, -0.43931874977000906),
+    (-7.4200019992216415, 17.454898073626854, 8.59870550678124, 0.6116890199327087),
+    (-3.0367755628661737, 5.792273416677, 7.230656746588568, 0.8379059729187753),
+    (0.795797808433616, -13.902587234323304, 7.558701620890002, -0.5560535694917359),
+    (-1.3490743117732809, 8.693717814385503, 7.106118835969797, 0.7030769745242289),
+    (1.3296374351980187, -56.58886670261772, 10.076880550869573, -0.3856693921255292),
+    (-38.11658249495033, -42.695027591206674, 10.789401480809067, -0.5297421564323771),
+    (-10.15519324997081, 37.507525967631786, 9.650050241168186, 0.485339537544573),
+    (-12.594459872144112, 3.2421156162475557, 9.40195967751946, 0.8173170396981357),
+    (39.50296712748616, -21.369499232186023, 9.065461031688619, -0.14048816666881234),
+    (-41.19867820462352, 19.549901685251672, 10.876430304543222, 0.6188929572635983),
+    (9.048158728946058, -6.1990851975562355, 6.34180423398953, -0.2778433714292149),
+    (-3.2612382527198274, 5.958857957303981, 7.3038287432452265, 0.831855649268834),
+    (-2.241772662749917, 3.873328709993247, 6.928413494234978, 0.9377822895879928),
+    (18.17069845311513, 8.705499334562944, 7.464893197757632, 0.1637068553885705),
+]
+
+
+@pytest.mark.parametrize("x, y, t_f, c", _HORIZON_PINS)
+def test_horizon_targets_bit_identical(x, y, t_f, c):
+    res = distance_to_class(QuotientPoint(x, y))
+    assert (res.t_f, res.c) == (t_f, c)
+
+
 class TestSolve:
     def test_reference_endpoint_problem(self):
         xi = np.array([[0.0, -1.0], [1.0, 0.0]])
