@@ -10,7 +10,9 @@ mirrors with c -> -c) the solver uses the fan structure of the family:
     angle orders the fan;
   * the squared distance from the unit circle is (s sinhc(z))^2, which makes
     the radius-r crossing times closed-form invertible on the rising branch
-    and, for |c| > 1, on the falling branch;
+    and, for |c| > 1, on the falling branch; it also gives the crossing's k1
+    and k2 = c sqrt(r^2 - 1) in closed form, hence the search's polar angle
+    (check_fan_monotone keeps k1k2, to stay independent of that search);
   * one fan coordinate runs up through the rising crossings, past the
     tangent and down through the falling ones, covering angles 0 -> pi and
     beyond, so one bisection finds the target.  Axis-cut targets are the
@@ -85,8 +87,8 @@ def _fan_span(radial: float) -> float:
     return 2.0 ** max(0, math.ceil(-math.log2(radial)))
 
 
-def _fan_point(tau: float, radial: float, span: float) -> tuple[float, float]:
-    """Parameter c >= 0 and half-time s of the fan's crossing of radius r.
+def _fan_point(tau: float, radial: float, span: float) -> tuple[float, float, float]:
+    """Parameter c >= 0, half-time s and k1 of the fan's crossing of radius r.
 
     The fan coordinate tau in [0, 1 + span] orders the radius-r crossings
     by polar angle.  tau <= 1 is the hyperbolic rising crossing with c = tau.
@@ -94,12 +96,19 @@ def _fan_point(tau: float, radial: float, span: float) -> tuple[float, float]:
     so that s = phi/sqrt(c^2-1) runs from trigonometric rising crossings
     (phi < pi/2) through the tangent (c = r/radial) to falling ones, whose
     angle grows past pi (and without bound as phi -> pi).
+
+    At the crossing s sinhc(z) = radial, with z = (1 - c^2) s^2, so k2 is
+    c radial and k1 = coshc(z) is sqrt(1 + (1 - c^2) radial^2) for tau <= 1
+    and cos(phi) for tau > 1 (z = -phi^2), negative past the tangent.
+    check_fan_monotone keeps k1k2, to stay independent of the search.
     """
     if tau <= 1.0:
-        return tau, inverse_sinhc_scaled(1.0 - tau * tau, radial)
+        q = 1.0 - tau * tau
+        k1 = math.sqrt(1.0 + q * radial * radial)
+        return tau, inverse_sinhc_scaled(q, radial), k1
     phi = math.pi * (tau - 1.0) / span
     v = math.sin(phi) / radial
-    return math.sqrt(1.0 + v * v), phi / v
+    return math.sqrt(1.0 + v * v), phi / v, math.cos(phi)
 
 
 def distance_to_class(p: QuotientPoint) -> DistanceResult:
@@ -147,7 +156,7 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
     span = _fan_span(radial)
 
     def angle_gap(tau: float) -> float:
-        c, s = _fan_point(tau, radial, span)
+        c, s, k1 = _fan_point(tau, radial, span)
         # Crossings past the optimality horizon have angle beyond pi >= beta,
         # as the angle grows along each geodesic; falling ones need no test.
         # Rising ones map to the sentinel: only c <= C_ORTHOGONAL crosses the
@@ -161,10 +170,11 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
         if (r > 3.0 and tau <= 1.5 and not on_axis and 0.0 < c <= C_ORTHOGONAL
                 and s > math.pi / c and r > -x_int(c) * (1.0 + 1e-15)):
             return _FAR
-        return _polar_angle(c, s) - beta
+        # _polar_angle's cs - atan2(k2, k1), with the crossing's k2 = c radial.
+        return c * s - math.atan2(c * radial, k1) - beta
 
     tau = bisect(angle_gap, 0.0, 1.0 + span)
-    c, s = _fan_point(tau, radial, span)
+    c, s, _ = _fan_point(tau, radial, span)
     return DistanceResult(2.0 * s, -c if mirror else c, s, on_axis)
 
 
@@ -224,7 +234,7 @@ def check_fan_monotone(r: float, n: int = 128) -> float:
     angles = []
     for i in range(1, 2 * n):
         tau = i / n if i <= n else 1.0 + span * (i - n) / n
-        c, s = _fan_point(tau, radial, span)
+        c, s, _ = _fan_point(tau, radial, span)
         if s <= s_int(c):
             angles.append(_polar_angle(c, s))
     return max([0.0] + [a - b for a, b in zip(angles, angles[1:])])

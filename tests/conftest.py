@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import sl2geo.geodesics
+import sl2geo.synthesis
 from sl2geo import exp2, from_coords
 
 
@@ -68,3 +70,31 @@ def strata_targets(rng, n, strata=tuple(STRATA)):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def search_counts(monkeypatch):
+    """Objective evaluations per root search, as [finder, count] records.
+
+    Wraps the `bisect` bindings of `synthesis` (the fan search, finder
+    "fan") and `geodesics` (`s_int`, finder "s_int").  A record is appended
+    when its search starts, so an `s_int` search nested in a fan objective
+    follows the fan record.  Clear the list between calls to attribute
+    records to one call.
+    """
+    records = []
+
+    def counting(finder, bisect):
+        def counted(f, a, b):
+            record = [finder, 0]
+            records.append(record)
+
+            def objective(t):
+                record[1] += 1
+                return f(t)
+            return bisect(objective, a, b)
+        return counted
+
+    for module, finder in ((sl2geo.synthesis, "fan"), (sl2geo.geodesics, "s_int")):
+        monkeypatch.setattr(module, "bisect", counting(finder, module.bisect))
+    return records

@@ -1,17 +1,20 @@
 import math
 import re
+import statistics
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from sl2geo import (C_LANDING, CutLocusClass, QuotientPoint, SynthesisSolution,
-                    basis, check_fan_monotone, classify_cut_locus,
-                    distance_to_class, exp2, landing_point, lift,
-                    planar_geodesic, project, rotation, s_int, solve,
-                    verify_solution)
+from sl2geo import (C_LANDING, C_ORTHOGONAL, CutLocusClass, QuotientPoint,
+                    SynthesisSolution, basis, check_fan_monotone,
+                    classify_cut_locus, distance_to_class, exp2,
+                    landing_point, lift, planar_geodesic, project, rotation,
+                    s_int, solve, verify_solution)
+from sl2geo import synthesis
 from sl2geo.errors import (NonFiniteError, NoRootError, NotUnimodularError,
                            StartPointError, UnreachableError)
+from sl2geo.synthesis import _fan_point, _fan_span, _polar_angle
 
 from conftest import random_sl2, strata_targets
 
@@ -221,30 +224,31 @@ class TestNearAxisBand:
 # (checked with a counting wrapper when they were drawn: random.Random(20150),
 # r log-uniform in [3, 60], polar angle uniform in (-pi, pi); every one of the
 # first 40 draws qualified).  (x, y, t_f, c), recorded with that test in place:
-# removing the test must leave both answers bit-identical.
+# removing the test must leave both answers bit-identical.  Sending x_int to
+# -inf removes it, as no rising crossing is then past the horizon.
 _HORIZON_PINS = [
-    (5.2610429606604505, -41.63819891318304, 9.446022743896284, -0.39100296230985987),
+    (5.2610429606604505, -41.63819891318304, 9.446022743896284, -0.3910029623098598),
     (-10.548578901243847, 1.003852986720156, 9.442463423125854, 0.8651284862125431),
-    (-4.016929354150478, 11.085086269850937, 7.800699316260637, 0.6841851820584479),
+    (-4.016929354150478, 11.085086269850937, 7.800699316260635, 0.6841851820584478),
     (-13.474647665272258, -11.176480022731672, 9.110550478229204, -0.7108797158741813),
     (-19.706531011524774, 32.65200431543374, 9.904604067734683, 0.5425992052048171),
     (-4.3496729983217515, -2.5381390549509124, 8.001564238772024, -0.9580997931885679),
     (-10.288943191055647, 29.061203721588274, 9.32780970197894, 0.5292745935115801),
     (58.04145599431788, 0.9879908595939775, 9.508827866009065, 0.004533292752412108),
-    (22.06935781688788, -5.3404081700965085, 7.650593341780106, -0.08403949017901996),
+    (22.06935781688788, -5.3404081700965085, 7.650593341780106, -0.08403949017901997),
     (16.514289787261017, -18.939331983061685, 8.078697937995015, -0.28208039816239244),
     (1.2769772678296987, -5.30273317215524, 5.864370408392551, -0.7263089130993859),
     (17.866145458126695, 2.666684319375149, 7.181086330183103, 0.057172806817566736),
     (-4.575184363069441, -10.605611272997058, 7.8533572642831, -0.7004407371106695),
     (-10.065990675888527, -7.109603631637539, 8.756138383340637, -0.7808320788768089),
-    (2.030654458111557, 5.73764808181268, 5.883232122633912, 0.6588500683531807),
+    (2.030654458111557, 5.73764808181268, 5.883232122633912, 0.6588500683531808),
     (-28.533710307733667, 2.8766445880503975, 10.649025356446222, 0.7227403051288741),
     (4.44157087106237, 3.0445326643643877, 4.987770453414693, 0.4051167963787856),
     (-20.697196097416924, 5.820155315172206, 10.001298274709773, 0.7396779190275549),
     (33.04063001927018, 18.888155751091404, 8.744688534521838, 0.15416200403755326),
-    (5.933850315916666, 12.712825852472395, 7.191290264863308, 0.44255984426254097),
+    (5.933850315916666, 12.712825852472395, 7.191290264863308, 0.442559844262541),
     (-6.531166244717587, 2.8272031989870237, 8.503829551253657, 0.9029388587133744),
-    (-31.98563405680688, 38.190839755112464, 10.52092551429334, 0.5394252140459672),
+    (-31.98563405680688, 38.190839755112464, 10.520925514293339, 0.5394252140459673),
     (-15.93340210190161, -14.686478669018099, 9.347911354330048, -0.6695771707477425),
     (-2.677242025171417, 6.456048680198697, 7.161064558888891, 0.806760830092665),
     (-5.153028425762168, -12.71424343166238, 8.07626670917024, -0.6633850168536964),
@@ -255,21 +259,73 @@ _HORIZON_PINS = [
     (-1.3490743117732809, 8.693717814385503, 7.106118835969797, 0.7030769745242289),
     (1.3296374351980187, -56.58886670261772, 10.076880550869573, -0.3856693921255292),
     (-38.11658249495033, -42.695027591206674, 10.789401480809067, -0.5297421564323771),
-    (-10.15519324997081, 37.507525967631786, 9.650050241168186, 0.485339537544573),
+    (-10.15519324997081, 37.507525967631786, 9.650050241168186, 0.48533953754457304),
     (-12.594459872144112, 3.2421156162475557, 9.40195967751946, 0.8173170396981357),
     (39.50296712748616, -21.369499232186023, 9.065461031688619, -0.14048816666881234),
     (-41.19867820462352, 19.549901685251672, 10.876430304543222, 0.6188929572635983),
     (9.048158728946058, -6.1990851975562355, 6.34180423398953, -0.2778433714292149),
     (-3.2612382527198274, 5.958857957303981, 7.3038287432452265, 0.831855649268834),
     (-2.241772662749917, 3.873328709993247, 6.928413494234978, 0.9377822895879928),
-    (18.17069845311513, 8.705499334562944, 7.464893197757632, 0.1637068553885705),
+    (18.17069845311513, 8.705499334562944, 7.464893197757632, 0.16370685538857052),
 ]
 
 
 @pytest.mark.parametrize("x, y, t_f, c", _HORIZON_PINS)
-def test_horizon_targets_bit_identical(x, y, t_f, c):
+def test_horizon_targets_bit_identical(x, y, t_f, c, monkeypatch):
     res = distance_to_class(QuotientPoint(x, y))
     assert (res.t_f, res.c) == (t_f, c)
+    monkeypatch.setattr(synthesis, "x_int", lambda c: -math.inf)
+    res = distance_to_class(QuotientPoint(x, y))
+    assert (res.t_f, res.c) == (t_f, c)
+
+
+def test_fan_angle_closed_form_matches_polar_angle():
+    # The fan objective's angle c s - atan2(c radial, k1), with the closed-form
+    # k1 of _fan_point, against _polar_angle's k1k2 at the same (c, s): both
+    # parts of the fan, r - 1 from 1e-14 to 1e6, angles up to 2 pi.
+    worst, parts = 0.0, Counter()
+    for e in range(-28, 13):
+        radial = math.sqrt((1.0 + 10.0 ** (e / 2.0)) ** 2 - 1.0)
+        span = _fan_span(radial)
+        for i in range(1, 64):
+            for tau in (i / 64.0, 1.0 + span * i / 64.0):
+                c, s, k1 = _fan_point(tau, radial, span)
+                angle = _polar_angle(c, s)
+                if angle <= 2.0 * math.pi:
+                    parts[tau <= 1.0] += 1
+                    worst = max(worst, abs(c * s - math.atan2(c * radial, k1) - angle))
+    assert parts[True] > 1000 and parts[False] > 1000
+    assert worst <= 1e-13
+
+
+# Objective evaluations per root search on a fixed seeded set: (median, max)
+# over each stratum's fan searches, over the s_int searches nested in them
+# (the horizon test of r > 3 targets) and over s_int at _COUNT_CS.  Counts do
+# not depend on the machine; a change that moves them sets new budgets here.
+_COUNT_CS = (1e-6, 0.01, 0.3, 0.9, 1.0, 1.05, C_ORTHOGONAL, 1.1, C_LANDING)
+_COUNT_BUDGETS = {
+    "fan axis": (43, 46), "fan circle": (54, 55), "fan overlap+1": (56, 56),
+    "fan overlap-1": (54, 54), "fan r3": (43, 43),
+    "s_int axis": (43, 43), "s_int r3": (44, 44), "s_int": (44, 54),
+}
+
+
+def test_search_count_budgets(search_counts):
+    counts = {}
+    for name, x, y, _ in strata_targets(np.random.default_rng(2016), 500):
+        del search_counts[:]
+        try:
+            distance_to_class(QuotientPoint(x, y))
+        except (StartPointError, UnreachableError):
+            pass
+        for finder, n in search_counts:
+            counts.setdefault(f"{finder} {name}", []).append(n)
+    del search_counts[:]
+    for c in _COUNT_CS:
+        s_int(c)
+    counts["s_int"] = [n for _, n in search_counts]
+    got = {key: (statistics.median(n), max(n)) for key, n in counts.items()}
+    assert got == _COUNT_BUDGETS
 
 
 class TestSolve:
