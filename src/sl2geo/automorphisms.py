@@ -163,10 +163,13 @@ def classify_structure(b1, b2) -> StructureKind:
     """Sign class of the Lorentz inner product on the span of two coordinate
     vectors.
 
-    Positive definite planes are elliptic (the automorphism orbit of the
-    standard horizontal frame), indefinite ones hyperbolic; a degenerate
-    restriction gets its own tag.  The metric scale factor is irrelevant
-    here: rescaling both vectors changes lengths, never the sign class.
+    Positive definite planes are elliptic, indefinite ones hyperbolic; a
+    degenerate restriction gets its own tag.  The elliptic planes form the
+    automorphism orbit of the standard horizontal plane, but a frame is an
+    automorphic image of the standard frame, scaled by lambda, only when its
+    Gram matrix under diag(-1, 1, 1) is lambda^2 I.  The metric scale factor
+    is irrelevant here: rescaling both vectors changes lengths, never the
+    sign class.
     """
     v1 = np.asarray(b1, dtype=float)
     v2 = np.asarray(b2, dtype=float)

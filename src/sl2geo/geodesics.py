@@ -24,7 +24,8 @@ import numpy as np
 from ._kernels import (_direction, _finite, _grid, _lift_with_direction,
                        bisect, coshc_sinhc)
 from .algebra import _entries, _matrix
-from .errors import NonFiniteError, OutOfRegimeError, UnboundedError
+from .errors import (NonFiniteError, NoRootError, OutOfRegimeError,
+                     UnboundedError)
 from .tolerances import HUGE_PARAM, REGIME_TOL, SERIES_CUTOFF
 from .types import PathSample, PlanarJet, QuotientPoint
 
@@ -45,13 +46,21 @@ def k1k2(c: float, s: float) -> tuple[float, float]:
     return ch, c * s * sh
 
 
+def _end(c: float, s: float, values, name: str = "s"):
+    # The one overflow check of the geodesic at half-time s: returns the
+    # values computed there once all are finite.
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteError(f"c = {c} with {name} = {s} overflows the geodesic")
+    return values
+
+
 def _reach(c: float, s: float, name: str = "s") -> None:
     # Typed errors for a non-finite c or s, and for finite ones whose angle
     # c*s or z = (1 - c^2) s^2 overflows, where cos and sin would raise.
+    # k1 = cosh(sqrt(z)) can still overflow, so callers check their end too.
     _finite("geodesic parameter c", c)
     _finite(name, s)
-    if not (math.isfinite(c * s) and math.isfinite((1.0 - c * c) * s * s)):
-        raise NonFiniteError(f"c = {c} with {name} = {s} overflows the geodesic")
+    _end(c, s, (c * s, (1.0 - c * c) * s * s), name)
 
 
 def planar_geodesic(c: float, s: float) -> QuotientPoint:
@@ -60,7 +69,8 @@ def planar_geodesic(c: float, s: float) -> QuotientPoint:
     k1, k2 = k1k2(c, s)
     cos_cs = math.cos(c * s)
     sin_cs = math.sin(c * s)
-    return QuotientPoint(k1 * cos_cs + k2 * sin_cs, k1 * sin_cs - k2 * cos_cs)
+    return _end(c, s, QuotientPoint(k1 * cos_cs + k2 * sin_cs,
+                                    k1 * sin_cs - k2 * cos_cs))
 
 
 def planar_jet(c: float, s: float) -> PlanarJet:
@@ -76,20 +86,20 @@ def planar_jet(c: float, s: float) -> PlanarJet:
     speed = s * sh
     cos_cs = math.cos(c * s)
     sin_cs = math.sin(c * s)
-    return PlanarJet(
+    return _end(c, s, PlanarJet(
         x=k1 * cos_cs + k2 * sin_cs,
         y=k1 * sin_cs - k2 * cos_cs,
         vx=0.5 * speed * cos_cs,
         vy=0.5 * speed * sin_cs,
         ax=0.25 * (k1 * cos_cs - k2 * sin_cs),
         ay=0.25 * (k1 * sin_cs + k2 * cos_cs),
-    )
+    ))
 
 
 def radius_sq(c: float, s: float) -> float:
     """Squared distance from the origin, k1^2 + k2^2."""
     _reach(c, s)
-    k1, k2 = k1k2(c, s)
+    k1, k2 = _end(c, s, k1k2(c, s))
     return k1 * k1 + k2 * k2
 
 
@@ -159,16 +169,15 @@ def s_int(c: float) -> float:
         return landing_time(c)
     lo = math.pi / ac
     if ac <= 1.0:
-        hi = 1.5 * math.pi / ac
-        f = lambda s: _y_reduced(ac, s)
-    else:
-        hi = 2.0 * math.pi / ac
-        f = lambda s: _y_of_s(ac, s)
-        # At exactly |c| = 2/sqrt(3) the root sits on the bracket endpoint
-        # and rounding can leave y(hi) marginally positive; accept it.
-        if f(hi) > 0.0:
-            return hi
-    return bisect(f, lo, hi)
+        return bisect(lambda s: _y_reduced(ac, s), lo, 1.5 * math.pi / ac)
+    hi = 2.0 * math.pi / ac
+    try:
+        return bisect(lambda s: _y_of_s(ac, s), lo, hi)
+    except NoRootError:
+        # y(lo) > 0, so this is y(hi) > 0: at exactly |c| = 2/sqrt(3) the
+        # root sits on the bracket end, and rounding can leave y(hi)
+        # marginally positive; accept it.
+        return hi
 
 
 def x_int(c: float) -> float:
@@ -189,7 +198,7 @@ def lift_with_direction(c: float, p: np.ndarray, t: float) -> np.ndarray:
     checked as there.
     """
     _reach(c, 0.5 * t)
-    return _matrix(_lift_with_direction(c, _entries(p), t))
+    return _matrix(_end(c, 0.5 * t, _lift_with_direction(c, _entries(p), t)))
 
 
 def lift(c: float, phi: float, t: float) -> np.ndarray:
@@ -200,7 +209,7 @@ def lift(c: float, phi: float, t: float) -> np.ndarray:
     """
     _reach(c, 0.5 * t)
     _finite("phi", phi)
-    return _matrix(_lift_with_direction(c, _direction(phi), t))
+    return _matrix(_end(c, 0.5 * t, _lift_with_direction(c, _direction(phi), t)))
 
 
 def planar_curve(c: float, s_max: float, n: int) -> list[float]:
@@ -248,13 +257,11 @@ def planar_curve(c: float, s_max: float, n: int) -> list[float]:
     except OverflowError:
         # Only cosh and sinh overflow.  coshc_sinhc saturates to inf there,
         # and as z grows with i the end point would not be finite either.
-        raise NonFiniteError(
-            f"c = {c} with s_max = {s_max} overflows the geodesic") from None
+        xy += (math.inf, math.inf)
     # One check per curve: for |c| <= 1 the radius grows monotonically
     # along s, so the end point is the largest; for |c| > 1 every point is
     # bounded by 1 + |c s_max|, finite by the check above.
-    if not (math.isfinite(xy[-2]) and math.isfinite(xy[-1])):
-        raise NonFiniteError(f"c = {c} with s_max = {s_max} overflows the geodesic")
+    _end(c, s_max, xy[-2:], "s_max")
     return xy
 
 

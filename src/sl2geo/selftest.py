@@ -1,14 +1,10 @@
-"""Reduced invariant suites runnable without a test harness.
+"""The package's invariant checks: INVARIANTS states each identity once, as
+a (module, identity, check) entry whose check yields (what, error, tolerance)
+from fixed seeds.  `sl2geo selftest` prints one PASS/FAIL line per module, and
+tests/test_invariants.py runs each entry.  Checks call the library through
+its modules at run time, so an injected fault fails its module's line."""
 
-Each suite re-checks the load-bearing identities of one module at small
-sample counts and fixed seeds; `run_selftests` prints one PASS/FAIL line per
-suite and returns a process exit code.  Functions are resolved through
-their modules at call time, so an injected fault (e.g. a wrong Christoffel
-sign) is picked up by the relevant suite.
-"""
-
-from __future__ import annotations
-
+import itertools
 import math
 
 import numpy as np
@@ -17,172 +13,176 @@ from . import algebra, automorphisms, geodesics, quotient, su2, synthesis
 from .types import Factorization
 
 
-def _random_sl2(rng) -> np.ndarray:
-    m1 = algebra.from_coords(rng.normal(0.0, 0.8, 3))
-    m2 = algebra.from_coords(rng.normal(0.0, 0.8, 3))
+def random_sl2(rng) -> np.ndarray:
+    """Random SL(2) element as a product of two exponentials."""
+    m1, m2 = (algebra.from_coords(rng.normal(0.0, 0.8, 3)) for _ in range(2))
     return algebra.exp2(m1) @ algebra.exp2(m2)
 
 
-def _suite_algebra() -> str | None:
-    a0, a1, a2 = algebra.basis()
-    if np.max(np.abs(algebra.bracket(a0, a1) + a2)) > 1e-12:
-        return "bracket [A0, A1] != -A2"
-    gram = [[algebra.metric_g(x, y) for y in (a0, a1, a2)] for x in (a0, a1, a2)]
-    if np.max(np.abs(np.array(gram) - np.eye(3))) > 1e-12:
-        return "basis is not orthonormal"
+def _gap(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - b)))
+
+
+def _lie_algebra():
+    # The brackets and orthonormality of A0, A1, A2; exp2 on one-parameter
+    # subgroups, det exp2 = 1, and ad_[M, N] = [ad_M, ad_N].
+    a0, a1, a2 = basis = algebra.basis()
+    for x, y, want in ((a0, a1, -a2), (a0, a2, a1), (a1, a2, a0)):
+        yield "bracket of basis elements", _gap(algebra.bracket(x, y), want), 1e-15
+    gram = [[algebra.metric_g(x, y) for y in basis] for x in basis]
+    yield "Gram matrix of the basis", _gap(gram, np.eye(3)), 1e-15
     rng = np.random.default_rng(11)
     for _ in range(25):
-        m = algebra.from_coords(rng.normal(0.0, 1.0, 3))
+        m, n = (algebra.from_coords(rng.normal(0.0, 1.0, 3)) for _ in range(2))
         t, u = rng.uniform(-2.0, 2.0, 2)
-        left = algebra.exp2(t * m) @ algebra.exp2(u * m)
-        right = algebra.exp2((t + u) * m)
-        if np.max(np.abs(left - right)) > 1e-10:
-            return "one-parameter subgroup additivity failed"
-        det = np.linalg.det(algebra.exp2(t * m))
-        if abs(det - 1.0) > 1e-11:
-            return f"det(exp2) = {det}"
-        n = algebra.from_coords(rng.normal(0.0, 1.0, 3))
-        rep = (algebra.adjoint_matrix(algebra.bracket(m, n))
-               - algebra.adjoint_matrix(m) @ algebra.adjoint_matrix(n)
-               + algebra.adjoint_matrix(n) @ algebra.adjoint_matrix(m))
-        if np.max(np.abs(rep)) > 1e-10:
-            return "adjoint representation property failed"
-    return None
+        e_t, e_u, e_tu = map(algebra.exp2, (t * m, u * m, (t + u) * m))
+        ad_m, ad_n, ad_mn = map(algebra.adjoint_matrix, (m, n, algebra.bracket(m, n)))
+        yield "exp2(tM) exp2(uM)", _gap(e_t @ e_u, e_tu), 1e-11
+        yield "det exp2(tM)", abs(np.linalg.det(e_t) - 1.0), 1e-11
+        yield "ad of a bracket", _gap(ad_mn, ad_m @ ad_n - ad_n @ ad_m), 1e-11
 
 
-def _suite_quotient() -> str | None:
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        x = _random_sl2(rng)
-        theta = rng.uniform(-math.pi, math.pi)
-        k = algebra.rotation(theta)
-        p1 = quotient.project(x)
-        p2 = quotient.project(k @ x @ k.T)
-        if math.hypot(p1.x - p2.x, p1.y - p2.y) > 1e-9 * max(1.0, abs(p1.x)):
-            return "projection is not conjugation-invariant"
-        if p1.radius_sq > 1.0 + 1e-6:
-            f1, f2 = quotient.pushforward_frame(x)
-            g = quotient.quotient_metric(p1)
-            gram = np.array([
-                [g[0, 0] * (f1.dx * f1.dx + f1.dy * f1.dy),
-                 g[0, 0] * (f1.dx * f2.dx + f1.dy * f2.dy)],
-                [g[0, 0] * (f2.dx * f1.dx + f2.dy * f1.dy),
-                 g[0, 0] * (f2.dx * f2.dx + f2.dy * f2.dy)],
-            ])
-            if np.max(np.abs(gram - np.eye(2))) > 1e-9:
-                return "pushforward frame is not orthonormal"
-            rec = quotient.recover_rotation(x, k @ x @ k.T)
-            if np.max(np.abs(rec.matrix @ x @ rec.matrix.T - k @ x @ k.T)) > 1e-8:
-                return "rotation recovery round-trip failed"
+def _isometric_quotient():
+    # project is SO(2)-invariant; off the circle K is recovered up to sign and
+    # the frame projects orthonormally; the family solves the geodesic equation.
+    rng, regular = np.random.default_rng(12), 0
+    while regular < 1000:
+        x = random_sl2(rng)
+        k = algebra.rotation(rng.uniform(-math.pi, math.pi))
+        y = k @ x @ k.T
+        p, q = quotient.project(x), quotient.project(y)
+        yield "project(K X K^T)", math.dist(p, q) / max(1.0, abs(p.x), abs(p.y)), 1e-12
+        if p.radius_sq > 1.0 + 1e-6:
+            regular += 1
+            rec = quotient.recover_rotation(x, y)
+            frame = np.array(quotient.pushforward_frame(x))
+            gram = quotient.quotient_metric(p)[0, 0] * frame @ frame.T
+            yield "recover_rotation's non-unique flag", float(not rec.unique), 0.0
+            yield "recovered K X K^T", _gap(rec.matrix @ x @ rec.matrix.T, y), 1e-9
+            yield "recovered K", min(_gap(rec.matrix, k), _gap(rec.matrix, -k)), 1e-9
+            yield "Gram matrix of the projected frame", _gap(gram, np.eye(2)), 1e-9
     for c in (0.5, 1.0, 1.2):
         hi = geodesics.s_int(c)
-        if geodesics.radius_sq(c, hi) < 1.0 + 1e-6:
+        if c > geodesics.C_LANDING:  # stay clear of the circle it lands on
             hi *= 1.0 - 1e-3
-        res = quotient.ode_residual(c, np.linspace(0.1, hi, 60))
-        if res > 1e-8:
-            return f"geodesic equation residual {res} at c = {c}"
-    return None
+        grid = np.linspace(0.1, hi, 100)
+        yield f"geodesic equation at c = {c}", quotient.ode_residual(c, grid), 1e-8
 
 
-def _suite_geodesics() -> str | None:
-    sbar = geodesics.s_int(1.0)
-    if abs(sbar - 4.49341) > 1e-4:
-        return f"axis-crossing time at c = 1 is {sbar}"
-    if abs(-geodesics.x_int(1.0) - math.sqrt(1.0 + sbar * sbar)) > 1e-9:
-        return "crossing abscissa does not match the radius formula"
-    if abs(geodesics.s_int(1.0 - 1e-9) - geodesics.s_int(1.0 + 1e-9)) > 1e-6:
-        return "s_int is discontinuous across c = 1"
-    for c in (1.2, 1.5, 3.0):
+def _family():
+    # s_int(1) solves tan s = s (the c = 1 geodesic is (1 - is) e^{is}); s_int is
+    # continuous there, landings reach the circle, lifts project onto the family.
+    lo, hi = math.pi + 1e-9, 1.5 * math.pi - 1e-9
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if math.sin(mid) > mid * math.cos(mid) else (lo, mid)
+    sbar, xbar = 0.5 * (lo + hi), -geodesics.x_int(1.0)
+    below, at, above = (geodesics.s_int(1.0 + d) for d in (-1e-9, 0.0, 1e-9))
+    yield "s_int(1)", abs(at - sbar), 1e-10
+    yield "x_int(1)", abs(xbar - math.sqrt(1.0 + sbar * sbar)), 1e-9
+    yield "printed crossing", max(abs(sbar - 4.49341), abs(xbar - 4.60333)), 1e-5
+    for a, b in ((below, at), (above, at), (below, above)):
+        yield "s_int across |c| = 1", abs(a - b), 1e-6
+    for c in (1.2, 1.5, 1.7, 3.0):
         land = geodesics.radius_sq(c, geodesics.landing_time(c))
-        if abs(land - 1.0) > 1e-8:
-            return f"landing radius {land} at c = {c}"
-    rng = np.random.default_rng(13)
+        yield f"landing radius^2 at c = {c}", abs(land - 1.0), 1e-12
+    rng = np.random.default_rng(15)
     for _ in range(20):
-        c = rng.uniform(-2.0, 2.0)
-        phi = rng.uniform(-math.pi, math.pi)
-        t = rng.uniform(0.1, 4.0)
-        lifted = geodesics.lift(c, phi, t)
-        p = quotient.project(lifted)
+        c, t = rng.uniform(-2.0, 2.0), rng.uniform(0.1, 5.0)
         q = geodesics.planar_geodesic(c, 0.5 * t)
-        if math.hypot(p.x - q.x, p.y - q.y) > 1e-9 * max(1.0, abs(q.x)):
-            return "lift does not project onto the planar geodesic"
-    return None
+        for phi in rng.uniform(-math.pi, math.pi, 3):
+            p = quotient.project(geodesics.lift(c, float(phi), t))
+            yield "projected lift", math.dist(p, q) / max(1.0, abs(q.x)), 1e-9
 
 
-def _suite_synthesis() -> str | None:
-    xi = np.array([[0.0, -1.0], [1.0, 0.0]])
-    xf = np.array([[2.0, 1.0], [1.0, 1.0]])
-    sol = synthesis.solve(xi, xf)
-    if abs(sol.c - 1.2575651629) > 1e-6 or sol.residual > 1e-9:
-        return f"worked example solve drifted: c = {sol.c}"
-    rng = np.random.default_rng(14)
-    for _ in range(30):
+def _worked_example():
+    # Against the exact (c, s), a 40-digit root of x = 0, y = 3/2, and the
+    # printed values, consistent with it to ~1e-5 (c, s) and ~5e-4 (K, P).
+    sol = synthesis.solve(np.array([[0.0, -1.0], [1.0, 0.0]]),
+                          np.array([[2.0, 1.0], [1.0, 1.0]]))
+    k_ref = [[0.9170700563, 0.39872611144], [-0.39872611144, 0.9170700563]]
+    p_ref = [[0.341017488, -0.36565977744], [-0.36565977744, -0.341017488]]
+    yield "worked example's cut-locus flag", float(sol.on_cut_locus), 0.0
+    yield "worked example's c", abs(sol.c - 1.2575651629220838), 1e-9
+    yield "worked example's t_f", abs(sol.t_f - 2.0 * 2.7811611345877465), 1e-9
+    yield "worked example's residual", sol.residual, 1e-9
+    yield "printed c", abs(sol.c - 1.257558), 1e-5
+    yield "printed s", abs(0.5 * sol.t_f - 2.78115), 2e-5
+    yield "printed K and P", max(_gap(sol.K, k_ref), _gap(sol.P, p_ref)), 5e-4
+
+
+def _generate_and_invert():
+    rng = np.random.default_rng(16)
+    for _ in range(50):
         c = rng.uniform(0.05, 2.5) * rng.choice([-1.0, 1.0])
         s = min(rng.uniform(0.05, 0.95) * geodesics.s_int(abs(c)), 12.0)
         x = geodesics.lift(c, rng.uniform(-math.pi, math.pi), 2.0 * s)
-        rec = synthesis.solve(np.eye(2), x)
-        if abs(rec.c - c) > 1e-6 or abs(rec.t_f - 2.0 * s) > 1e-6:
-            return f"generate-and-invert failed at c = {c}"
-    for r in (1.2, 1.8, 3.5):
-        bad = synthesis.check_fan_monotone(r, 48)
-        if bad > 0.0:
-            return f"fan ordering violated by {bad} at r = {r}"
-    return None
+        sol = synthesis.solve(np.eye(2), x)
+        yield f"(c, t_f) from c = {c}", math.dist((sol.c, sol.t_f), (c, 2.0 * s)), 1e-6
 
 
-def _suite_su2() -> str | None:
-    if abs(su2.c_of_omega(0.0) + 2.0 / math.sqrt(3.0)) > 1e-12:
-        return "c(omega) wrong at omega = 0"
-    for omega in np.linspace(-5.0, 5.0, 40):
-        if su2.landing_match_error(float(omega)) > 1e-9:
-            return f"landing mismatch at omega = {omega}"
-    values = [su2.c_of_omega(w) for w in np.linspace(0.0, 4.0, 30)]
-    if any(b >= a for a, b in zip(values, values[1:])):
-        return "c(omega) is not decreasing for omega >= 0"
-    return None
+def _bridge():
+    # c(0) = -2/sqrt(3); c(omega) decreases per branch and lands where omega does.
+    yield "c(0)", abs(su2.c_of_omega(0.0) + 2.0 / math.sqrt(3.0)), 1e-12
+    for grid in (np.linspace(0.0, 8.0, 200), np.linspace(-8.0, -1e-9, 200)):
+        c = [su2.c_of_omega(float(w)) for w in grid]
+        yield f"rises of c from {grid[0]}", sum(b >= a for a, b in zip(c, c[1:])), 0
+    yield "landing match at omega = 0", su2.landing_match_error(0.0), 1e-12
+    for w in (1.0, -2.5, *np.linspace(-5.0, 5.0, 100)):
+        yield f"landing match at omega = {w}", su2.landing_match_error(float(w)), 1e-9
 
 
-def _suite_automorphisms() -> str | None:
-    rng = np.random.default_rng(15)
-    for _ in range(60):
+def _lorentz_group():
+    # Both membership tests accept every member, reject members perturbed by
+    # 1e-3 and agree on random matrices; factorize and realize round-trip.
+    rng = np.random.default_rng(17)
+    tests = automorphisms.is_so12, automorphisms.is_lie_automorphism
+    for _ in range(500):
         f = Factorization(rng.uniform(-math.pi, math.pi), int(rng.integers(0, 3)),
-                          rng.uniform(-2.0, 2.0), rng.uniform(-math.pi, math.pi))
+                          rng.uniform(-2.5, 2.5), rng.uniform(-math.pi, math.pi))
         m = automorphisms.assemble(f)
-        if not (automorphisms.is_so12(m) and automorphisms.is_lie_automorphism(m)):
-            return "generated automorphism rejected"
-        wrong = m + rng.normal(0.0, 1e-3, (3, 3))
-        if automorphisms.is_so12(wrong) or automorphisms.is_lie_automorphism(wrong):
-            return "perturbed matrix accepted"
-        again = automorphisms.assemble(automorphisms.factorize(m))
-        if np.max(np.abs(again - m)) > 1e-9:
-            return "factorization round-trip failed"
+        wrong, other = m + rng.normal(0.0, 1e-3, (3, 3)), rng.normal(0.0, 1.0, (3, 3))
+        g = automorphisms.factorize(m)
         realized = automorphisms.aut_matrix_from_group(automorphisms.realize(f))
-        if np.max(np.abs(realized - m)) > 1e-9:
-            return "realization round-trip failed"
-    return None
+        again = automorphisms.assemble(automorphisms.factorize(realized))
+        misjudged = sum(not test(m) or test(wrong) for test in tests)
+        yield "members rejected or perturbed ones accepted", misjudged, 0
+        if abs(np.linalg.det(other)) >= 1e-6:
+            yield "disagreements", len({test(other) for test in tests}) - 1, 0
+        yield "|theta| - pi", max(abs(g.theta1), abs(g.theta2)) - math.pi, 1e-12
+        yield "assemble(factorize(M))", _gap(automorphisms.assemble(g), m), 1e-10
+        yield "conjugation by realize(f)", _gap(realized, m), 1e-9
+        yield "assemble(factorize(realized))", _gap(again, m), 1e-9
 
 
-SUITES = (
-    ("algebra", _suite_algebra),
-    ("quotient", _suite_quotient),
-    ("geodesics", _suite_geodesics),
-    ("synthesis", _suite_synthesis),
-    ("su2", _suite_su2),
-    ("automorphisms", _suite_automorphisms),
+INVARIANTS = (
+    ("algebra", "lie_algebra", _lie_algebra),
+    ("quotient", "isometric_quotient", _isometric_quotient),
+    ("geodesics", "family", _family),
+    ("synthesis", "worked_example", _worked_example),
+    ("synthesis", "generate_and_invert", _generate_and_invert),
+    ("synthesis", "fan_ordering", lambda: (
+        (f"fan ordering at r = {r}", synthesis.check_fan_monotone(r, 96), 0.0)
+        for r in (1.1, 1.2, 1.5, 1.8, 2.0, 2.9, 3.0, 3.1, 3.5, 5.0, 10.0))),
+    ("su2", "bridge", _bridge),
+    ("automorphisms", "lorentz_group", _lorentz_group),
 )
 
 
+def violation(check) -> str | None:
+    """The check's first error above its tolerance (NaN included), or None."""
+    return next((f"{what} off by {error!r}, tolerance {tol!r}"
+                 for what, error, tol in check() if not error <= tol), None)
+
+
 def run_selftests(out=print) -> int:
-    """Run all suites; print one line per suite; 0 iff everything passed."""
+    """Run INVARIANTS; print one line per module; 0 iff everything passed."""
     failures = 0
-    for name, suite in SUITES:
+    for module, entries in itertools.groupby(INVARIANTS, key=lambda entry: entry[0]):
         try:
-            problem = suite()
+            problem = next(filter(None, (violation(e[2]) for e in entries)), None)
         except Exception as exc:  # a crash is a failure, not an abort
             problem = f"raised {type(exc).__name__}: {exc}"
-        if problem is None:
-            out(f"PASS {name}")
-        else:
-            out(f"FAIL {name}: {problem}")
-            failures += 1
+        out(f"PASS {module}" if problem is None else f"FAIL {module}: {problem}")
+        failures += problem is not None
     return 1 if failures else 0

@@ -5,14 +5,7 @@ import pytest
 
 import sl2geo.geodesics
 import sl2geo.synthesis
-from sl2geo import exp2, from_coords
-
-
-def random_sl2(rng, spread=0.8):
-    """Random SL(2) element as a product of two exponentials."""
-    m1 = from_coords(rng.normal(0.0, spread, 3))
-    m2 = from_coords(rng.normal(0.0, spread, 3))
-    return exp2(m1) @ exp2(m2)
+from sl2geo.selftest import random_sl2  # noqa: F401  (imported by the test modules)
 
 
 def _offset(rng):

@@ -68,13 +68,28 @@ _A2 = np.array([[0.5, 0.0], [0.0, -0.5]])
     (lambda: lift(1e308, 0.0, 1.0), 1e308, 0.5),  # checked at s = t/2
     (lambda: lift_with_direction(1e308, _A2, 1.0), 1e308, 0.5),
     (lambda: planar_geodesic(1e300, 1e10), 1e300, 1e10),  # c s overflows
+    # For |c| < 1, k1 = cosh(sqrt(z)) overflows although c s and z do not.
+    (lambda: planar_geodesic(0.5, 1000.0), 0.5, 1000.0),
+    (lambda: planar_jet(0.5, 1000.0), 0.5, 1000.0),
+    (lambda: radius_sq(0.5, 1000.0), 0.5, 1000.0),
+    (lambda: lift(0.5, 0.0, 3000.0), 0.5, 1500.0),
+    (lambda: lift_with_direction(0.5, _A2, 3000.0), 0.5, 1500.0),
 ], ids=["planar_geodesic", "planar_jet", "radius_sq", "lift",
-        "lift_with_direction", "planar_geodesic-angle"])
+        "lift_with_direction", "planar_geodesic-angle", "planar_geodesic-cosh",
+        "planar_jet-cosh", "radius_sq-cosh", "lift-cosh", "lift_with_direction-cosh"])
 def test_finite_overflow_is_typed(call, c, s):
-    # The check planar_curve makes on its end point, applied once per call.
+    # The end-point check planar_curve makes, applied once per call.
     with pytest.raises(NonFiniteError,
                        match=re.escape(f"c = {c} with s = {s} overflows the geodesic")):
         call()
+
+
+def test_x_int_overflows_below_tiny_c():
+    # x_int is -sqrt(radius_sq) at s_int(c) ~ pi/c, where cosh overflows
+    # once pi/c > ~710, that is for c below ~0.00443.
+    with pytest.raises(NonFiniteError, match="c = 0.004 with s = .* overflows"):
+        x_int(0.004)
+    assert math.isfinite(x_int(0.01))
 
 
 def test_finite_geodesics_near_the_limit_pass():

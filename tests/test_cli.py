@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import math
 import os
 import pathlib
@@ -382,13 +383,37 @@ class TestFigures:
                 assert x * x + y * y <= 1.0 + 1e-9
 
 
+_SELFTEST_MODULES = ("algebra", "quotient", "geodesics", "synthesis", "su2",
+                     "automorphisms")
+
+
+def _scaled(original):
+    # A relative error of 1e-9 in every result.
+    return lambda *args: original(*args) * (1.0 + 1e-9)
+
+
+def _longer_t_f(original):
+    def wrong(p):
+        res = original(p)
+        return res._replace(t_f=res.t_f * (1.0 + 1e-9))
+    return wrong
+
+
+def _transposed(original):
+    return lambda m: original(np.asarray(m).T)
+
+
 class TestSelftestCommand:
     def test_clean_build_exits_0(self, capsys):
         code, out, _ = run(capsys, "selftest")
         assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 6
-        assert all(line.startswith("PASS") for line in lines)
+        assert out == "".join(f"PASS {module}\n" for module in _SELFTEST_MODULES)
+
+    def _only_failure(self, capsys, module):
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            f"{'FAIL' if name == module else 'PASS'} {name}" for name in _SELFTEST_MODULES]
 
     def test_injected_christoffel_fault_detected(self, capsys, monkeypatch):
         original = sl2geo.quotient.christoffel
@@ -399,9 +424,20 @@ class TestSelftestCommand:
             return gamma
 
         monkeypatch.setattr(sl2geo.quotient, "christoffel", broken)
-        code, out, _ = run(capsys, "selftest")
-        assert code == 1
-        assert "FAIL quotient" in out
+        self._only_failure(capsys, "quotient")
+
+    @pytest.mark.parametrize("module, name, fault", [
+        ("algebra", "bracket", _scaled),
+        ("geodesics", "s_int", _scaled),
+        ("synthesis", "distance_to_class", _longer_t_f),
+        ("su2", "c_of_omega", _scaled),
+        ("automorphisms", "factorize", _transposed),
+    ])
+    def test_injected_fault_fails_its_module_only(self, capsys, monkeypatch, module,
+                                                   name, fault):
+        target = importlib.import_module(f"sl2geo.{module}")
+        monkeypatch.setattr(target, name, fault(getattr(target, name)))
+        self._only_failure(capsys, module)
 
     def test_runtime_budget(self):
         import time
