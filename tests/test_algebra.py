@@ -1,11 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2geo import (adjoint_matrix, basis, bracket, exp2, from_coords, rotation,
-                    to_coords)
+from sl2geo import (adjoint_matrix, basis, bracket, exp2, from_coords,
+                    metric_g, rotation, to_coords)
 
 A0, A1, A2 = basis()
 
@@ -28,6 +29,15 @@ def test_a1_squares_to_quarter_identity():
     assert np.array_equal(A1 @ A1, 0.25 * np.eye(2))
 
 
+@pytest.mark.parametrize("a, b, expected", [
+    (A0, A1, -A2),
+    (A0, A2, A1),
+    (A1, A2, A0),
+])
+def test_commutation_relations(a, b, expected):
+    assert np.allclose(bracket(a, b), expected, atol=1e-15)
+
+
 def test_bracket_of_equal_arguments_vanishes():
     assert np.array_equal(bracket(A1, A1), np.zeros((2, 2)))
 
@@ -42,6 +52,12 @@ def test_bracket_bilinear_and_jacobi(va, vb, vc, lam, mu):
     jacobi = (bracket(a, bracket(b, c)) + bracket(b, bracket(c, a))
               + bracket(c, bracket(a, b)))
     assert np.max(np.abs(jacobi)) < 1e-12
+
+
+def test_metric_orthonormal_basis():
+    assert metric_g(A1, A1) == pytest.approx(1.0, abs=1e-15)
+    assert metric_g(A1, A2) == pytest.approx(0.0, abs=1e-15)
+    assert metric_g(A0, A0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_exp2_zero_is_identity():

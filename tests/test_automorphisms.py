@@ -89,6 +89,22 @@ class TestIsLieAutomorphism:
         with pytest.raises(SingularMatrixError):
             is_lie_automorphism(np.zeros((3, 3)))
 
+    def test_agrees_with_lorentz_membership(self, rng):
+        agree = 0
+        for _ in range(500):
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                m = assemble(random_factorization(rng))
+            elif kind == 1:
+                m = assemble(random_factorization(rng))
+                m = m + rng.normal(0.0, 1e-3, (3, 3))
+            else:
+                m = rng.normal(0.0, 1.0, (3, 3))
+                if abs(np.linalg.det(m)) < 1e-6:
+                    continue
+            assert is_so12(m) == is_lie_automorphism(m)
+            agree += 1
+        assert agree > 450
 
 
 class TestFactorize:
@@ -105,6 +121,14 @@ class TestFactorize:
         for branch, mat in ((1, I1), (2, I2)):
             f = factorize(mat)
             assert np.allclose(assemble(f), mat, atol=1e-12)
+
+    def test_round_trip_random_products(self, rng):
+        for _ in range(200):
+            m = assemble(random_factorization(rng))
+            f = factorize(m)
+            assert abs(f.theta1) <= math.pi + 1e-12
+            assert abs(f.theta2) <= math.pi + 1e-12
+            assert np.max(np.abs(assemble(f) - m)) <= 1e-10
 
     def test_rejects_non_members(self):
         with pytest.raises(NotInGroupError):
@@ -133,6 +157,16 @@ class TestRealize:
         assert np.max(np.abs(got - I1)) < 1e-12
         got = aut_matrix_from_group(realize(Factorization(0.0, 2, 0.0, 0.0)))
         assert np.max(np.abs(got - I2)) < 1e-12
+
+    def test_round_trip_through_group(self, rng):
+        for _ in range(100):
+            f = random_factorization(rng)
+            m = assemble(f)
+            realized = aut_matrix_from_group(realize(f))
+            assert np.max(np.abs(realized - m)) <= 1e-9
+            # and factorize . realize closes as well
+            again = assemble(factorize(realized))
+            assert np.max(np.abs(again - m)) <= 1e-9
 
     def test_determinant_sign_tracks_outer_coset(self, rng):
         for _ in range(50):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sl2geo import (C_LANDING, C_ORTHOGONAL, basis, k1k2, landing_point,
-                    landing_time, lift, planar_geodesic, planar_jet, radius_sq,
-                    s_int, sample_path, to_coords, x_int)
+                    landing_time, lift, planar_geodesic, planar_jet, project,
+                    radius_sq, s_int, sample_path, to_coords, x_int)
 from sl2geo import geodesics
 from sl2geo._kernels import bisect, coshc, sinhc
 from sl2geo.errors import (BadGridError, NonFiniteError, OutOfRegimeError,
@@ -17,6 +17,19 @@ from sl2geo.tolerances import SERIES_CUTOFF
 A0, A1, A2 = basis()
 
 SQRT3_PI = math.sqrt(3.0) * math.pi
+
+
+def tan_fixed_point():
+    """Independent oracle for the root of tan(s) = s in (pi, 3pi/2)."""
+    lo, hi = math.pi + 1e-9, 1.5 * math.pi - 1e-9
+    f = lambda s: math.sin(s) - s * math.cos(s)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestK1K2:
@@ -84,6 +97,11 @@ class TestRadius:
     def test_linear_value(self):
         assert radius_sq(1.0, 2.0) == pytest.approx(5.0, abs=1e-14)
 
+    def test_trigonometric_touches_circle(self):
+        for c in (1.2, 1.7, 3.0):
+            assert radius_sq(c, math.pi / math.sqrt(c * c - 1.0)) == pytest.approx(
+                1.0, abs=1e-12)
+
     def test_monotone_in_s_below_one(self, rng):
         for c in (0.0, 0.4, 0.9, 1.0):
             grid = np.linspace(0.01, 6.0, 300)
@@ -143,6 +161,11 @@ class TestLanding:
 
 
 class TestSInt:
+    def test_fixed_point_of_tangent(self):
+        sbar = tan_fixed_point()
+        assert s_int(1.0) == pytest.approx(sbar, abs=1e-10)
+        assert sbar == pytest.approx(4.49341, abs=1e-5)
+
     def test_orthogonal_crossing_time(self):
         assert s_int(C_ORTHOGONAL) == pytest.approx(math.pi * math.sqrt(2.0),
                                                     abs=1e-12)
@@ -170,6 +193,10 @@ class TestSInt:
     def test_even_in_c(self):
         for c in (0.3, 0.8, 1.1, 1.4):
             assert s_int(-c) == s_int(c)
+
+    def test_continuity_across_one(self):
+        assert abs(s_int(1.0 - 1e-9) - s_int(1.0)) < 1e-6
+        assert abs(s_int(1.0 + 1e-9) - s_int(1.0)) < 1e-6
 
     def test_boundary_value_evaluated_once(self, monkeypatch):
         # For 1 < |c| <= 2/sqrt(3) bisect's own end-point evaluation is the
@@ -208,6 +235,11 @@ class TestSInt:
 
 
 class TestXInt:
+    def test_limit_at_one(self):
+        sbar = tan_fixed_point()
+        assert -x_int(1.0) == pytest.approx(math.sqrt(1.0 + sbar * sbar), abs=1e-9)
+        assert -x_int(1.0) == pytest.approx(4.60333, abs=1e-5)
+
     def test_boundary_value(self):
         assert x_int(C_LANDING) == pytest.approx(-1.0, abs=1e-9)
 
@@ -284,6 +316,17 @@ class TestLift:
             x = lift(rng.uniform(-2, 2), rng.uniform(-math.pi, math.pi),
                      rng.uniform(0, 5))
             assert abs(np.linalg.det(x) - 1.0) < 1e-11 * max(1.0, np.sum(x * x))
+
+    def test_projection_independent_of_phi(self, rng):
+        for _ in range(20):
+            c = rng.uniform(-2.0, 2.0)
+            t = rng.uniform(0.1, 5.0)
+            reference = planar_geodesic(c, 0.5 * t)
+            for phi in rng.uniform(-math.pi, math.pi, 3):
+                p = project(lift(c, float(phi), t))
+                scale = max(1.0, abs(reference.x))
+                assert abs(p.x - reference.x) < 1e-9 * scale
+                assert abs(p.y - reference.y) < 1e-9 * scale
 
     def test_unit_speed_in_body_frame(self, rng):
         # Horizontality and arclength: the body-frame velocity X^{-1} X'

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sl2geo import (QuotientPoint, TangentVec2, basis, christoffel, exp2,
-                    geodesic_ode_rhs, project, pushforward_frame,
-                    quotient_metric, recover_rotation, rotation)
+                    geodesic_ode_rhs, landing_time, ode_residual, project,
+                    pushforward_frame, quotient_metric, recover_rotation,
+                    rotation, s_int)
 from sl2geo.errors import (ClassMismatchError, NotUnimodularError,
                            SingularPointError)
 
@@ -41,6 +42,14 @@ class TestProject:
                 with pytest.raises(NotUnimodularError, match="not all finite"):
                     project(x)
 
+    def test_conjugation_invariance(self, rng):
+        for _ in range(200):
+            x = random_sl2(rng)
+            k = rotation(rng.uniform(-math.pi, math.pi))
+            p1, p2 = project(x), project(k @ x @ k.T)
+            scale = max(1.0, abs(p1.x), abs(p1.y))
+            assert math.hypot(p1.x - p2.x, p1.y - p2.y) < 1e-12 * scale
+
     def test_inverse_reflects_about_axis(self, rng):
         for _ in range(100):
             x = random_sl2(rng)
@@ -69,6 +78,20 @@ class TestRecoverRotation:
         rec = recover_rotation(x, x)
         assert rec.unique
         assert np.allclose(rec.matrix, np.eye(2), atol=1e-15)
+
+    def test_generate_and_invert(self, rng):
+        for _ in range(200):
+            x = random_sl2(rng)
+            if project(x).radius_sq < 1.0 + 1e-6:
+                continue
+            k = rotation(rng.uniform(-math.pi, math.pi))
+            y = k @ x @ k.T
+            rec = recover_rotation(x, y)
+            assert rec.unique
+            assert np.allclose(rec.matrix @ x @ rec.matrix.T, y, atol=1e-9)
+            # Determined up to overall sign of the rotation.
+            assert (np.allclose(rec.matrix, k, atol=1e-9)
+                    or np.allclose(rec.matrix, -k, atol=1e-9))
 
     def test_angle_convention_range(self, rng):
         for _ in range(100):
@@ -144,6 +167,22 @@ class TestPushforward:
             assert f1.dy == pytest.approx(0.0, abs=1e-14)
             assert f2.dx == pytest.approx(0.0, abs=1e-14)
 
+    def test_orthonormal_under_quotient_metric(self, rng):
+        checked = 0
+        while checked < 1000:
+            x = random_sl2(rng)
+            p = project(x)
+            if p.radius_sq <= 1.0 + 1e-6:
+                continue
+            checked += 1
+            f1, f2 = pushforward_frame(x)
+            w = quotient_metric(p)[0, 0]
+            gram = np.array([
+                [w * (f1.dx ** 2 + f1.dy ** 2), w * (f1.dx * f2.dx + f1.dy * f2.dy)],
+                [w * (f2.dx * f1.dx + f2.dy * f1.dy), w * (f2.dx ** 2 + f2.dy ** 2)],
+            ])
+            assert np.max(np.abs(gram - np.eye(2))) < 1e-9
+
 
 class TestQuotientMetric:
     def test_values(self):
@@ -213,3 +252,13 @@ class TestGeodesicOde:
     def test_rejects_singular_point(self):
         with pytest.raises(SingularPointError):
             geodesic_ode_rhs(QuotientPoint(1.0, 0.0), TangentVec2(1.0, 0.0))
+
+
+class TestOdeResidual:
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.2])
+    def test_closed_form_solves_equation(self, c):
+        hi = s_int(c)
+        if c > 1.15:  # landing families end on the circle; stay clear of it
+            hi = landing_time(c) * (1.0 - 1e-3)
+        grid = np.linspace(0.1, hi, 100)
+        assert ode_residual(c, grid) <= 1e-8

@@ -111,15 +111,33 @@ class TestPlanarGeodesic:
 
 
 class TestParameterBridge:
+    def test_value_at_zero(self):
+        assert c_of_omega(0.0) == pytest.approx(-TWO_OVER_SQRT3, abs=1e-12)
+
     def test_branch_ranges(self):
         for omega in (0.1, 1.0, 4.0):
             assert c_of_omega(omega) < -TWO_OVER_SQRT3 + 1e-12
         for omega in (-0.1, -1.0, -4.0):
             assert c_of_omega(omega) > TWO_OVER_SQRT3 - 1e-12
 
+    def test_monotone_decreasing_per_branch(self):
+        grid = np.linspace(0.0, 8.0, 200)
+        values = [c_of_omega(float(w)) for w in grid]
+        assert all(b < a for a, b in zip(values, values[1:]))
+        grid = np.linspace(-8.0, -1e-9, 200)
+        values = [c_of_omega(float(w)) for w in grid]
+        assert all(b < a for a, b in zip(values, values[1:]))
+
     def test_diverges_for_large_omega(self):
         assert c_of_omega(1.0e6) < -1.0e3
         assert c_of_omega(-1.0e6) > 1.0e3
+
+    def test_landing_match(self):
+        assert landing_match_error(0.0) <= 1e-12  # both land at (-1, 0)
+        assert landing_match_error(1.0) <= 1e-9
+        assert landing_match_error(-2.5) <= 1e-9
+        for omega in np.linspace(-5.0, 5.0, 100):
+            assert landing_match_error(float(omega)) <= 1e-9
 
     @pytest.mark.parametrize("omega", [1e-3, -0.7, 6.1e7, -1e10, 1e100, 1e150, -1e150])
     def test_direct_formulas_up_to_huge_param(self, omega):

@@ -20,6 +20,11 @@ from conftest import random_sl2, strata_targets
 
 A0, A1, A2 = basis()
 
+# Independently verified root of the reference endpoint problem (40-digit
+# Newton on the closed-form system x(c,s) = 0, y(c,s) = 3/2).
+REF_C = 1.2575651629220838
+REF_S = 2.7811611345877465
+
 
 class TestClassify:
     def test_circle_point(self):
@@ -122,6 +127,13 @@ class TestDistance:
         res = distance_to_class(QuotientPoint(math.cosh(0.5), 0.0))
         assert res.c == 0.0
         assert res.t_f == pytest.approx(1.0, abs=1e-12)
+        assert not res.on_cut_locus
+
+    def test_reference_target(self):
+        res = distance_to_class(QuotientPoint(0.0, 1.5))
+        assert res.c == pytest.approx(REF_C, abs=1e-9)
+        assert res.s == pytest.approx(REF_S, abs=1e-9)
+        assert res.t_f == pytest.approx(2.0 * REF_S, abs=1e-9)
         assert not res.on_cut_locus
 
     def test_far_corner_of_cut_locus(self):
@@ -317,6 +329,25 @@ def test_search_count_budgets(search_counts):
 
 
 class TestSolve:
+    def test_reference_endpoint_problem(self):
+        xi = np.array([[0.0, -1.0], [1.0, 0.0]])
+        xf = np.array([[2.0, 1.0], [1.0, 1.0]])
+        sol = solve(xi, xf)
+        assert sol.c == pytest.approx(REF_C, abs=1e-9)
+        assert sol.t_f == pytest.approx(2.0 * REF_S, abs=1e-9)
+        assert sol.residual <= 1e-9
+        assert not sol.on_cut_locus
+        # Printed reference values: consistent with the exact solution to
+        # ~1e-5 (c) and ~5e-4 (K, P); asserted at that supported precision.
+        assert sol.c == pytest.approx(1.257558, abs=1e-5)
+        assert 0.5 * sol.t_f == pytest.approx(2.78115, abs=2e-5)
+        k_ref = np.array([[0.9170700563, 0.39872611144],
+                          [-0.39872611144, 0.9170700563]])
+        assert np.max(np.abs(sol.K - k_ref)) < 5e-4
+        p_ref = 0.5 * np.array([[0.682034976, -0.73131955488],
+                                [-0.73131955488, -0.682034976]])
+        assert np.max(np.abs(sol.P - p_ref)) < 5e-4
+
     def test_direction_is_unit_norm(self):
         xi = np.array([[0.0, -1.0], [1.0, 0.0]])
         xf = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -451,6 +482,10 @@ class TestVerify:
 
 
 class TestFanOrdering:
+    @pytest.mark.parametrize("r", [1.1, 1.5, 2.0, 2.9, 3.0, 3.1, 5.0, 10.0])
+    def test_monotone_fan(self, r):
+        assert check_fan_monotone(r, 96) == 0.0
+
     def test_needs_exterior_radius(self):
         with pytest.raises(UnreachableError):
             check_fan_monotone(0.9)
