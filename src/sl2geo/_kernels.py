@@ -98,19 +98,6 @@ def coshc_sinhc(z: float) -> tuple[float, float]:
     return math.cos(w), math.sin(w) / w
 
 
-def inverse_sinhc_scaled(q: float, radial: float) -> float:
-    """Smallest s >= 0 with s*sinhc(q*s*s) == radial, for q >= 0.
-
-    This is asinh(sqrt(q)*radial)/sqrt(q), taken from its series in
-    z = q*radial^2 near z = 0.
-    """
-    z = q * radial * radial
-    if z < SERIES_CUTOFF:
-        return radial * (1.0 - z * (1.0 / 6.0 - z * (3.0 / 40.0 - z * 15.0 / 336.0)))
-    u = math.sqrt(z)
-    return radial * math.asinh(u) / u
-
-
 def bisect(f, a: float, b: float) -> float:
     """Root of f on [a, b] by bisection, finished with one secant step.
 
@@ -127,7 +114,8 @@ def bisect(f, a: float, b: float) -> float:
     fb = f(b)
     if fb == 0.0:
         return b
-    if (fa > 0.0) == (fb > 0.0):
+    positive = fa > 0.0  # the sign of f at the moving end a never changes
+    if positive == (fb > 0.0):
         raise NoRootError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
     while b - a > ROOT_TOL:
         mid = 0.5 * (a + b)
@@ -136,7 +124,7 @@ def bisect(f, a: float, b: float) -> float:
         fm = f(mid)
         if fm == 0.0:
             return mid
-        if (fm > 0.0) == (fa > 0.0):
+        if (fm > 0.0) == positive:
             a, fa = mid, fm
         else:
             b, fb = mid, fm

@@ -188,7 +188,8 @@ def x_int(c: float) -> float:
         raise UnboundedError("the c = 0 geodesic never crosses the negative axis")
     if ac > C_LANDING:
         raise OutOfRegimeError(f"|c| = {ac} > 2/sqrt(3): geodesic lands instead")
-    return -math.sqrt(radius_sq(ac, s_int(ac)))
+    s = s_int(ac)  # hypot, as k1^2 + k2^2 overflows for c below ~0.0088
+    return -math.hypot(*_end(ac, s, k1k2(ac, s)))
 
 
 def lift_with_direction(c: float, p: np.ndarray, t: float) -> np.ndarray:

@@ -30,14 +30,14 @@ import numpy as np
 
 from ._kernels import (_A2_ENTRIES, _adj, _check_unimodular, _finite,
                        _lift_with_direction, _mul, _project, _recover_rotation,
-                       bisect, inverse_sinhc_scaled)
+                       bisect)
 from .algebra import _entries, _matrix
 from .errors import (NoRootError, NonFiniteError, StartPointError,
                      UnreachableError)
 from .geodesics import (C_ORTHOGONAL, k1k2, landing_time, lift_with_direction,
                         s_int, x_int)
 from .quotient import project
-from .tolerances import MATCH_TOL, SINGULAR_BAND, SYNTH_TOL
+from .tolerances import MATCH_TOL, SERIES_CUTOFF, SINGULAR_BAND, SYNTH_TOL
 from .types import (CutLocusClass, DistanceResult, QuotientPoint,
                     SynthesisSolution)
 
@@ -99,13 +99,19 @@ def _fan_point(tau: float, radial: float, span: float) -> tuple[float, float, fl
 
     At the crossing s sinhc(z) = radial, with z = (1 - c^2) s^2, so k2 is
     c radial and k1 = coshc(z) is sqrt(1 + (1 - c^2) radial^2) for tau <= 1
-    and cos(phi) for tau > 1 (z = -phi^2), negative past the tangent.
-    check_fan_monotone keeps k1k2, to stay independent of the search.
+    and cos(phi) for tau > 1 (z = -phi^2), negative past the tangent.  For
+    tau <= 1, s = asinh(sqrt(w))/sqrt(1 - c^2) with w = (1 - c^2) radial^2,
+    taken from its series in w near w = 0.  check_fan_monotone keeps k1k2,
+    to stay independent of the search.
     """
     if tau <= 1.0:
-        q = 1.0 - tau * tau
-        k1 = math.sqrt(1.0 + q * radial * radial)
-        return tau, inverse_sinhc_scaled(q, radial), k1
+        w = (1.0 - tau * tau) * radial * radial
+        if w < SERIES_CUTOFF:
+            s = radial * (1.0 - w * (1.0 / 6.0 - w * (3.0 / 40.0 - w * 15.0 / 336.0)))
+        else:
+            u = math.sqrt(w)
+            s = radial * math.asinh(u) / u
+        return tau, s, math.sqrt(1.0 + w)
     phi = math.pi * (tau - 1.0) / span
     v = math.sin(phi) / radial
     return math.sqrt(1.0 + v * v), phi / v, math.cos(phi)
@@ -155,19 +161,33 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
     radial = math.sqrt(r_sq - 1.0)
     span = _fan_span(radial)
 
+    # Crossings past the optimality horizon have angle beyond pi >= beta, as
+    # the angle grows along each geodesic; falling ones need no test.  Rising
+    # ones map to the sentinel: only c <= C_ORTHOGONAL crosses the axis while
+    # rising, only radii r > 3 (span 1) are at stake, and the radius grows
+    # over the whole optimal segment, so the terminal radius |x_int| decides;
+    # a crossing before s = pi/c is always inside the horizon (which avoids
+    # the possibly astronomic |x_int| for tiny c).  Axis targets skip the
+    # test: at beta = pi the sign of the angle gap already is the horizon
+    # test, since their answer is the crossing that lands on the horizon.
+    horizon = r > 3.0 and not on_axis
+
     def angle_gap(tau: float) -> float:
-        c, s, k1 = _fan_point(tau, radial, span)
-        # Crossings past the optimality horizon have angle beyond pi >= beta,
-        # as the angle grows along each geodesic; falling ones need no test.
-        # Rising ones map to the sentinel: only c <= C_ORTHOGONAL crosses the
-        # axis while rising, only radii r > 3 (span 1) are at stake, and the
-        # radius grows over the whole optimal segment, so the terminal radius
-        # |x_int| decides; a crossing before s = pi/c is always inside the
-        # horizon (which avoids the possibly astronomic |x_int| for tiny c).
-        # Axis targets skip the test: at beta = pi the sign of the angle gap
-        # already is the horizon test, since their answer is the crossing
-        # that lands on the horizon.
-        if (r > 3.0 and tau <= 1.5 and not on_axis and 0.0 < c <= C_ORTHOGONAL
+        # _fan_point's crossing, inline (one frame per step of the search)
+        # and with its operations in its order, so the two agree bit for bit.
+        if tau <= 1.0:
+            c, w = tau, (1.0 - tau * tau) * radial * radial
+            if w < SERIES_CUTOFF:
+                s = radial * (1.0 - w * (1.0 / 6.0 - w * (3.0 / 40.0 - w * 15.0 / 336.0)))
+            else:
+                u = math.sqrt(w)
+                s = radial * math.asinh(u) / u
+            k1 = math.sqrt(1.0 + w)
+        else:
+            phi = math.pi * (tau - 1.0) / span
+            v = math.sin(phi) / radial
+            c, s, k1 = math.sqrt(1.0 + v * v), phi / v, math.cos(phi)
+        if (horizon and tau <= 1.5 and 0.0 < c <= C_ORTHOGONAL
                 and s > math.pi / c and r > -x_int(c) * (1.0 + 1e-15)):
             return _FAR
         # _polar_angle's cs - atan2(k2, k1), with the crossing's k2 = c radial.

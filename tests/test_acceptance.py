@@ -15,16 +15,14 @@ import re
 import time
 
 import numpy as np
-import pytest
 
 from sl2geo import (C_LANDING, C_ORTHOGONAL, CutLocusClass, Factorization,
                     assemble, aut_matrix_from_group, c_of_omega,
-                    classify_cut_locus, exp2, factorize, from_coords,
-                    is_lie_automorphism, is_so12, landing_match_error,
-                    landing_time, lift, lorentz_boost, lorentz_rotation,
-                    ode_residual, planar_geodesic, planar_jet, project,
-                    radius_sq, realize, rotation, s_int, solve,
-                    verify_solution, x_int)
+                    classify_cut_locus, factorize, is_lie_automorphism,
+                    is_so12, landing_match_error, lift, lorentz_boost,
+                    lorentz_rotation, ode_residual, planar_geodesic,
+                    planar_jet, project, radius_sq, realize, rotation, s_int,
+                    solve, verify_solution, x_int)
 from sl2geo.figures import figure_fan
 
 from conftest import random_sl2

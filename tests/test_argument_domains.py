@@ -85,7 +85,7 @@ def test_finite_overflow_is_typed(call, c, s):
 
 
 def test_x_int_overflows_below_tiny_c():
-    # x_int is -sqrt(radius_sq) at s_int(c) ~ pi/c, where cosh overflows
+    # x_int is -hypot(k1, k2) at s_int(c) ~ pi/c, where cosh overflows
     # once pi/c > ~710, that is for c below ~0.00443.
     with pytest.raises(NonFiniteError, match="c = 0.004 with s = .* overflows"):
         x_int(0.004)

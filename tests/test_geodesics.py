@@ -253,6 +253,15 @@ class TestXInt:
         with pytest.raises(OutOfRegimeError):
             x_int(1.5)
 
+    def test_finite_where_the_squared_radius_overflows(self):
+        # k1^2 + k2^2 overflows below c ~ 0.0088, the end point only below
+        # c ~ 0.00443 (where x_int raises NonFiniteError).
+        for c in (0.0045, 0.006):
+            k1, k2 = k1k2(c, s_int(c))
+            assert math.isinf(k1 * k1 + k2 * k2)
+            assert -math.inf < x_int(c) < -1e150
+            assert x_int(c) == -math.hypot(k1, k2)
+
 
 class TestMirrorTimeSymmetry:
     def test_orthogonal_family_symmetry(self):

@@ -1,5 +1,5 @@
 """Module boundaries: the numpy-free core, the one home of the argument
-checks, and the names the benchmark traces.
+checks, the names the benchmark traces, and no unused imports.
 
 `_kernels` holds the endpoint solver's float core, so it and every package
 module it imports must not import numpy.  `import sl2geo._kernels` runs the
@@ -19,6 +19,7 @@ import pytest
 import sl2geo
 
 PACKAGE = pathlib.Path(sl2geo.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
 
@@ -161,3 +162,49 @@ def test_traced_names_resolve(monkeypatch):
         for user in only or ():
             bound = vars(importlib.import_module(f"sl2geo.{user}"))
             assert any(value is target for value in bound.values()), (user, func)
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names that the imports of a module's source bind and it never reads.
+
+    Names in the module's `__all__`, and the names of an import marked
+    `# noqa: F401` (a deliberate re-export), count as read.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__" or any(
+                    "# noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                if isinstance(node, ast.Import):
+                    bound.add(alias.asname or alias.name.split(".")[0])
+                elif alias.name != "*":
+                    bound.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(bound - read)
+
+
+def test_no_unused_imports():
+    unused = {f"{path.parent.name}/{path.name}": names
+              for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+              if (names := _unused_imports(path.read_text(encoding="utf-8")))}
+    assert unused == {}
+
+
+def test_unused_import_scan_sees_unused_names():
+    # The scan above would pass vacuously if it missed imports.
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport sys\nimport json as j\n"
+              "from math import (pi,\n    tau)\n"
+              "from re import sub  # noqa: F401\n"
+              "__all__ = ['tau']\nprint(sys.argv, pi)\n")
+    assert _unused_imports(source) == ["j", "os"]

@@ -14,7 +14,8 @@ from sl2geo import (C_LANDING, C_ORTHOGONAL, CutLocusClass, QuotientPoint,
 from sl2geo import synthesis
 from sl2geo.errors import (NonFiniteError, NoRootError, NotUnimodularError,
                            StartPointError, UnreachableError)
-from sl2geo.synthesis import _fan_point, _fan_span, _polar_angle
+from sl2geo.synthesis import _FAR, _fan_point, _fan_span, _polar_angle
+from sl2geo.tolerances import SERIES_CUTOFF, SINGULAR_BAND
 
 from conftest import random_sl2, strata_targets
 
@@ -277,6 +278,85 @@ def test_horizon_targets_bit_identical(x, y, t_f, c, monkeypatch):
     monkeypatch.setattr(synthesis, "x_int", lambda c: -math.inf)
     res = distance_to_class(QuotientPoint(x, y))
     assert (res.t_f, res.c) == (t_f, c)
+
+
+# Fan searches off the rising-branch horizon, (x, y, t_f, c) recorded before
+# the fan objective computed its crossing inline: an inlined operation that
+# is reordered moves some of these answers.  The targets near the circle
+# and on the c = +-1 geodesics reach the series branch of the hyperbolic
+# crossing; the r > 3 hyperbolic ones also evaluate the horizon test.
+_FAN_PINS = [
+    # axis cut
+    (-1.5, 0.0, 9.291798312170213, 1.135279796064387),
+    (-3.0, 0.0, 8.885765876316732, 1.0606601717798212),
+    (-10.0, 0.0, 9.550812201465089, 0.8821753010498776),
+    (-1.001, 0.0, 10.793400644617153, 1.154698430006654),
+    (-2.2, -0.0, 8.952963404464123, 1.0988300459021978),
+    # near r = 3
+    (-2.999, 0.01, 8.878692254145703, 1.0607036265762735),
+    (-3.0, 0.05, 8.850414464868392, 1.0606392535529),
+    (0.0, 3.0001, 5.603631666569609, 0.9963596055177261),
+    (2.999, 0.2, 3.534883900404188, 0.08086304252564966),
+    (-3.01, -0.3, 8.675307568972459, -1.0594083658733682),
+    # regular hyperbolic
+    (1.5823662963727558, 0.711357365701801, 2.7595878032179084, 0.956082487875412),
+    (-5.926705947122258, -4.841774031039918, 8.087086905506075, -0.8600701753994819),
+    (7.550165226784762, -0.08906366878589296, 5.420825136757868, -0.006861105977489237),
+    (5.161103638508357, 0.7507789810291041, 4.686273078378339, 0.10622472909057704),
+    # trigonometric rising
+    (0.8814687861558497, -1.7717330290689357, 4.376745636989352, -1.1381731677376632),
+    (-4.003348197876582, -0.13281802291598294, 8.865955435807447, -1.0196542561371436),
+    (1.249094666352005, -1.2911863704494084, 3.619114228439097, -1.1573588077109511),
+    (1.1036677113362978, 1.0449600497420992, 3.440339384284358, 1.3264316383996566),
+    # trigonometric falling
+    (0.18963232166392585, 1.1457767171325008, 5.564074706625001, 1.360326176686404),
+    (-2.015424851557545, -0.031911733004411115, 8.965249037054017, -1.108814813084571),
+    (0.7887549430872778, 1.098715993045512, 4.0093040820368415, 1.4128752382983665),
+    (-1.5760189607778492, 0.9554202484053788, 7.835641548990348, 1.139024685591158),
+    # r^2 - 1 = 1e-8, and on the c = +-1 geodesics
+    (0.07073720202138892, 0.9974949915915293, 6.833474841794533, 1.3584470321034565),
+    (-0.9899925015504079, -0.14112000876546724, 10.554335692549115, -1.1637826300417806),
+    (0.6950367447129576, 2.6013311829712906, 5.0, 1.0),
+    (1.402448017104221, -1.7415910999199666, 4.0, -1.0),
+]
+
+
+@pytest.mark.parametrize("x, y, t_f, c", _FAN_PINS)
+def test_fan_targets_bit_identical(x, y, t_f, c):
+    res = distance_to_class(QuotientPoint(x, y))
+    assert (res.t_f, res.c) == (t_f, c)
+
+
+def test_fan_objective_is_the_fan_point_angle(monkeypatch):
+    # Every value the fan search sees, other than the horizon sentinel,
+    # equals the angle gap of _fan_point's crossing, bit for bit.
+    calls, parts = [], Counter()
+    bisect = synthesis.bisect
+
+    def capturing(f, a, b):
+        def objective(tau):
+            value = f(tau)
+            calls.append((tau, value))
+            return value
+        return bisect(objective, a, b)
+
+    monkeypatch.setattr(synthesis, "bisect", capturing)
+    for x, y, _, _ in _FAN_PINS:
+        del calls[:]
+        distance_to_class(QuotientPoint(x, y))
+        radial = math.sqrt(x * x + y * y - 1.0)
+        span = _fan_span(radial)
+        on_cut = abs(y) <= SINGULAR_BAND and x < 0.0
+        beta = math.pi if on_cut else math.atan2(abs(y), x)
+        for tau, value in calls:
+            if value == _FAR:
+                parts["far"] += 1
+                continue
+            c, s, k1 = _fan_point(tau, radial, span)
+            assert value == c * s - math.atan2(c * radial, k1) - beta, (x, y, tau)
+            w = (1.0 - tau * tau) * radial * radial
+            parts["trig" if tau > 1.0 else "series" if w < SERIES_CUTOFF else "hyp"] += 1
+    assert min(parts[k] for k in ("far", "trig", "series", "hyp")) > 0, parts
 
 
 def test_fan_angle_closed_form_matches_polar_angle():
