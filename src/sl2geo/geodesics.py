@@ -39,8 +39,7 @@ C_ORTHOGONAL = 3.0 / (2.0 * math.sqrt(2.0))
 def k1k2(c: float, s: float) -> tuple[float, float]:
     """Radial components (k1, k2) of the planar geodesic at half-time s.
 
-    An unguarded inner kernel of the solvers: its callers check that c*s
-    and (1 - c^2) s^2 are finite.
+    An unguarded kernel: its callers check that c*s and (1 - c^2) s^2 are finite.
     """
     ch, sh = coshc_sinhc((1.0 - c * c) * s * s)
     return ch, c * s * sh
@@ -131,27 +130,6 @@ def landing_point(c: float) -> QuotientPoint:
     return QuotientPoint(-math.cos(alpha), -math.sin(alpha))
 
 
-def _y_of_s(c: float, s: float) -> float:
-    k1, k2 = k1k2(c, s)
-    return k1 * math.sin(c * s) - k2 * math.cos(c * s)
-
-
-def _tau(c: float, s: float) -> float:
-    # k2/k1 = (c/w) tanh(w s) for |c| <= 1; bounded, so the normalized
-    # crossing objective below never overflows even for tiny c, where the
-    # raw k1, k2 grow like exp(pi/c).
-    z = (1.0 - c * c) * s * s
-    if z < SERIES_CUTOFF:
-        return c * s * (1.0 - z * (1.0 / 3.0 - z * 2.0 / 15.0))
-    w = math.sqrt(1.0 - c * c)
-    return c / w * math.tanh(w * s)
-
-
-def _y_reduced(c: float, s: float) -> float:
-    # y(s)/k1(s): same sign and roots as y on the crossing bracket.
-    return math.sin(c * s) - _tau(c, s) * math.cos(c * s)
-
-
 def s_int(c: float) -> float:
     """Half-time at which the c-geodesic stops being optimal.
 
@@ -167,16 +145,38 @@ def s_int(c: float) -> float:
         raise UnboundedError("the c = 0 geodesic never leaves the x-axis")
     if ac > C_LANDING:
         return landing_time(c)
-    lo = math.pi / ac
+    # Each objective is y inline, with k1k2's operations in order: one frame a step.
+    q, lo = 1.0 - ac * ac, math.pi / ac
     if ac <= 1.0:
-        return bisect(lambda s: _y_reduced(ac, s), lo, 1.5 * math.pi / ac)
+        hi = 1.5 * math.pi / ac
+        if hi == math.inf:  # |c| below ~2.6e-308
+            _end(c, hi, (hi,))
+        w = math.sqrt(q)
+        c_w = ac / w if w else 0.0  # at |c| = 1, z = 0 always takes the series
+
+        def y_reduced(s: float) -> float:  # sin(cs) - (k2/k1) cos(cs)
+            cs, z = ac * s, q * s * s
+            tau = (cs * (1.0 - z * (1.0 / 3.0 - z * 2.0 / 15.0)) if z < SERIES_CUTOFF
+                   else c_w * math.tanh(w * s))
+            return math.sin(cs) - tau * math.cos(cs)
+
+        return bisect(y_reduced, lo, hi)
     hi = 2.0 * math.pi / ac
+
+    def y(s: float) -> float:  # z < 0 on this bracket
+        cs, z = ac * s, q * s * s
+        if -z < SERIES_CUTOFF:
+            k1 = 1.0 + z * (0.5 + z * (1.0 / 24.0 + z / 720.0))
+            sh = 1.0 + z * (1.0 / 6.0 + z * (1.0 / 120.0 + z / 5040.0))
+        else:
+            v = math.sqrt(-z)
+            k1, sh = math.cos(v), math.sin(v) / v
+        return k1 * math.sin(cs) - cs * sh * math.cos(cs)
+
     try:
-        return bisect(lambda s: _y_of_s(ac, s), lo, hi)
+        return bisect(y, lo, hi)
     except NoRootError:
-        # y(lo) > 0, so this is y(hi) > 0: at exactly |c| = 2/sqrt(3) the
-        # root sits on the bracket end, and rounding can leave y(hi)
-        # marginally positive; accept it.
+        # y(lo) > 0, so y(hi) > 0: at |c| = 2/sqrt(3) rounding can leave it so.
         return hi
 
 

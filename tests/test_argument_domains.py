@@ -74,9 +74,14 @@ _A2 = np.array([[0.5, 0.0], [0.0, -0.5]])
     (lambda: radius_sq(0.5, 1000.0), 0.5, 1000.0),
     (lambda: lift(0.5, 0.0, 3000.0), 0.5, 1500.0),
     (lambda: lift_with_direction(0.5, _A2, 3000.0), 0.5, 1500.0),
+    # s_int's bracket end 1.5 pi/|c| overflows for |c| below ~2.6e-308.
+    (lambda: s_int(2.6e-308), 2.6e-308, math.inf),
+    (lambda: s_int(5e-324), 5e-324, math.inf),
+    (lambda: x_int(5e-324), 5e-324, math.inf),
 ], ids=["planar_geodesic", "planar_jet", "radius_sq", "lift",
         "lift_with_direction", "planar_geodesic-angle", "planar_geodesic-cosh",
-        "planar_jet-cosh", "radius_sq-cosh", "lift-cosh", "lift_with_direction-cosh"])
+        "planar_jet-cosh", "radius_sq-cosh", "lift-cosh", "lift_with_direction-cosh",
+        "s_int-bracket", "s_int-subnormal", "x_int-subnormal"])
 def test_finite_overflow_is_typed(call, c, s):
     # The end-point check planar_curve makes, applied once per call.
     with pytest.raises(NonFiniteError,
@@ -98,3 +103,5 @@ def test_finite_geodesics_near_the_limit_pass():
     assert all(map(math.isfinite, planar_jet(1e150, 1e-150)))
     assert math.isfinite(radius_sq(1e150, 1e-150))
     assert np.all(np.isfinite(lift(1e150, 0.3, 2e-150)))
+    # The bracket end 1.5 pi/c of s_int is still finite here.
+    assert s_int(2.7e-308) == 1.1635528346628864e+308

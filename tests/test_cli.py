@@ -309,6 +309,7 @@ class TestNonFiniteInput:
         (("su2", "1e200", "1e200"), "omega = 1e+200 with s = 1e+200 overflows the geodesic"),
         (("path", "1e160", "auto", "3"),
          "c = 1e+160 with s_max = 3.141592653589793e-160 overflows the geodesic"),
+        (("path", "5e-324", "auto", "10"), "c = 5e-324 with s = inf overflows the geodesic"),
     ])
     def test_path_and_su2_arguments(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -1,11 +1,14 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from sl2geo import (C_LANDING, C_ORTHOGONAL, basis, k1k2, landing_point,
-                    landing_time, lift, planar_geodesic, planar_jet, project,
-                    radius_sq, s_int, sample_path, to_coords, x_int)
+from sl2geo import (C_LANDING, C_ORTHOGONAL, QuotientPoint, basis,
+                    distance_to_class, k1k2, landing_point, landing_time, lift,
+                    planar_geodesic, planar_jet, project, radius_sq, s_int,
+                    sample_path, to_coords, x_int)
 from sl2geo import geodesics
 from sl2geo._kernels import bisect, coshc, sinhc
 from sl2geo.errors import (BadGridError, NonFiniteError, OutOfRegimeError,
@@ -202,20 +205,23 @@ class TestSInt:
         # For 1 < |c| <= 2/sqrt(3) bisect's own end-point evaluation is the
         # y(hi) > 0 test: at c = 1.1 the search takes 44 evaluations of y.
         calls = []
-        y_of_s = geodesics._y_of_s
-        monkeypatch.setattr(geodesics, "_y_of_s",
-                            lambda c, s: calls.append(s) or y_of_s(c, s))
+        monkeypatch.setattr(geodesics, "bisect", lambda f, a, b: bisect(
+            lambda s: calls.append(s) or f(s), a, b))
         s_int(1.1)
         assert len(calls) == len(set(calls)) == 44
 
     def test_landing_regime_bit_identical_to_explicit_boundary_test(self):
         # The former boundary test, y(hi) > 0 before bisecting, on a dense
         # grid over (1, 2/sqrt(3)] and the floats just below 2/sqrt(3).
+        def y(c, s):
+            k1, k2 = k1k2(c, s)
+            return k1 * math.sin(c * s) - k2 * math.cos(c * s)
+
         def explicit(c):
             hi = 2.0 * math.pi / c
-            if geodesics._y_of_s(c, hi) > 0.0:
+            if y(c, hi) > 0.0:
                 return hi
-            return bisect(lambda s: geodesics._y_of_s(c, s), math.pi / c, hi)
+            return bisect(lambda s: y(c, s), math.pi / c, hi)
 
         cs = [float(c) for c in np.linspace(1.0, C_LANDING, 2001)[1:]]
         for _ in range(20):
@@ -232,6 +238,117 @@ class TestSInt:
         w = math.sqrt(1.0 - c * c)
         assert math.tan(c * s) == pytest.approx(c / w * math.tanh(w * s),
                                                 abs=1e-6)
+
+
+
+# s_int(c) recorded before its objectives were inlined, asserted exactly: the
+# tanh and series forms of k2/k1 (c up to 1), both sides of c = 1, the
+# trigonometric regime up to 2/sqrt(3) and the two floats below it (one of
+# which returns the bracket end), with both signs.
+_S_INT_PINS = [
+    (1e-300, 3.141592653589793e+300),
+    (1e-100, 3.141592653589793e+100),
+    (1e-08, 314159266.3589793),
+    (0.0045, 699.1317041727626),
+    (0.3, 11.487617691439036),
+    (0.7, 5.595217024416492),
+    (0.999999999, 4.493409459406867),
+    (0.999999999999, 4.493409457910562),
+    (0.9999999999999999, 4.493409457909065),
+    (1.0, 4.493409457909064),
+    (1.0000000000000002, 4.493409457909064),
+    (1.000000000001, 4.493409457907566),
+    (1.000000001, 4.4934094564112605),
+    (1.1, 4.478938605666786),
+    (C_ORTHOGONAL, 4.442882938158366),
+    (1.15, 4.895225102314381),
+    (1.1547005383792512, 5.441373440868593),
+    (1.1547005383792515, 5.441398092702654),
+    (C_LANDING, 5.441398092702652),
+    (-1e-300, 3.141592653589793e+300),
+    (-0.3, 11.487617691439036),
+    (-0.999999999999, 4.493409457910562),
+    (-1.0, 4.493409457909064),
+    (-1.000000001, 4.4934094564112605),
+    (-C_ORTHOGONAL, 4.442882938158366),
+    (-1.1547005383792515, 5.441398092702654),
+    (-C_LANDING, 5.441398092702652),
+]
+
+
+@pytest.mark.parametrize("c, s", _S_INT_PINS)
+def test_s_int_pinned(c, s):
+    assert s_int(c) == s
+
+
+def _y_reference(c, s):
+    # y(s)/k1(s) = sin(cs) - (k2/k1) cos(cs) for c <= 1, with k2/k1 by its
+    # series or as (c/w) tanh(w s); y(s) from the public k1k2 above 1.
+    if c > 1.0:
+        k1, k2 = k1k2(c, s)
+        return k1 * math.sin(c * s) - k2 * math.cos(c * s)
+    z = (1.0 - c * c) * s * s
+    if z < SERIES_CUTOFF:
+        tau = c * s * (1.0 - z * (1.0 / 3.0 - z * 2.0 / 15.0))
+    else:
+        w = math.sqrt(1.0 - c * c)
+        tau = c / w * math.tanh(w * s)
+    return math.sin(c * s) - tau * math.cos(c * s)
+
+
+def test_s_int_objective_matches_reference(monkeypatch):
+    # Every value the s_int search evaluates equals the reference y, bit for
+    # bit, over the series band on both sides of c = 1 and both regimes.
+    calls, parts = [], Counter()
+
+    def capturing(f, a, b):
+        def objective(s):
+            value = f(s)
+            calls.append((s, value))
+            return value
+        return bisect(objective, a, b)
+
+    monkeypatch.setattr(geodesics, "bisect", capturing)
+    for c, _ in _S_INT_PINS:
+        del calls[:]
+        s_int(c)
+        c = abs(c)
+        for s, value in calls:
+            assert value == _y_reference(c, s), (c, s)
+            series = abs((1.0 - c * c) * s * s) < SERIES_CUTOFF
+            parts[("trig" if c > 1.0 else "hyp", series)] += 1
+    assert len(parts) == 4, parts
+
+
+def _python_calls(fn, *args):
+    # (Python function calls, objective evaluations) during fn(*args); an
+    # evaluation is a call made by bisect.
+    calls = evaluations = 0
+    bisect_code = bisect.__code__
+
+    def profile(frame, event, arg):
+        nonlocal calls, evaluations
+        if event == "call":
+            calls += 1
+            evaluations += frame.f_back.f_code is bisect_code
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls, evaluations
+
+
+def test_one_python_frame_per_search_step():
+    # Counts, not times: each step of a root search is one Python frame.
+    # The fan search of a regular target: 8 calls besides its 43 steps.
+    calls, evaluations = _python_calls(distance_to_class, QuotientPoint(0.0, 1.5))
+    assert calls == evaluations + 8, (calls, evaluations)
+    # s_int: besides its objective, only s_int, _finite and bisect run.
+    for c in (0.3, 1.0, 1.1):
+        calls, evaluations = _python_calls(s_int, c)
+        assert calls == evaluations + 3, (c, calls, evaluations)
 
 
 class TestXInt:
