@@ -154,30 +154,31 @@ def s_int(c: float) -> float:
         w = math.sqrt(q)
         c_w = ac / w if w else 0.0  # at |c| = 1, z = 0 always takes the series
 
-        def y_reduced(s: float) -> float:  # sin(cs) - (k2/k1) cos(cs)
+        def y(s: float) -> float:  # y/k1 = sin(cs) - (k2/k1) cos(cs)
             cs, z = ac * s, q * s * s
             tau = (cs * (1.0 - z * (1.0 / 3.0 - z * 2.0 / 15.0)) if z < SERIES_CUTOFF
                    else c_w * math.tanh(w * s))
             return math.sin(cs) - tau * math.cos(cs)
+    else:
+        hi = 2.0 * math.pi / ac
 
-        return bisect(y_reduced, lo, hi)
-    hi = 2.0 * math.pi / ac
-
-    def y(s: float) -> float:  # z < 0 on this bracket
-        cs, z = ac * s, q * s * s
-        if -z < SERIES_CUTOFF:
-            k1 = 1.0 + z * (0.5 + z * (1.0 / 24.0 + z / 720.0))
-            sh = 1.0 + z * (1.0 / 6.0 + z * (1.0 / 120.0 + z / 5040.0))
-        else:
-            v = math.sqrt(-z)
-            k1, sh = math.cos(v), math.sin(v) / v
-        return k1 * math.sin(cs) - cs * sh * math.cos(cs)
+        def y(s: float) -> float:  # z < 0 on this bracket
+            cs, z = ac * s, q * s * s
+            if -z < SERIES_CUTOFF:
+                k1 = 1.0 + z * (0.5 + z * (1.0 / 24.0 + z / 720.0))
+                sh = 1.0 + z * (1.0 / 6.0 + z * (1.0 / 120.0 + z / 5040.0))
+            else:
+                v = math.sqrt(-z)
+                k1, sh = math.cos(v), math.sin(v) / v
+            return k1 * math.sin(cs) - cs * sh * math.cos(cs)
 
     try:
         return bisect(y, lo, hi)
     except NoRootError:
-        # y(lo) > 0, so y(hi) > 0: at |c| = 2/sqrt(3) rounding can leave it so.
-        return hi
+        # Rounding put the crossing past a bracket end: y(lo) < 0 where c lo
+        # rounds above pi (|c| < ~3e-16; the crossing, ~lo + 1, rounds to lo),
+        # y(hi) > 0 at |c| = 2/sqrt(3).
+        return lo if ac <= 1.0 else hi
 
 
 def x_int(c: float) -> float:

@@ -13,10 +13,10 @@ mirrors with c -> -c) the solver uses the fan structure of the family:
     and, for |c| > 1, on the falling branch; it also gives the crossing's k1
     and k2 = c sqrt(r^2 - 1) in closed form, hence the search's polar angle
     (check_fan_monotone keeps k1k2, to stay independent of that search);
-  * one fan coordinate runs up through the rising crossings, past the
-    tangent and down through the falling ones, covering angles 0 -> pi and
-    beyond, so one bisection finds the target.  Axis-cut targets are the
-    same search at angle pi.
+  * one fan coordinate starts at 0, where floats are densest, on the falling
+    crossings (angle unbounded) and runs back through the rising ones to
+    angle 0, so one bisection finds every target outside the circle, its
+    band included.  Axis-cut targets are the same search at angle pi.
 
 Cut-locus targets (unit circle, or the axis with x <= -1) are reached by
 several minimizing geodesics; one representative is returned with a flag.
@@ -82,39 +82,40 @@ def _fan_span(radial: float) -> float:
 
     sqrt(c^2-1) runs over (0, 1/radial], so the span grows like 1/radial
     to keep the ROOT_TOL bracket fine near the circle; it is a power of two
-    so that the bracket end 1 + span maps exactly onto phi = pi.
+    >= 1, so that both pi u/span and (1 + span) - u (Sterbenz) are exact.
     """
     return 2.0 ** max(0, math.ceil(-math.log2(radial)))
 
 
-def _fan_point(tau: float, radial: float, span: float) -> tuple[float, float, float]:
+def _fan_point(u: float, radial: float, span: float) -> tuple[float, float, float]:
     """Parameter c >= 0, half-time s and k1 of the fan's crossing of radius r.
 
-    The fan coordinate tau in [0, 1 + span] orders the radius-r crossings
-    by polar angle.  tau <= 1 is the hyperbolic rising crossing with c = tau.
-    tau > 1 sets phi = pi (tau - 1)/span and sqrt(c^2-1) = sin(phi)/radial,
-    so that s = phi/sqrt(c^2-1) runs from trigonometric rising crossings
-    (phi < pi/2) through the tangent (c = r/radial) to falling ones, whose
-    angle grows past pi (and without bound as phi -> pi).
+    The fan coordinate u in (0, 1 + span] orders the radius-r crossings by
+    decreasing polar angle.  u < span sets delta = pi u/span and
+    sqrt(c^2-1) = sin(delta)/radial, so that s = (pi - delta)/sqrt(c^2-1)
+    runs from falling crossings (delta < pi/2), whose angle grows past pi
+    (and without bound as u -> 0), through the tangent (c = r/radial) to
+    trigonometric rising ones.  u >= span is the hyperbolic rising crossing
+    with c = (1 + span) - u.
 
     At the crossing s sinhc(z) = radial, with z = (1 - c^2) s^2, so k2 is
-    c radial and k1 = coshc(z) is sqrt(1 + (1 - c^2) radial^2) for tau <= 1
-    and cos(phi) for tau > 1 (z = -phi^2), negative past the tangent.  For
-    tau <= 1, s = asinh(sqrt(w))/sqrt(1 - c^2) with w = (1 - c^2) radial^2,
-    taken from its series in w near w = 0.  check_fan_monotone keeps k1k2,
-    to stay independent of the search.
+    c radial and k1 = coshc(z) is -cos(delta) for u < span, negative past
+    the tangent, and sqrt(1 + w) for u >= span, with w = (1 - c^2) radial^2
+    and s = asinh(sqrt(w))/sqrt(1 - c^2), taken from its series in w near
+    w = 0.  check_fan_monotone keeps k1k2, to stay independent of the search.
     """
-    if tau <= 1.0:
-        w = (1.0 - tau * tau) * radial * radial
-        if w < SERIES_CUTOFF:
-            s = radial * (1.0 - w * (1.0 / 6.0 - w * (3.0 / 40.0 - w * 15.0 / 336.0)))
-        else:
-            u = math.sqrt(w)
-            s = radial * math.asinh(u) / u
-        return tau, s, math.sqrt(1.0 + w)
-    phi = math.pi * (tau - 1.0) / span
-    v = math.sin(phi) / radial
-    return math.sqrt(1.0 + v * v), phi / v, math.cos(phi)
+    if u < span:
+        delta = math.pi * u / span
+        v = math.sin(delta) / radial
+        return math.sqrt(1.0 + v * v), (math.pi - delta) / v, -math.cos(delta)
+    c = (1.0 + span) - u
+    w = (1.0 - c * c) * radial * radial
+    if w < SERIES_CUTOFF:
+        s = radial * (1.0 - w * (1.0 / 6.0 - w * (3.0 / 40.0 - w * 15.0 / 336.0)))
+    else:
+        a = math.sqrt(w)
+        s = radial * math.asinh(a) / a
+    return c, s, math.sqrt(1.0 + w)
 
 
 def distance_to_class(p: QuotientPoint) -> DistanceResult:
@@ -144,17 +145,13 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
     else:
         beta, mirror = math.atan2(abs(y), x), y < 0.0
 
-    if stratum is _CIRCLE:
+    if stratum is _CIRCLE and r_sq <= 1.0:
         # Landing targets: the landing angle is beta when c/sqrt(c^2-1)
-        # equals 1 + beta/pi, a closed-form condition.  Outside the circle
-        # the minimizer stops short of the landing: the conformal factor is
-        # 4/(r^2-1) and the geodesic meets the circle transversally, so the
-        # last stretch has half-time sqrt(r^2-1) to first order.
+        # equals 1 + beta/pi, a closed-form condition.  Band targets outside
+        # the circle stop short of the landing and take the fan search.
         rho = 1.0 + beta / math.pi
         c = rho / math.sqrt(rho * rho - 1.0)
         s = landing_time(c)
-        if r_sq > 1.0:
-            s -= math.sqrt(r_sq - 1.0)
         return DistanceResult(2.0 * s, -c if mirror else c, s, True)
 
     r = math.sqrt(r_sq)
@@ -172,30 +169,32 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
     # test, since their answer is the crossing that lands on the horizon.
     horizon = r > 3.0 and not on_axis
 
-    def angle_gap(tau: float) -> float:
+    def angle_gap(u: float) -> float:
         # _fan_point's crossing, inline (one frame per step of the search)
         # and with its operations in its order, so the two agree bit for bit.
-        if tau <= 1.0:
-            c, w = tau, (1.0 - tau * tau) * radial * radial
+        if u < span:
+            delta = math.pi * u / span
+            v = math.sin(delta) / radial
+            c, s, k1 = math.sqrt(1.0 + v * v), (math.pi - delta) / v, -math.cos(delta)
+        else:
+            c = (1.0 + span) - u
+            w = (1.0 - c * c) * radial * radial
             if w < SERIES_CUTOFF:
                 s = radial * (1.0 - w * (1.0 / 6.0 - w * (3.0 / 40.0 - w * 15.0 / 336.0)))
             else:
-                u = math.sqrt(w)
-                s = radial * math.asinh(u) / u
+                a = math.sqrt(w)
+                s = radial * math.asinh(a) / a
             k1 = math.sqrt(1.0 + w)
-        else:
-            phi = math.pi * (tau - 1.0) / span
-            v = math.sin(phi) / radial
-            c, s, k1 = math.sqrt(1.0 + v * v), phi / v, math.cos(phi)
-        if (horizon and tau <= 1.5 and 0.0 < c <= C_ORTHOGONAL
+        if (horizon and u >= span - 0.5 and 0.0 < c <= C_ORTHOGONAL
                 and s > math.pi / c and r > -x_int(c) * (1.0 + 1e-15)):
             return _FAR
         # _polar_angle's cs - atan2(k2, k1), with the crossing's k2 = c radial.
         return c * s - math.atan2(c * radial, k1) - beta
 
-    tau = bisect(angle_gap, 0.0, 1.0 + span)
-    c, s, _ = _fan_point(tau, radial, span)
-    return DistanceResult(2.0 * s, -c if mirror else c, s, on_axis)
+    # u = 0 is delta = 0, where s divides by zero; every answer has u > 0.1.
+    u = bisect(angle_gap, 2.0 ** -60 * span, 1.0 + span)
+    c, s, _ = _fan_point(u, radial, span)
+    return DistanceResult(2.0 * s, -c if mirror else c, s, on_axis or stratum is _CIRCLE)
 
 
 def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
@@ -253,8 +252,8 @@ def check_fan_monotone(r: float, n: int = 128) -> float:
     span = _fan_span(radial)
     angles = []
     for i in range(1, 2 * n):
-        tau = i / n if i <= n else 1.0 + span * (i - n) / n
-        c, s, _ = _fan_point(tau, radial, span)
+        u = 1.0 + span - i / n if i <= n else span * (2 * n - i) / n
+        c, s, _ = _fan_point(u, radial, span)
         if s <= s_int(c):
             angles.append(_polar_angle(c, s))
     return max([0.0] + [a - b for a, b in zip(angles, angles[1:])])

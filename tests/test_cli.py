@@ -310,6 +310,8 @@ class TestNonFiniteInput:
         (("path", "1e160", "auto", "3"),
          "c = 1e+160 with s_max = 3.141592653589793e-160 overflows the geodesic"),
         (("path", "5e-324", "auto", "10"), "c = 5e-324 with s = inf overflows the geodesic"),
+        (("path", "4.707403601354601e-90", "auto", "3"),
+         "c = 4.707403601354601e-90 with s_max = 6.673727004597119e+89 overflows the geodesic"),
     ])
     def test_path_and_su2_arguments(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -229,6 +229,15 @@ class TestSInt:
         assert [s_int(c) for c in cs] == [explicit(c) for c in cs]
         assert any(s_int(c) == 2.0 * math.pi / c for c in cs)  # y(hi) > 0 is met
 
+    def test_bracket_start_past_the_crossing(self):
+        # Below |c| ~ 3e-16, c (pi/c) can round above pi, so y < 0 already at
+        # the bracket start pi/c; the crossing, ~pi/c + 1, rounds to pi/c.
+        for c in (4.707403601354601e-90, -4.707403601354601e-90):
+            assert s_int(c) == math.pi / abs(c)
+        for c in 10.0 ** np.random.default_rng(45).uniform(-300.0, -15.5, 2000):
+            c = float(c)
+            assert math.pi / c <= s_int(c) <= math.pi / c * (1.0 + 1e-15)
+
     def test_tiny_parameter_does_not_overflow(self):
         # The raw crossing values scale like exp(pi/c); the normalized
         # objective keeps the root solvable for arbitrarily small c.

@@ -93,7 +93,7 @@ def test_distance_to_class_crossing_times():
 
 
 @pytest.mark.parametrize("excess", [5e-10, 1e-10, 1e-12, 1e-14])
-@pytest.mark.parametrize("beta", [0.05, 0.66, 1.27, 1.88, 2.49, 3.1])
+@pytest.mark.parametrize("beta", [1e-5, 0.05, 0.66, 1.27, 1.88, 2.49, 3.1])
 def test_distance_to_class_landing_band(excess, beta):
     # Targets within SINGULAR_BAND outside the circle: the minimizer stops
     # short of the landing by about sqrt(r^2 - 1) in half-time.  The
