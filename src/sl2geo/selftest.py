@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import algebra, automorphisms, geodesics, quotient, su2, synthesis
-from .types import Factorization
+from .types import Factorization, QuotientPoint
 
 
 def random_sl2(rng) -> np.ndarray:
@@ -106,6 +106,9 @@ def _worked_example():
     yield "worked example's c", abs(sol.c - 1.2575651629220838), 1e-9
     yield "worked example's t_f", abs(sol.t_f - 2.0 * 2.7811611345877465), 1e-9
     yield "worked example's residual", sol.residual, 1e-9
+    # solve reads r^2 - 1 off X_hat; the planar entry point forms it from (x, y).
+    res = synthesis.distance_to_class(QuotientPoint(0.0, 1.5))
+    yield "worked example's planar t_f", abs(res.t_f - 2.0 * 2.7811611345877465), 1e-9
     yield "printed c", abs(sol.c - 1.257558), 1e-5
     yield "printed s", abs(0.5 * sol.t_f - 2.78115), 2e-5
     yield "printed K and P", max(_gap(sol.K, k_ref), _gap(sol.P, p_ref)), 5e-4

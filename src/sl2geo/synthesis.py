@@ -12,7 +12,8 @@ mirrors with c -> -c) the solver uses the fan structure of the family:
     the radius-r crossing times closed-form invertible on the rising branch
     and, for |c| > 1, on the falling branch; it also gives the crossing's k1
     and k2 = c sqrt(r^2 - 1) in closed form, hence the search's polar angle
-    (check_fan_monotone keeps k1k2, to stay independent of that search);
+    (_fan defines the crossing once; check_fan_monotone walks it too, but
+    takes the angle from k1k2, to stay independent of the search);
   * one fan coordinate starts at 0, where floats are densest, on the falling
     crossings (angle unbounded) and runs back through the rising ones to
     angle 0, so one bisection finds every target outside the circle, its
@@ -77,101 +78,30 @@ def _polar_angle(c: float, s: float) -> float:
     return c * s - math.atan2(k2, k1)
 
 
-def _fan_span(radial: float) -> float:
-    """Length of the trigonometric part of the fan coordinate.
+def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
+    """(gap, crossing, span) of the fan's crossings of radius sqrt(1 + radial^2).
 
-    sqrt(c^2-1) runs over (0, 1/radial], so the span grows like 1/radial
-    to keep the ROOT_TOL bracket fine near the circle; it is a power of two
-    >= 1, so that both pi u/span and (1 + span) - u (Sterbenz) are exact.
+    The fan coordinate u in (0, 1 + span] orders them by decreasing angle.
+    u < span sets delta = pi u/span, sqrt(c^2-1) = sin(delta)/radial and
+    s = (pi - delta)/sqrt(c^2-1): falling crossings (angle past pi,
+    unbounded as u -> 0), the tangent, then trigonometric rising ones.
+    u >= span is the hyperbolic rising crossing at c = (1 + span) - u.
+    span, a power of two >= 1 growing like 1/radial, keeps the ROOT_TOL
+    bracket fine near the circle and pi u/span and (1 + span) - u exact.
+
+    As s sinhc(z) = radial, k2 = c radial and k1 = coshc(z) is -cos(delta)
+    for u < span and sqrt(1 + w) for u >= span, with w = (1 - c^2) radial^2
+    and s = asinh(sqrt(w))/sqrt(1 - c^2) (a series near w = 0).  gap(u), one
+    Python frame per call, is the angle cs - atan2(k2, k1) minus beta, or
+    _FAR past the horizon of a target at radius r > 3 (r = 0 skips that
+    test); crossing(u) re-evaluates it and returns (c >= 0, s, k1).
     """
-    return 2.0 ** max(0, math.ceil(-math.log2(radial)))
+    span = 2.0 ** max(0, math.ceil(-math.log2(radial)))
+    horizon = r > 3.0
+    c = s = k1 = 0.0
 
-
-def _fan_point(u: float, radial: float, span: float) -> tuple[float, float, float]:
-    """Parameter c >= 0, half-time s and k1 of the fan's crossing of radius r.
-
-    The fan coordinate u in (0, 1 + span] orders the radius-r crossings by
-    decreasing polar angle.  u < span sets delta = pi u/span and
-    sqrt(c^2-1) = sin(delta)/radial, so that s = (pi - delta)/sqrt(c^2-1)
-    runs from falling crossings (delta < pi/2), whose angle grows past pi
-    (and without bound as u -> 0), through the tangent (c = r/radial) to
-    trigonometric rising ones.  u >= span is the hyperbolic rising crossing
-    with c = (1 + span) - u.
-
-    At the crossing s sinhc(z) = radial, with z = (1 - c^2) s^2, so k2 is
-    c radial and k1 = coshc(z) is -cos(delta) for u < span, negative past
-    the tangent, and sqrt(1 + w) for u >= span, with w = (1 - c^2) radial^2
-    and s = asinh(sqrt(w))/sqrt(1 - c^2), taken from its series in w near
-    w = 0.  check_fan_monotone keeps k1k2, to stay independent of the search.
-    """
-    if u < span:
-        delta = math.pi * u / span
-        v = math.sin(delta) / radial
-        return math.sqrt(1.0 + v * v), (math.pi - delta) / v, -math.cos(delta)
-    c = (1.0 + span) - u
-    w = (1.0 - c * c) * radial * radial
-    if w < SERIES_CUTOFF:
-        s = radial * (1.0 - w * (1.0 / 6.0 - w * (3.0 / 40.0 - w * 15.0 / 336.0)))
-    else:
-        a = math.sqrt(w)
-        s = radial * math.asinh(a) / a
-    return c, s, math.sqrt(1.0 + w)
-
-
-def distance_to_class(p: QuotientPoint) -> DistanceResult:
-    """Minimizing (t_f, c, s) with planar_geodesic(c, s) = p and t_f = 2s.
-
-    The sign of c matches the sign of y (c > 0 on the axis cut), and
-    on_cut_locus agrees with classify_cut_locus.  Points strictly inside
-    the unit disc are not in the quotient and raise UnreachableError.
-    """
-    x, y = float(p[0]), float(p[1])
-    _finite("target coordinate x", x)
-    _finite("target coordinate y", y)
-    r_sq = x * x + y * y
-    if not math.isfinite(r_sq):
-        raise NonFiniteError(f"squared radius of ({x}, {y}) overflows")
-    if r_sq < 1.0 - SINGULAR_BAND:
-        raise UnreachableError(f"({x}, {y}) lies inside the unit disc")
-    stratum, on_axis = _stratum(x, y)
-    if stratum is _START:
-        raise StartPointError("target coincides with the start point (1, 0)")
-    if on_axis and stratum is _REGULAR:
-        s = math.acosh(x)  # x > 1: the c = 0 geodesic along the axis
-        return DistanceResult(2.0 * s, 0.0, s, False)
-    if on_axis and x < 0.0:
-        # The axis cut x <= -1, reached by the +-c pair at angle pi.
-        beta, mirror = math.pi, False
-    else:
-        beta, mirror = math.atan2(abs(y), x), y < 0.0
-
-    if stratum is _CIRCLE and r_sq <= 1.0:
-        # Landing targets: the landing angle is beta when c/sqrt(c^2-1)
-        # equals 1 + beta/pi, a closed-form condition.  Band targets outside
-        # the circle stop short of the landing and take the fan search.
-        rho = 1.0 + beta / math.pi
-        c = rho / math.sqrt(rho * rho - 1.0)
-        s = landing_time(c)
-        return DistanceResult(2.0 * s, -c if mirror else c, s, True)
-
-    r = math.sqrt(r_sq)
-    radial = math.sqrt(r_sq - 1.0)
-    span = _fan_span(radial)
-
-    # Crossings past the optimality horizon have angle beyond pi >= beta, as
-    # the angle grows along each geodesic; falling ones need no test.  Rising
-    # ones map to the sentinel: only c <= C_ORTHOGONAL crosses the axis while
-    # rising, only radii r > 3 (span 1) are at stake, and the radius grows
-    # over the whole optimal segment, so the terminal radius |x_int| decides;
-    # a crossing before s = pi/c is always inside the horizon (which avoids
-    # the possibly astronomic |x_int| for tiny c).  Axis targets skip the
-    # test: at beta = pi the sign of the angle gap already is the horizon
-    # test, since their answer is the crossing that lands on the horizon.
-    horizon = r > 3.0 and not on_axis
-
-    def angle_gap(u: float) -> float:
-        # _fan_point's crossing, inline (one frame per step of the search)
-        # and with its operations in its order, so the two agree bit for bit.
+    def gap(u: float) -> float:
+        nonlocal c, s, k1
         if u < span:
             delta = math.pi * u / span
             v = math.sin(delta) / radial
@@ -185,15 +115,70 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
                 a = math.sqrt(w)
                 s = radial * math.asinh(a) / a
             k1 = math.sqrt(1.0 + w)
+        # Crossings past the optimality horizon have angle beyond pi >= beta;
+        # falling ones need no test.  Only rising c <= C_ORTHOGONAL crosses the
+        # axis, only r > 3 (span 1) is at stake, and the radius grows over the
+        # optimal segment, so the terminal radius |x_int| decides; s <= pi/c is
+        # always inside (which skips |x_int|, astronomic for tiny c).
         if (horizon and u >= span - 0.5 and 0.0 < c <= C_ORTHOGONAL
                 and s > math.pi / c and r > -x_int(c) * (1.0 + 1e-15)):
             return _FAR
-        # _polar_angle's cs - atan2(k2, k1), with the crossing's k2 = c radial.
         return c * s - math.atan2(c * radial, k1) - beta
 
+    def crossing(u: float) -> tuple[float, float, float]:
+        gap(u)
+        return c, s, k1
+
+    return gap, crossing, span
+
+
+def distance_to_class(p: QuotientPoint) -> DistanceResult:
+    """Minimizing (t_f, c, s) with planar_geodesic(c, s) = p and t_f = 2s.
+
+    The sign of c matches the sign of y (c > 0 on the axis cut), and
+    on_cut_locus agrees with classify_cut_locus.  Points strictly inside
+    the unit disc are not in the quotient and raise UnreachableError.
+    """
+    x, y = float(p[0]), float(p[1])
+    r_sq = x * x + y * y
+    if not math.isfinite(r_sq):
+        _finite("target coordinate x", x)
+        _finite("target coordinate y", y)
+        raise NonFiniteError(f"squared radius of ({x}, {y}) overflows")
+    if r_sq < 1.0 - SINGULAR_BAND:
+        raise UnreachableError(f"({x}, {y}) lies inside the unit disc")
+    return _distance(x, y, math.sqrt(r_sq - 1.0) if r_sq > 1.0 else 0.0)
+
+
+def _distance(x: float, y: float, radial: float) -> DistanceResult:
+    # distance_to_class of (x, y), given radial = sqrt(x^2 + y^2 - 1) >= 0,
+    # which solve takes from X_hat's symmetric part at full relative precision.
+    stratum, on_axis = _stratum(x, y)
+    if stratum is _START:
+        raise StartPointError("target coincides with the start point (1, 0)")
+    if on_axis and stratum is _REGULAR:
+        s = math.acosh(x)  # x > 1: the c = 0 geodesic along the axis
+        return DistanceResult(2.0 * s, 0.0, s, False)
+    if on_axis and x < 0.0:
+        # The axis cut x <= -1, reached by the +-c pair at angle pi.
+        beta, mirror = math.pi, False
+    else:
+        beta, mirror = math.atan2(abs(y), x), y < 0.0
+
+    if radial == 0.0:
+        # Landing targets: the landing angle is beta when c/sqrt(c^2-1)
+        # equals 1 + beta/pi, a closed-form condition.  Band targets outside
+        # the circle stop short of the landing and take the fan search.
+        rho = 1.0 + beta / math.pi
+        c = rho / math.sqrt(rho * rho - 1.0)
+        s = landing_time(c)
+        return DistanceResult(2.0 * s, -c if mirror else c, s, True)
+
+    # Axis targets skip _fan's horizon test: at beta = pi the sign of the
+    # angle gap already is that test, as their answer lands on the horizon.
+    gap, crossing, span = _fan(radial, beta, 0.0 if on_axis else math.sqrt(x * x + y * y))
     # u = 0 is delta = 0, where s divides by zero; every answer has u > 0.1.
-    u = bisect(angle_gap, 2.0 ** -60 * span, 1.0 + span)
-    c, s, _ = _fan_point(u, radial, span)
+    c, s, _ = crossing(bisect(gap, 2.0 ** -60 * span, 1.0 + span))
     return DistanceResult(2.0 * s, -c if mirror else c, s, on_axis or stratum is _CIRCLE)
 
 
@@ -214,7 +199,9 @@ def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
     px, py = _project(xf_hat)
     if _stratum(px, py)[0] is _START:
         raise StartPointError("Xf and Xi coincide: the geodesic is a point")
-    dist = distance_to_class(QuotientPoint(px, py))
+    # For det 1, x^2 + y^2 - 1 is the squared size of the symmetric part.
+    radial = math.hypot(0.5 * (xf_hat[0] - xf_hat[3]), 0.5 * (xf_hat[1] + xf_hat[2]))
+    dist = _distance(px, py, radial)
     y_f = _lift_with_direction(dist.c, _A2_ENTRIES, dist.t_f)
     k, _ = _recover_rotation(y_f, xf_hat, MATCH_TOL)
     k_t = (k[0], k[2], k[1], k[3])
@@ -238,22 +225,22 @@ def check_fan_monotone(r: float, n: int = 128) -> float:
     """Largest violation of the angular fan ordering at radius r.
 
     Walks the fan coordinate of :func:`distance_to_class` with n samples on
-    each of its hyperbolic and trigonometric parts, keeps the optimal
-    crossings (s <= s_int(c)), whose polar angles must not decrease, and
-    returns the worst decrease, 0.0 for a clean fan.  Used as a runtime
-    validation of the ordering the bisection relies on.
+    each of its hyperbolic and trigonometric parts, through the crossings
+    that its bisection sees, keeps the optimal ones (s <= s_int(c)), whose
+    polar angles (from k1k2, not the search's closed form) must not
+    decrease, and returns the worst decrease, 0.0 for a clean fan.  Used as
+    a runtime validation of the ordering the bisection relies on.
     """
     _finite("fan radius r", r)
     if r <= 1.0:
         raise UnreachableError("fan check needs a radius strictly above 1")
     if not math.isfinite(r * r):
         raise NonFiniteError(f"squared radius of r = {r} overflows")
-    radial = math.sqrt(r * r - 1.0)
-    span = _fan_span(radial)
+    _, crossing, span = _fan(math.sqrt(r * r - 1.0))
     angles = []
     for i in range(1, 2 * n):
         u = 1.0 + span - i / n if i <= n else span * (2 * n - i) / n
-        c, s, _ = _fan_point(u, radial, span)
+        c, s, _ = crossing(u)
         if s <= s_int(c):
             angles.append(_polar_angle(c, s))
     return max([0.0] + [a - b for a, b in zip(angles, angles[1:])])

@@ -1,5 +1,6 @@
 """Module boundaries: the numpy-free core, the one home of the argument
-checks, the names the benchmark traces, and no unused imports.
+checks and of the fan coordinate, the names the benchmark traces, and no
+unused imports.
 
 `_kernels` holds the endpoint solver's float core, so it and every package
 module it imports must not import numpy.  `import sl2geo._kernels` runs the
@@ -134,6 +135,29 @@ def test_argument_checks_have_one_home():
                 homes[(module, function, error)] += 1
     assert homes == {("_kernels", "_finite", "NonFiniteError"): 1,
                      ("_kernels", "_grid", "BadGridError"): 3}
+
+
+# The fan coordinate's two maps, u -> delta on the trigonometric part and
+# u -> c on the hyperbolic one: a second copy of either would be a second
+# definition of the fan crossing, free to drift from the first.
+_FAN_MAPS = ("math.pi * u / span", "(1.0 + span) - u")
+
+
+def test_fan_coordinate_has_one_home():
+    wanted = {ast.unparse(ast.parse(text, mode="eval").body): text for text in _FAN_MAPS}
+    homes = Counter()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.expr) and ast.unparse(node) in wanted:
+            homes[(module, function, wanted[ast.unparse(node)])] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert homes == {("synthesis", "gap", text): 1 for text in _FAN_MAPS}
 
 
 def test_cli_raises_no_geometry_error_of_its_own():

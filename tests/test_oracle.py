@@ -120,3 +120,22 @@ def test_c_of_omega(omega):
         ref = mp.sqrt((5 * w * w + 4 - 4 * w * r) / (4 * w * w + 3 - 4 * w * r))
         ref = -ref if omega >= 0.0 else ref
         assert abs(c_of_omega(omega) - ref) <= 1e-14 * abs(ref)
+
+
+# Targets near the positive axis, outside its band: the hyperbolic end of the
+# fan coordinate, c = (1 + span) - u, sits on u's coarse float grid near
+# 1 + span, so c is resolved only to an absolute ~1e-16 there (relative
+# errors 1.45e-5, 3.6e-6, 1.4e-7, 4.1e-8 and 4.0e-10 when recorded).
+_NEAR_AXIS = [(99.98999899979995, 3e-9), (50.0, 3e-9), (10.0, 1e-8), (2.0, 2e-9),
+              (1.01, 1.5e-9)]
+
+
+@pytest.mark.xfail(strict=True, reason="tiny c near the positive axis loses "
+                   "relative precision (ROADMAP item 3)")
+def test_distance_to_class_near_axis_relative_c():
+    worst = 0.0
+    for x, y in _NEAR_AXIS:
+        res = distance_to_class(QuotientPoint(x, y))
+        c, _ = _planar_solve(x, y, res)
+        worst = max(worst, float(abs(res.c - c) / abs(c)))
+    assert worst <= 1e-13

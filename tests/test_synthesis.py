@@ -14,7 +14,7 @@ from sl2geo import (C_LANDING, C_ORTHOGONAL, CutLocusClass, QuotientPoint,
 from sl2geo import synthesis
 from sl2geo.errors import (NonFiniteError, NotUnimodularError,
                            StartPointError, UnreachableError)
-from sl2geo.synthesis import _FAR, _fan_point, _fan_span, _polar_angle
+from sl2geo.synthesis import _FAR, _fan, _polar_angle
 from sl2geo.tolerances import SERIES_CUTOFF, SINGULAR_BAND
 
 from conftest import random_sl2, strata_targets
@@ -362,7 +362,7 @@ def test_fan_targets_bit_identical(x, y, t_f, c):
 
 def test_fan_objective_is_the_fan_point_angle(monkeypatch):
     # Every value the fan search sees, other than the horizon sentinel,
-    # equals the angle gap of _fan_point's crossing, bit for bit.
+    # equals the angle gap of the crossing that _fan returns, bit for bit.
     calls, parts = [], Counter()
     bisect = synthesis.bisect
 
@@ -378,14 +378,14 @@ def test_fan_objective_is_the_fan_point_angle(monkeypatch):
         del calls[:]
         distance_to_class(QuotientPoint(x, y))
         radial = math.sqrt(x * x + y * y - 1.0)
-        span = _fan_span(radial)
+        _, crossing, span = _fan(radial)
         on_cut = abs(y) <= SINGULAR_BAND and x < 0.0
         beta = math.pi if on_cut else math.atan2(abs(y), x)
         for u, value in calls:
             if value == _FAR:
                 parts["far"] += 1
                 continue
-            c, s, k1 = _fan_point(u, radial, span)
+            c, s, k1 = crossing(u)
             assert value == c * s - math.atan2(c * radial, k1) - beta, (x, y, u)
             w = (1.0 - c * c) * radial * radial
             parts["trig" if u < span else "series" if w < SERIES_CUTOFF else "hyp"] += 1
@@ -395,15 +395,15 @@ def test_fan_objective_is_the_fan_point_angle(monkeypatch):
 
 def test_fan_angle_closed_form_matches_polar_angle():
     # The fan objective's angle c s - atan2(c radial, k1), with the closed-form
-    # k1 of _fan_point, against _polar_angle's k1k2 at the same (c, s): both
+    # k1 of _fan's crossing, against _polar_angle's k1k2 at the same (c, s): both
     # parts of the fan, r - 1 from 1e-14 to 1e6, angles up to 2 pi.
     worst, parts = 0.0, Counter()
     for e in range(-28, 13):
         radial = math.sqrt((1.0 + 10.0 ** (e / 2.0)) ** 2 - 1.0)
-        span = _fan_span(radial)
+        _, crossing, span = _fan(radial)
         for i in range(1, 64):
             for u in (1.0 + span - i / 64.0, span * i / 64.0):
-                c, s, k1 = _fan_point(u, radial, span)
+                c, s, k1 = crossing(u)
                 angle = _polar_angle(c, s)
                 if angle <= 2.0 * math.pi:
                     parts[u >= span] += 1
@@ -532,6 +532,18 @@ class TestSolve:
             scale = max(1.0, float(np.linalg.norm(x_hat)))
             assert sol.residual <= 1e-6 * scale
             assert verify_solution(sol, xi, xf) <= 1e-6 * scale * np.linalg.norm(xi)
+
+    def test_exact_rotations_land_to_rounding(self):
+        # A rotation's symmetric part is exactly 0, so solve takes the closed-
+        # form landing even where x^2 + y^2 - 1 rounds to one ulp above 0 (73
+        # of these 2,000 did, and stopped 1.5e-8 short of the landing).
+        above = 0
+        for theta in np.random.default_rng(3).uniform(-math.pi, math.pi, 2000):
+            c, s = math.cos(theta), math.sin(theta)
+            above += c * c + s * s > 1.0
+            sol = solve(np.eye(2), np.array([[c, s], [-s, c]]))
+            assert sol.on_cut_locus and sol.residual <= 1e-12, theta
+        assert above >= 50
 
     def test_start_point_target_rejected(self):
         with pytest.raises(StartPointError):
