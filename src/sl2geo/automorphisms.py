@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from ._kernels import _finite
 from .algebra import adjoint_matrix, adjugate, basis, rotation, to_coords
 from .errors import (DependentFrameError, NotInGroupError,
                      NotUnitDeterminantError, SingularMatrixError)
@@ -50,7 +51,7 @@ def is_so12(m: np.ndarray, tol: float = ALG_TOL) -> bool:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         return False
-    if np.max(np.abs(m.T @ I12 @ m - I12)) > tol:
+    if not np.max(np.abs(m.T @ I12 @ m - I12)) <= tol:  # NaN fails too
         return False
     return abs(np.linalg.det(m) - 1.0) <= tol
 
@@ -58,9 +59,12 @@ def is_so12(m: np.ndarray, tol: float = ALG_TOL) -> bool:
 def aut_matrix_from_group(k: np.ndarray) -> np.ndarray:
     """Matrix of the automorphism A -> K A K^{-1} in the A-basis.
 
-    Requires det(K) = +-1; the image always preserves the Lorentz form with
-    determinant +1, and K -> matrix is a homomorphism.
+    Requires finite entries and det(K) = +-1; the image always preserves
+    the Lorentz form with determinant +1, and K -> matrix is a homomorphism.
     """
+    k = np.asarray(k, dtype=float)
+    for entry in k.flat:
+        _finite("entry of K", float(entry))
     det = float(k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0])
     if abs(abs(det) - 1.0) > DET_TOL:
         raise NotUnitDeterminantError(f"det(K) = {det!r} is not +-1")
@@ -73,14 +77,15 @@ def is_lie_automorphism(m: np.ndarray) -> bool:
     """True iff m intertwines the adjoint action: m ad_A = ad_{m A} m.
 
     Checked on the basis; by the structure of sl(2) this is equivalent to
-    membership in the determinant-one Lorentz group.
+    membership in the determinant-one Lorentz group.  A non-finite m is
+    not one, as for is_so12.
     """
     m = np.asarray(m, dtype=float)
     if abs(np.linalg.det(m)) < INVERTIBLE_TOL:
         raise SingularMatrixError("automorphism candidate must be invertible")
     for j, ad_j in enumerate(_ADJ_BASIS):
         image_ad = sum(m[i, j] * _ADJ_BASIS[i] for i in range(3))
-        if np.max(np.abs(m @ ad_j - image_ad @ m)) > ALG_TOL:
+        if not np.max(np.abs(m @ ad_j - image_ad @ m)) <= ALG_TOL:  # NaN fails too
             return False
     return True
 
@@ -169,10 +174,13 @@ def classify_structure(b1, b2) -> StructureKind:
     automorphic image of the standard frame, scaled by lambda, only when its
     Gram matrix under diag(-1, 1, 1) is lambda^2 I.  The metric scale factor
     is irrelevant here: rescaling both vectors changes lengths, never the
-    sign class.
+    sign class.  A non-finite entry raises NonFiniteError.
     """
     v1 = np.asarray(b1, dtype=float)
     v2 = np.asarray(b2, dtype=float)
+    for name, v in (("b1", v1), ("b2", v2)):
+        for entry in v.flat:
+            _finite(f"entry of {name}", float(entry))
     scale = np.linalg.norm(v1) * np.linalg.norm(v2)
     if scale == 0.0 or np.linalg.norm(np.cross(v1, v2)) <= ALG_TOL * scale:
         raise DependentFrameError("frame vectors are linearly dependent")

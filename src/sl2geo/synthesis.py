@@ -16,8 +16,8 @@ mirrors with c -> -c) the solver uses the fan structure of the family:
     takes the angle from k1k2, to stay independent of the search);
   * one fan coordinate starts at 0, where floats are densest, on the falling
     crossings (angle unbounded) and runs back through the rising ones to
-    angle 0, so one bisection finds every target outside the circle, its
-    band included.  Axis-cut targets are the same search at angle pi.
+    angle 0, so one bisection finds every target outside the circle at its
+    own angle, the bands included; only the exact positive axis is closed-form.
 
 Cut-locus targets (unit circle, or the axis with x <= -1) are reached by
 several minimizing geodesics; one representative is returned with a flag.
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from ._kernels import (_A2_ENTRIES, _adj, _check_unimodular, _finite,
+from ._kernels import (_A2_ENTRIES, _adj, _check_unimodular, _finite, _grid,
                        _lift_with_direction, _mul, _project, _recover_rotation,
                        bisect)
 from .algebra import _entries, _matrix
@@ -48,17 +48,16 @@ _START, _CIRCLE = CutLocusClass.START_POINT, CutLocusClass.SINGULAR_CIRCLE
 _AXIS_CUT, _REGULAR = CutLocusClass.NEGATIVE_AXIS_SEGMENT, CutLocusClass.REGULAR
 
 
-def _stratum(x: float, y: float) -> tuple[CutLocusClass, bool]:
-    # Cut-locus class of (x, y), and whether |y| <= SINGULAR_BAND.  Where the
-    # start disc and the bands overlap, near (+-1, 0), the first test wins.
-    on_axis = abs(y) <= SINGULAR_BAND
+def _stratum(x: float, y: float) -> CutLocusClass:
+    # Cut-locus class of (x, y), the one home of the start disc and the two
+    # bands.  Where they overlap, near (+-1, 0), the first test wins.
     if math.hypot(x - 1.0, y) <= SINGULAR_BAND:
-        return _START, on_axis
+        return _START
     if abs(x * x + y * y - 1.0) <= SINGULAR_BAND:
-        return _CIRCLE, on_axis
-    if on_axis and x <= -1.0 + SINGULAR_BAND:
-        return _AXIS_CUT, on_axis
-    return _REGULAR, on_axis
+        return _CIRCLE
+    if abs(y) <= SINGULAR_BAND and x <= -1.0 + SINGULAR_BAND:
+        return _AXIS_CUT
+    return _REGULAR
 
 
 def classify_cut_locus(x: np.ndarray) -> CutLocusClass:
@@ -68,7 +67,7 @@ def classify_cut_locus(x: np.ndarray) -> CutLocusClass:
     start point) and the axis segment y = 0, x <= -1; everything else is
     regular.
     """
-    return _stratum(*project(x))[0]
+    return _stratum(*project(x))
 
 
 def _polar_angle(c: float, s: float) -> float:
@@ -135,8 +134,8 @@ def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
 def distance_to_class(p: QuotientPoint) -> DistanceResult:
     """Minimizing (t_f, c, s) with planar_geodesic(c, s) = p and t_f = 2s.
 
-    The sign of c matches the sign of y (c > 0 on the axis cut), and
-    on_cut_locus agrees with classify_cut_locus.  Points strictly inside
+    c has the sign of y, in the axis bands too (c > 0 on the cut at y = +-0.0),
+    and on_cut_locus agrees with classify_cut_locus.  Points strictly inside
     the unit disc are not in the quotient and raise UnreachableError.
     """
     x, y = float(p[0]), float(p[1])
@@ -153,33 +152,29 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
 def _distance(x: float, y: float, radial: float) -> DistanceResult:
     # distance_to_class of (x, y), given radial = sqrt(x^2 + y^2 - 1) >= 0,
     # which solve takes from X_hat's symmetric part at full relative precision.
-    stratum, on_axis = _stratum(x, y)
+    stratum = _stratum(x, y)
     if stratum is _START:
         raise StartPointError("target coincides with the start point (1, 0)")
-    if on_axis and stratum is _REGULAR:
+    if y == 0.0 and x > 0.0:  # near (1, 0) the search's r^2 - 1 costs ~2e-9 relative
         s = math.acosh(x)  # x > 1: the c = 0 geodesic along the axis
         return DistanceResult(2.0 * s, 0.0, s, False)
-    if on_axis and x < 0.0:
-        # The axis cut x <= -1, reached by the +-c pair at angle pi.
-        beta, mirror = math.pi, False
-    else:
-        beta, mirror = math.atan2(abs(y), x), y < 0.0
+    beta, mirror = math.atan2(abs(y), x), y < 0.0  # pi, c > 0 on the cut at y = +-0
 
     if radial == 0.0:
-        # Landing targets: the landing angle is beta when c/sqrt(c^2-1)
-        # equals 1 + beta/pi, a closed-form condition.  Band targets outside
-        # the circle stop short of the landing and take the fan search.
+        # Landing targets land at angle beta when c/sqrt(c^2-1) = 1 + beta/pi.
+        # Band targets outside the circle stop short and take the fan search.
         rho = 1.0 + beta / math.pi
         c = rho / math.sqrt(rho * rho - 1.0)
         s = landing_time(c)
         return DistanceResult(2.0 * s, -c if mirror else c, s, True)
 
-    # Axis targets skip _fan's horizon test: at beta = pi the sign of the
-    # angle gap already is that test, as their answer lands on the horizon.
-    gap, crossing, span = _fan(radial, beta, 0.0 if on_axis else math.sqrt(x * x + y * y))
+    # Axis-cut targets skip _fan's horizon test: their answers lie on or just
+    # inside the horizon, so the sign of the angle gap already is that test.
+    r = 0.0 if stratum is _AXIS_CUT else math.sqrt(x * x + y * y)
+    gap, crossing, span = _fan(radial, beta, r)
     # u = 0 is delta = 0, where s divides by zero; every answer has u > 0.1.
     c, s, _ = crossing(bisect(gap, 2.0 ** -60 * span, 1.0 + span))
-    return DistanceResult(2.0 * s, -c if mirror else c, s, on_axis or stratum is _CIRCLE)
+    return DistanceResult(2.0 * s, -c if mirror else c, s, stratum is not _REGULAR)
 
 
 def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
@@ -197,7 +192,7 @@ def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
     _check_unimodular(xi)
     xf_hat = _mul(_entries(xf), _adj(xi))
     px, py = _project(xf_hat)
-    if _stratum(px, py)[0] is _START:
+    if _stratum(px, py) is _START:
         raise StartPointError("Xf and Xi coincide: the geodesic is a point")
     # For det 1, x^2 + y^2 - 1 is the squared size of the symmetric part.
     radial = math.hypot(0.5 * (xf_hat[0] - xf_hat[3]), 0.5 * (xf_hat[1] + xf_hat[2]))
@@ -237,6 +232,7 @@ def check_fan_monotone(r: float, n: int = 128) -> float:
     if not math.isfinite(r * r):
         raise NonFiniteError(f"squared radius of r = {r} overflows")
     _, crossing, span = _fan(math.sqrt(r * r - 1.0))
+    _grid(span, n)
     angles = []
     for i in range(1, 2 * n):
         u = 1.0 + span - i / n if i <= n else span * (2 * n - i) / n

@@ -1,4 +1,4 @@
-"""The argument domains of the public geodesic functions.
+"""The argument domains of the public geodesic and automorphism functions.
 
 A NaN or infinite argument raises NonFiniteError naming that argument, and a
 finite one whose geodesic overflows raises NonFiniteError naming the pair;
@@ -11,11 +11,13 @@ import re
 import numpy as np
 import pytest
 
-from sl2geo import (QuotientPoint, c_of_omega, check_fan_monotone,
-                    distance_to_class, landing_match_error, landing_point,
-                    landing_time, lift, lift_with_direction, planar_geodesic,
-                    planar_jet, radius_sq, s_int, su2_landing_point,
-                    su2_landing_time, su2_planar_geodesic, x_int)
+from sl2geo import (QuotientPoint, aut_matrix_from_group, c_of_omega,
+                    check_fan_monotone, classify_structure, distance_to_class,
+                    is_lie_automorphism, is_so12, landing_match_error,
+                    landing_point, landing_time, lift, lift_with_direction,
+                    planar_geodesic, planar_jet, radius_sq, s_int,
+                    su2_landing_point, su2_landing_time, su2_planar_geodesic,
+                    x_int)
 from sl2geo.errors import NonFiniteError
 from sl2geo.geodesics import planar_curve
 from sl2geo.su2 import su2_curve
@@ -46,6 +48,12 @@ ENTRY_POINTS = [
     ("distance_to_class.y", lambda v: distance_to_class(QuotientPoint(2.0, v)),
      "target coordinate y"),
     ("check_fan_monotone", lambda v: check_fan_monotone(v), "fan radius r"),
+    ("classify_structure.b1",
+     lambda v: classify_structure([v, 0.0, 0.0], [0.0, 1.0, 0.0]), "entry of b1"),
+    ("classify_structure.b2",
+     lambda v: classify_structure([1.0, 0.0, 0.0], [0.0, 1.0, v]), "entry of b2"),
+    ("aut_matrix_from_group",
+     lambda v: aut_matrix_from_group([[v, 0.0], [0.0, 1.0]]), "entry of K"),
 ]
 
 
@@ -56,6 +64,16 @@ def test_non_finite_argument_is_named(call, name, value):
     with pytest.raises(NonFiniteError) as exc:
         call(value)
     assert str(exc.value) == f"{name} = {value} is not finite"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_matrix_is_no_automorphism(value):
+    # is_lie_automorphism and is_so12 are predicates: they answer False.
+    m = np.eye(3)
+    m[0, 1] = value
+    assert not is_lie_automorphism(m)
+    assert not is_so12(m)
 
 
 _A2 = np.array([[0.5, 0.0], [0.0, -0.5]])

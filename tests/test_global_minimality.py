@@ -19,7 +19,6 @@ nothing of the library's solver and no library root finder.
 import math
 
 import numpy as np
-import pytest
 
 from sl2geo import QuotientPoint, distance_to_class, planar_geodesic
 from sl2geo.errors import StartPointError
@@ -122,12 +121,12 @@ def _scan(x, y, s_max):
 
 
 def _solved_point(x, y):
-    # Within SINGULAR_BAND of the axis, off the circle's band or at x < 0,
-    # distance_to_class solves the axis point: (x, 0) on the positive axis,
-    # (-r, 0) on the cut.
+    # Within SINGULAR_BAND of the axis cut, off the circle's band,
+    # distance_to_class solves (x, y) itself, but its cut flag stands for the
+    # +-c pair that reaches the cut point (-r, 0); the scan sees the pair there.
     r_sq = x * x + y * y
-    if abs(y) <= SINGULAR_BAND and (x < 0.0 or abs(r_sq - 1.0) > SINGULAR_BAND):
-        return (x, 0.0) if x > 0.0 else (-math.sqrt(r_sq), 0.0)
+    if abs(y) <= SINGULAR_BAND and x < 0.0 and abs(r_sq - 1.0) > SINGULAR_BAND:
+        return -math.sqrt(r_sq), 0.0
     return x, y
 
 
@@ -143,6 +142,11 @@ def _targets():
             found.append(tuple(planar_geodesic(c, s)))
     found += [(x, 0.0) for x in (-1.5, -3.0, -10.0, -1e3)]
     found += [(0.0, 1.5), (-2.0, 1.0), (3.0, -2.0), (0.5, -1.2)]
+    # The axis bands, both signs of y: x - 1 down to ~1e-9 near the start
+    # point, where |y| >= x - 1 for some, and the cut's band.
+    for y in (1e-12, -1e-11, 1e-10, -5e-10, 1e-9, -1e-9):
+        found += [(1.0 + d, y) for d in (1.2e-9, 1e-7, 1e-4, 1.0, 100.0)]
+        found += [(x, y) for x in (-1.5, -3.0, -50.0)]
     return found
 
 
@@ -168,11 +172,9 @@ def test_distance_is_the_global_minimum():
     assert checked >= 100 and pairs >= 10, (checked, pairs)
 
 
-@pytest.mark.xfail(strict=True, reason="the positive axis's band rule near the start point")
 def test_axis_band_near_the_start_point():
-    # Within SINGULAR_BAND of the axis, distance_to_class returns acosh(x)
-    # for (x, 0).  Near (1, 0) the distance grows like sqrt|y|, so here that
-    # is 8.94e-5 against the 1.15e-4 it takes to reach the target.
+    # Near (1, 0) the distance grows like sqrt|y|: acosh(x), the distance to
+    # (x, 0), is 8.94e-5 here against the 1.15e-4 it takes to reach the target.
     x, y = 1.000000001, -1e-9
     res = distance_to_class(QuotientPoint(x, y))
     assert abs(res.t_f - _scan(x, y, 3.0 * res.t_f)[0][0]) <= 1e-9

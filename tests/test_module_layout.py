@@ -1,6 +1,6 @@
 """Module boundaries: the numpy-free core, the one home of the argument
-checks and of the fan coordinate, the names the benchmark traces, and no
-unused imports.
+checks, of the fan coordinate and of the axis band, the names the benchmark
+traces, and no unused imports.
 
 `_kernels` holds the endpoint solver's float core, so it and every package
 module it imports must not import numpy.  `import sl2geo._kernels` runs the
@@ -12,7 +12,9 @@ instead of importing them.  The argument guards `_kernels._finite` and
 import ast
 import importlib
 import importlib.util
+import io
 import pathlib
+import tokenize
 from collections import Counter
 
 import pytest
@@ -137,14 +139,10 @@ def test_argument_checks_have_one_home():
                      ("_kernels", "_grid", "BadGridError"): 3}
 
 
-# The fan coordinate's two maps, u -> delta on the trigonometric part and
-# u -> c on the hyperbolic one: a second copy of either would be a second
-# definition of the fan crossing, free to drift from the first.
-_FAN_MAPS = ("math.pi * u / span", "(1.0 + span) - u")
-
-
-def test_fan_coordinate_has_one_home():
-    wanted = {ast.unparse(ast.parse(text, mode="eval").body): text for text in _FAN_MAPS}
+def _expression_homes(texts) -> Counter:
+    """(module, enclosing function, text) for each expression in the
+    package's source that reads as one of the texts once parsed."""
+    wanted = {ast.unparse(ast.parse(text, mode="eval").body): text for text in texts}
     homes = Counter()
 
     def visit(node, module, function):
@@ -157,7 +155,32 @@ def test_fan_coordinate_has_one_home():
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
-    assert homes == {("synthesis", "gap", text): 1 for text in _FAN_MAPS}
+    return homes
+
+
+# The fan coordinate's two maps, u -> delta on the trigonometric part and
+# u -> c on the hyperbolic one: a second copy of either would be a second
+# definition of the fan crossing, free to drift from the first.
+_FAN_MAPS = ("math.pi * u / span", "(1.0 + span) - u")
+
+
+def test_fan_coordinate_has_one_home():
+    assert _expression_homes(_FAN_MAPS) == {("synthesis", "gap", text): 1 for text in _FAN_MAPS}
+
+
+# The axis band: the solver branches on the cut-locus class alone, so the
+# band is written once, in the classifier, and no second flag carries it.
+_AXIS_BAND = "abs(y) <= SINGULAR_BAND"
+
+
+def test_axis_band_has_one_home():
+    assert _expression_homes([_AXIS_BAND]) == {("synthesis", "_stratum", _AXIS_BAND): 1}
+    names = {(path.stem, token.string) for path in sorted(PACKAGE.glob("*.py"))
+             for token in tokenize.generate_tokens(io.StringIO(
+                 path.read_text(encoding="utf-8")).readline)
+             if token.type == tokenize.NAME}
+    assert ("synthesis", "_stratum") in names  # the scan sees names
+    assert not {module for module, name in names if name == "on_axis"}
 
 
 def test_cli_raises_no_geometry_error_of_its_own():

@@ -12,7 +12,7 @@ from sl2geo import (C_LANDING, C_ORTHOGONAL, CutLocusClass, QuotientPoint,
                     landing_point, planar_geodesic, project, s_int, solve,
                     verify_solution)
 from sl2geo import synthesis
-from sl2geo.errors import (NonFiniteError, NotUnimodularError,
+from sl2geo.errors import (BadGridError, NonFiniteError, NotUnimodularError,
                            StartPointError, UnreachableError)
 from sl2geo.synthesis import _FAR, _fan, _polar_angle
 from sl2geo.tolerances import SERIES_CUTOFF, SINGULAR_BAND
@@ -120,7 +120,7 @@ class TestOneCutLocusRule:
         # inside it they take the closed-form landing and search nothing.
         outside = inside = 0
         for _, x, y, _ in strata_targets(np.random.default_rng(7), 600, ["circle"]):
-            if synthesis._stratum(x, y)[0] is not CutLocusClass.SINGULAR_CIRCLE:
+            if synthesis._stratum(x, y) is not CutLocusClass.SINGULAR_CIRCLE:
                 continue
             del search_counts[:]
             distance_to_class(QuotientPoint(x, y))
@@ -132,6 +132,22 @@ class TestOneCutLocusRule:
                 inside += 1
                 assert finders == [], (x, y, finders)
         assert min(outside, inside) >= 100
+
+    @pytest.mark.parametrize("x, y", [
+        (-1.5, 0.0), (-3.0, -0.0), (-1e3, 0.0),  # the cut: c > 0 at y = +-0
+        (-3.0, 1e-12), (-3.0, -1e-12), (-1.5, 1e-9), (-1.5, -1e-9),  # its band
+        (2.0, 1e-12), (2.0, -1e-12), (1.000000002, 1e-9), (1.000000002, -1e-9),
+        # the circle's band near (-1, 0), on both sides of the circle
+        (-1.0, 1e-10), (-1.0, -1e-10), (-1.0000000002, 5e-10),
+        (-1.0000000002, -5e-10), (-0.9999999998, 1e-12), (-0.9999999998, -1e-12),
+    ])
+    def test_sign_of_c_in_the_axis_bands(self, x, y):
+        # Every target off the exact axis is solved at its own angle, so c
+        # has the sign of y; on the cut at y = +-0.0 the representative of
+        # the +-c pair has c > 0.
+        res = distance_to_class(QuotientPoint(x, y))
+        assert res.c > 0.0 if y == 0.0 else res.c * y > 0.0
+        assert res.on_cut_locus == (x < 0.0 or abs(x * x + y * y - 1.0) <= SINGULAR_BAND)
 
 
 class TestDistance:
@@ -615,6 +631,12 @@ class TestFanOrdering:
     def test_needs_exterior_radius(self):
         with pytest.raises(UnreachableError):
             check_fan_monotone(0.9)
+
+    @pytest.mark.parametrize("n", [-5, 0, 1])
+    def test_needs_two_samples(self, n):
+        # With fewer than two samples there is no pair of angles to compare.
+        with pytest.raises(BadGridError, match=f"need at least 2 samples, got {n}"):
+            check_fan_monotone(2.0, n)
 
     @pytest.mark.parametrize("r, message", [
         (math.nan, "r = nan is not finite"), (math.inf, "r = inf is not finite"),
