@@ -26,7 +26,7 @@ import math
 
 from .errors import (BadGridError, ClassMismatchError, NoRootError,
                      NonFiniteError, NotUnimodularError)
-from .tolerances import DET_TOL, ROOT_TOL, SERIES_CUTOFF, SINGULAR_BAND
+from .tolerances import DET_TOL, ROOT_TOL, ROTATION_FLOOR, SERIES_CUTOFF, SINGULAR_BAND
 from .types import QuotientPoint
 
 _A2_ENTRIES = (0.5, 0.0, 0.0, -0.5)  # A2, the endpoint solver's lift direction
@@ -192,7 +192,7 @@ def _recover_rotation(x1: tuple, x2: tuple, tol: float) -> tuple[tuple, bool]:
     m1, k1 = 0.5 * (x1[0] - x1[3]), 0.5 * (x1[1] + x1[2])
     m2, k2 = 0.5 * (x2[0] - x2[3]), 0.5 * (x2[1] + x2[2])
     sym_sq = m1 * m1 + k1 * k1
-    if sym_sq <= SINGULAR_BAND * SINGULAR_BAND:
+    if sym_sq <= ROTATION_FLOOR * ROTATION_FLOOR:
         return (1.0, 0.0, 0.0, 1.0), False
     theta = 0.5 * math.atan2(k1 * m2 - m1 * k2, m1 * m2 + k1 * k2)
     c, s = math.cos(theta), math.sin(theta)

@@ -133,11 +133,11 @@ def landing_point(c: float) -> QuotientPoint:
 def s_int(c: float) -> float:
     """Half-time at which the c-geodesic stops being optimal.
 
-    For 0 < |c| <= 2/sqrt(3) this is the first crossing of the x-axis,
-    found as the root of y(s) on the bracket where y decreases through
-    zero (normalized by k1 for |c| <= 1, where the raw values overflow as
-    c -> 0); for larger |c| it coincides with the landing time.  c = 0
-    runs along the positive axis forever and raises UnboundedError.
+    For 0 < |c| <= 2/sqrt(3) this is the first crossing of the x-axis: the
+    root of y(s) on [pi/|c|, 2 pi/|c|] for |c| > 1, and for |c| <= 1 that of
+    y/k1 (y overflows as c -> 0) on [F(pi/|c|), F(1.5 pi/|c|)], where
+    F(s) = (pi + atan(k2/k1))/|c|.  For larger |c| it is the landing time.
+    c = 0 runs along the positive axis forever and raises UnboundedError.
     """
     _finite("geodesic parameter c", c)
     ac = abs(c)
@@ -154,11 +154,19 @@ def s_int(c: float) -> float:
         w = math.sqrt(q)
         c_w = ac / w if w else 0.0  # at |c| = 1, z = 0 always takes the series
 
-        def y(s: float) -> float:  # y/k1 = sin(cs) - (k2/k1) cos(cs)
+        def y(s: float) -> float:  # y/k1 = sin(cs) - tau cos(cs), tau = k2/k1
             cs, z = ac * s, q * s * s
             tau = (cs * (1.0 - z * (1.0 / 3.0 - z * 2.0 / 15.0)) if z < SERIES_CUTOFF
                    else c_w * math.tanh(w * s))
             return math.sin(cs) - tau * math.cos(cs)
+        # tau grows with s, so the crossing, the fixed point of the increasing
+        # F(s) = (pi + atan tau(s))/|c|, lies in [F(lo), F(hi)]: the loop
+        # turns (lo, hi) into that pair, with tau computed as y computes it.
+        for s in (lo, hi):
+            z = q * s * s
+            tau = (ac * s * (1.0 - z * (1.0 / 3.0 - z * 2.0 / 15.0)) if z < SERIES_CUTOFF
+                   else c_w * math.tanh(w * s))
+            lo, hi = hi, (math.pi + math.atan(tau)) / ac
     else:
         hi = 2.0 * math.pi / ac
 
@@ -175,9 +183,8 @@ def s_int(c: float) -> float:
     try:
         return bisect(y, lo, hi)
     except NoRootError:
-        # Rounding put the crossing past a bracket end: y(lo) < 0 where c lo
-        # rounds above pi (|c| < ~3e-16; the crossing, ~lo + 1, rounds to lo),
-        # y(hi) > 0 at |c| = 2/sqrt(3).
+        # Rounding put the crossing past a bracket end, the crossing to rounding:
+        # F(lo) ~ F(hi) where tanh saturates (|c| < ~0.2), y(hi) > 0 at 2/sqrt(3).
         return lo if ac <= 1.0 else hi
 
 

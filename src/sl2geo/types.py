@@ -75,7 +75,7 @@ class RecoveredRotation(NamedTuple):
 
     `unique` is False in the singular band around the unit circle; the
     matrix still aligns the two there, and is the identity only where their
-    symmetric parts are too small to fix it (see recover_rotation).
+    symmetric parts are at rounding level (see recover_rotation).
     """
 
     matrix: np.ndarray

@@ -18,7 +18,7 @@ from sl2geo import (C_LANDING, CutLocusClass, QuotientPoint,
 from sl2geo._kernels import (_direction, _exp2, _lift_with_direction,
                              _project, _recover_rotation, coshc, sinhc)
 from sl2geo.algebra import _entries, _matrix
-from sl2geo.tolerances import MATCH_TOL, SINGULAR_BAND
+from sl2geo.tolerances import MATCH_TOL, ROTATION_FLOOR
 
 from conftest import random_sl2
 
@@ -86,10 +86,14 @@ def test_recover_rotation_identity_on_circle():
 
 # A numpy composition of solve's steps: matrix products through `@`, the
 # Frobenius norm through numpy, and the exponential by scaling and squaring
-# a Taylor polynomial instead of the closed form.
+# a Taylor polynomial instead of the closed form.  Scaling to entries of at
+# most 1/2 keeps the degree-17 truncation below 1e-21 and the squarings few,
+# each of which doubles the rounding: the landing lifts' symmetric parts then
+# stay at rounding level (<= 1.3e-15), below ROTATION_FLOOR, as the closed
+# form's do.
 
 def _expm(m):
-    n = max(0, math.ceil(math.log2(max(float(np.abs(m).max()), 1e-300)))) + 4
+    n = max(0, math.ceil(math.log2(max(float(np.abs(m).max()), 1e-300)))) + 1
     a = m / 2.0 ** n
     term, out = np.eye(2), np.eye(2)
     for k in range(1, 18):
@@ -119,7 +123,7 @@ def _reference_solve(xi, xf):
     y_f = _lift_ref(dist.c, a2, dist.t_f)
     m1, k1 = _sym(y_f)
     m2, k2 = _sym(x_hat)
-    if m1 * m1 + k1 * k1 <= SINGULAR_BAND * SINGULAR_BAND:
+    if m1 * m1 + k1 * k1 <= ROTATION_FLOOR * ROTATION_FLOOR:
         k = np.eye(2)
     else:
         theta = 0.5 * math.atan2(k1 * m2 - m1 * k2, m1 * m2 + k1 * k2)

@@ -253,14 +253,15 @@ class TestSInt:
 # s_int(c) recorded before its objectives were inlined, asserted exactly: the
 # tanh and series forms of k2/k1 (c up to 1), both sides of c = 1, the
 # trigonometric regime up to 2/sqrt(3) and the two floats below it (one of
-# which returns the bracket end), with both signs.
+# which returns the bracket end), with both signs.  c = 0.7 was re-recorded
+# (1 ulp lower) when the |c| <= 1 bracket became [F(pi/c), F(1.5 pi/c)].
 _S_INT_PINS = [
     (1e-300, 3.141592653589793e+300),
     (1e-100, 3.141592653589793e+100),
     (1e-08, 314159266.3589793),
     (0.0045, 699.1317041727626),
     (0.3, 11.487617691439036),
-    (0.7, 5.595217024416492),
+    (0.7, 5.595217024416491),
     (0.999999999, 4.493409459406867),
     (0.999999999999, 4.493409457910562),
     (0.9999999999999999, 4.493409457909065),

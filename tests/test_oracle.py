@@ -13,6 +13,7 @@ import pytest
 
 from sl2geo import (C_ORTHOGONAL, QuotientPoint, c_of_omega, distance_to_class,
                     landing_time, s_int, x_int)
+from sl2geo.tolerances import ROOT_TOL
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -58,6 +59,41 @@ def test_s_int(c):
     got = s_int(c)
     ref = _crossing_time(c, got)
     assert abs(got - ref) <= 1e-15 * ref
+
+
+_FIRST_ROOT_CS = [1e-300, 1e-8, 0.0045, 0.1, 0.2, 0.4, 0.7, 0.99, 1.0 - 1e-12, 1.0,
+                  1.0 + 1e-12, 1.03, C_ORTHOGONAL, 1.12]
+
+
+def _first_root(c):
+    # The first root of y after pi/c, as s = (pi + theta)/c: on (0, pi/2)
+    # for c <= 1 (there y/k1 = tau cos(theta) - sin(theta), tau = k2/k1 =
+    # (c/w) tanh(w s)), on (0, pi) up to 2/sqrt(3); y > 0 at theta = 0 and
+    # y < 0 at the end, and the interval is halved to its last digit.
+    def y(theta):
+        s = (mp.pi + theta) / c
+        z = (1 - c * c) * s * s
+        if z > 0:
+            w = mp.sqrt(1 - c * c)
+            return c / w * mp.tanh(w * s) * mp.cos(theta) - mp.sin(theta)
+        return c * s * _sinhc(z) * mp.cos(theta) - _coshc(z) * mp.sin(theta)
+
+    lo, hi = mp.mpf(0), mp.pi / 2 if c <= 1 else mp.pi
+    assert y(lo) > 0 > y(hi)
+    for _ in range(150):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if y(mid) > 0 else (lo, mid)
+    return (mp.pi + lo) / c
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("c", _FIRST_ROOT_CS)
+def test_s_int_is_the_first_root(c, sign):
+    # Against a reference that never calls the library: the narrowed bracket
+    # of |c| <= 1 (collapsed to rounding below ~0.2) and the one above.
+    ref = _first_root(mp.mpf(c))
+    got = s_int(sign * c)
+    assert abs(got - ref) <= ROOT_TOL * max(1.0, ref)
 
 
 @pytest.mark.parametrize("c", _CROSSING_CS)

@@ -323,6 +323,44 @@ def test_horizon_targets_bit_identical(x, y, t_f, c, monkeypatch):
     assert (res.t_f, res.c) == (t_f, c)
 
 
+# Targets with r > 3 just before the horizon, near the negative axis, whose
+# answer the horizon test moves: its sentinel _FAR enters bisect's final
+# secant step as the angle gap at one end.  The answer without the test is the
+# closer one (relative planar residual 1.8e-16 to 6.3e-15 against 40-digit
+# mpmath, 1.7e-12 to 3.8e-11 with it).
+_SENTINEL_TARGETS = [
+    (-204748.17664352557, 1.749707735143602e-06),
+    (-9283967.409141999, -4.9408990889787674e-05),
+    (-37341.65811944094, 2.0210609363857657e-07),
+    (-421.47871702878064, 2.2868960058985977e-09),
+    (-994.4843452872127, 4.632283889804967e-09),
+    (-2929531458.839754, -0.020951032638549805),
+    (-1.7228179115679332e+22, -138039656448.0),
+]
+
+
+def _with_and_without_horizon_test(x, y, monkeypatch):
+    with_test = distance_to_class(QuotientPoint(x, y))
+    monkeypatch.setattr(synthesis, "x_int", lambda c: -math.inf, raising=False)
+    return with_test, distance_to_class(QuotientPoint(x, y))
+
+
+@pytest.mark.parametrize("x, y", _SENTINEL_TARGETS)
+def test_horizon_sentinel_moves_answers_by_rounding(x, y, monkeypatch):
+    on, off = _with_and_without_horizon_test(x, y, monkeypatch)
+    tol = 1e-12 * max(1.0, on.t_f)
+    assert abs(on.t_f - off.t_f) <= tol and abs(on.c - off.c) <= tol
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the horizon "
+                   "sentinel enters bisect's secant step (ROADMAP item 2)")
+def test_horizon_sentinel_targets_bit_identical(monkeypatch):
+    for x, y in _SENTINEL_TARGETS:
+        on, off = _with_and_without_horizon_test(x, y, monkeypatch)
+        monkeypatch.undo()
+        assert (on.t_f, on.c) == (off.t_f, off.c), (x, y)
+
+
 # Fan searches off the rising-branch horizon, (x, y, t_f, c), re-recorded when
 # the fan coordinate was reversed (each moved by at most 4.0e-12 max(1, t_f)):
 # an inlined operation that is reordered moves some of these answers.  The
@@ -436,7 +474,7 @@ _COUNT_CS = (1e-6, 0.01, 0.3, 0.9, 1.0, 1.05, C_ORTHOGONAL, 1.1, C_LANDING)
 _COUNT_BUDGETS = {
     "fan axis": (43, 46), "fan circle": (59, 62), "fan overlap+1": (56, 59),
     "fan overlap-1": (59, 63), "fan r3": (43, 43),
-    "s_int axis": (43, 43), "s_int r3": (44, 44), "s_int": (44, 54),
+    "s_int axis": (39, 39), "s_int r3": (44, 44), "s_int": (37, 44),
 }
 
 
@@ -548,6 +586,18 @@ class TestSolve:
             scale = max(1.0, float(np.linalg.norm(x_hat)))
             assert sol.residual <= 1e-6 * scale
             assert verify_solution(sol, xi, xf) <= 1e-6 * scale * np.linalg.norm(xi)
+
+    def test_rotation_recovered_to_rounding_near_the_circle(self):
+        # r^2 - 1 from 1e-24 to 1e-18: the symmetric part, 1e-12 to 1e-9 in
+        # size, is still aligned (the identity left residuals up to 2.6e-9).
+        rng = np.random.default_rng(3)
+        for _ in range(400):
+            band = 10.0 ** rng.uniform(-24.0, -18.0)
+            beta, psi = rng.uniform(-math.pi, math.pi, 2)
+            x, y = math.sqrt(1.0 + band) * np.array([math.cos(beta), math.sin(beta)])
+            m, k = math.sqrt(band) * np.array([math.cos(psi), math.sin(psi)])
+            sol = solve(np.eye(2), np.array([[x + m, y + k], [k - y, x - m]]))
+            assert sol.residual <= 1e-12, band
 
     def test_exact_rotations_land_to_rounding(self):
         # A rotation's symmetric part is exactly 0, so solve takes the closed-
