@@ -2,6 +2,7 @@
 
 Each reference root comes from mp.findroot on the same closed-form equation,
 seeded from the library's answer; only the root's accuracy is under test.
+The first-root check of s_int bisects its own bracket instead, unseeded.
 The SU(2) bridge c(omega) is checked against its unfactored closed form at
 50 digits.
 """
