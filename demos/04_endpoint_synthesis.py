@@ -1,8 +1,10 @@
 """Endpoint synthesis: the minimizing geodesic between two group elements.
 
 The solver reduces to a planar target by right-invariance, locates the
-unique optimal geodesic through it by bisection on the fan ordering, and
-conjugates the lifted curve into place.
+unique optimal geodesic through it by a root search on the fan ordering
+(Brent's zeroin; bisection for targets beyond radius 3, whose search
+carries the optimality-horizon test), and conjugates the lifted curve into
+place.
 
 Run:  python demos/04_endpoint_synthesis.py
 """

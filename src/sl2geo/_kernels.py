@@ -11,8 +11,13 @@ z = 0 both functions are computed by a short Taylor series, so callers never
 have to special-case the parabolic limit.  coshc_sinhc gives both from one
 square root, for callers that need the pair.
 
-bisect is the package's one root finder: the optimality horizon s_int and
-the fan coordinate of the endpoint solver both use it.
+The two root finders share one bracket contract.  zeroin (Brent's method,
+to rounding) takes the endpoint solver's fan searches at target radius
+r <= 3, the axis cut included.  bisect (to ROOT_TOL) takes the searches
+whose cost is the optimality horizon: s_int and the fan searches at r > 3,
+whose objective jumps to a sentinel past the horizon.  Those stay on
+bisection until the benchmark's peak RSS stops growing with throughput and
+the sentinel is deleted (ROADMAP items 1 and 2).
 
 _finite and _grid state once the argument domains the public functions share.
 
@@ -30,6 +35,7 @@ from .tolerances import DET_TOL, ROOT_TOL, ROTATION_FLOOR, SERIES_CUTOFF, SINGUL
 from .types import QuotientPoint
 
 _A2_ENTRIES = (0.5, 0.0, 0.0, -0.5)  # A2, the endpoint solver's lift direction
+_TWO_EPS = 2.0 ** -51  # twice the double epsilon
 
 
 def _finite(name: str, value: float) -> None:
@@ -129,6 +135,55 @@ def bisect(f, a: float, b: float) -> float:
         else:
             b, fb = mid, fm
     return a + (b - a) * (fa / (fa - fb))
+
+
+def zeroin(f, a: float, b: float) -> float:
+    """Root of f on [a, b] by Brent's zeroin, to rounding.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4;
+    the bracket contract is bisect's.  Each step evaluates f once, at the
+    inverse quadratic or secant point when it is inside the bracket and the
+    steps shrink fast enough, else at the midpoint, and at least tol from
+    the best end b; it stops once the other end is within 2 tol of b, with
+    tol = 2 eps |b| (plus the least subnormal, so that every step moves b).
+    """
+    fa = f(a)
+    if fa == 0.0:
+        return a
+    fb = f(b)
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
+        raise NoRootError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
+    c, fc, d, e = a, fa, b - a, b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = _TWO_EPS * abs(b) + 5e-324
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:  # secant through a and b
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            q, p = (-q if p > 0.0 else q), abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 def _adj(x: tuple) -> tuple:

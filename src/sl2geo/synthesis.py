@@ -16,8 +16,10 @@ mirrors with c -> -c) the solver uses the fan structure of the family:
     takes the angle from k1k2, to stay independent of the search);
   * one fan coordinate starts at 0, where floats are densest, on the falling
     crossings (angle unbounded) and runs back through the rising ones to
-    angle 0, so one bisection finds every target outside the circle at its
-    own angle, the bands included; only the exact positive axis is closed-form.
+    angle 0, so one root search finds every target outside the circle at
+    its own angle, the bands included; only the exact positive axis is
+    closed-form.  The search is Brent's zeroin, or bisection where the
+    objective carries the horizon sentinel (r > 3; see _kernels).
 
 Cut-locus targets (unit circle, or the axis with x <= -1) are reached by
 several minimizing geodesics; one representative is returned with a flag.
@@ -31,7 +33,7 @@ import numpy as np
 
 from ._kernels import (_A2_ENTRIES, _adj, _check_unimodular, _finite, _grid,
                        _lift_with_direction, _mul, _project, _recover_rotation,
-                       bisect)
+                       bisect, zeroin)
 from .algebra import _entries, _matrix
 from .errors import (NoRootError, NonFiniteError, StartPointError,
                      UnreachableError)
@@ -87,13 +89,19 @@ def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
     u >= span is the hyperbolic rising crossing at c = (1 + span) - u.
     span, a power of two >= 1 growing like 1/radial, keeps the ROOT_TOL
     bracket fine near the circle and pi u/span and (1 + span) - u exact.
+    For u >= span/2, pi - delta is computed as pi (span - u)/span, with
+    span - u exact (Sterbenz): pi minus a rounded delta loses all relative
+    precision as u -> span, and its noise put false sign changes into gap
+    next to the junction u = span.
 
     As s sinhc(z) = radial, k2 = c radial and k1 = coshc(z) is -cos(delta)
     for u < span and sqrt(1 + w) for u >= span, with w = (1 - c^2) radial^2
     and s = asinh(sqrt(w))/sqrt(1 - c^2) (a series near w = 0).  gap(u), one
     Python frame per call, is the angle cs - atan2(k2, k1) minus beta, or
     _FAR past the horizon of a target at radius r > 3 (r = 0 skips that
-    test); crossing(u) re-evaluates it and returns (c >= 0, s, k1).
+    test); crossing(u) re-evaluates it and returns (c >= 0, s, k1).  The
+    fourth value is the root finder for gap: bisect where the sentinel can
+    appear, zeroin elsewhere (see _kernels).
     """
     span = 2.0 ** max(0, math.ceil(-math.log2(radial)))
     horizon = r > 3.0
@@ -101,10 +109,14 @@ def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
 
     def gap(u: float) -> float:
         nonlocal c, s, k1
-        if u < span:
+        if u < 0.5 * span:
             delta = math.pi * u / span
             v = math.sin(delta) / radial
             c, s, k1 = math.sqrt(1.0 + v * v), (math.pi - delta) / v, -math.cos(delta)
+        elif u < span:  # rest = pi - delta, to full relative precision
+            rest = math.pi * (span - u) / span
+            v = math.sin(rest) / radial
+            c, s, k1 = math.sqrt(1.0 + v * v), rest / v, math.cos(rest)
         else:
             c = (1.0 + span) - u
             w = (1.0 - c * c) * radial * radial
@@ -128,7 +140,7 @@ def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
         gap(u)
         return c, s, k1
 
-    return gap, crossing, span
+    return gap, crossing, span, bisect if horizon else zeroin
 
 
 def distance_to_class(p: QuotientPoint) -> DistanceResult:
@@ -168,12 +180,13 @@ def _distance(x: float, y: float, radial: float) -> DistanceResult:
         s = landing_time(c)
         return DistanceResult(2.0 * s, -c if mirror else c, s, True)
 
-    # Axis-cut targets skip _fan's horizon test: their answers lie on or just
-    # inside the horizon, so the sign of the angle gap already is that test.
+    # Axis-cut targets skip _fan's horizon test, and so take zeroin: their
+    # answers lie on or just inside the horizon, so the sign of the angle gap
+    # already is that test.
     r = 0.0 if stratum is _AXIS_CUT else math.sqrt(x * x + y * y)
-    gap, crossing, span = _fan(radial, beta, r)
+    gap, crossing, span, find = _fan(radial, beta, r)
     # u = 0 is delta = 0, where s divides by zero; every answer has u > 0.1.
-    c, s, _ = crossing(bisect(gap, 2.0 ** -60 * span, 1.0 + span))
+    c, s, _ = crossing(find(gap, 2.0 ** -60 * span, 1.0 + span))
     return DistanceResult(2.0 * s, -c if mirror else c, s, stratum is not _REGULAR)
 
 
@@ -221,17 +234,17 @@ def check_fan_monotone(r: float, n: int = 128) -> float:
 
     Walks the fan coordinate of :func:`distance_to_class` with n samples on
     each of its hyperbolic and trigonometric parts, through the crossings
-    that its bisection sees, keeps the optimal ones (s <= s_int(c)), whose
+    that its root search sees, keeps the optimal ones (s <= s_int(c)), whose
     polar angles (from k1k2, not the search's closed form) must not
     decrease, and returns the worst decrease, 0.0 for a clean fan.  Used as
-    a runtime validation of the ordering the bisection relies on.
+    a runtime validation of the ordering the search relies on.
     """
     _finite("fan radius r", r)
     if r <= 1.0:
         raise UnreachableError("fan check needs a radius strictly above 1")
     if not math.isfinite(r * r):
         raise NonFiniteError(f"squared radius of r = {r} overflows")
-    _, crossing, span = _fan(math.sqrt(r * r - 1.0))
+    _, crossing, span, _ = _fan(math.sqrt(r * r - 1.0))
     _grid(span, n)
     angles = []
     for i in range(1, 2 * n):

@@ -69,15 +69,16 @@ def rng():
 def search_counts(monkeypatch):
     """Objective evaluations per root search, as [finder, count] records.
 
-    Wraps the `bisect` bindings of `synthesis` (the fan search, finder
-    "fan") and `geodesics` (`s_int`, finder "s_int").  A record is appended
+    Wraps the `bisect` and `zeroin` bindings of `synthesis` (the fan
+    search, finder "fan", whichever root finder it takes) and the `bisect`
+    binding of `geodesics` (`s_int`, finder "s_int").  A record is appended
     when its search starts, so an `s_int` search nested in a fan objective
     follows the fan record.  Clear the list between calls to attribute
     records to one call.
     """
     records = []
 
-    def counting(finder, bisect):
+    def counting(finder, find):
         def counted(f, a, b):
             record = [finder, 0]
             records.append(record)
@@ -85,9 +86,11 @@ def search_counts(monkeypatch):
             def objective(t):
                 record[1] += 1
                 return f(t)
-            return bisect(objective, a, b)
+            return find(objective, a, b)
         return counted
 
-    for module, finder in ((sl2geo.synthesis, "fan"), (sl2geo.geodesics, "s_int")):
-        monkeypatch.setattr(module, "bisect", counting(finder, module.bisect))
+    for module, name, finder in ((sl2geo.synthesis, "bisect", "fan"),
+                                 (sl2geo.synthesis, "zeroin", "fan"),
+                                 (sl2geo.geodesics, "bisect", "s_int")):
+        monkeypatch.setattr(module, name, counting(finder, getattr(module, name)))
     return records

@@ -10,7 +10,7 @@ from sl2geo import (C_LANDING, C_ORTHOGONAL, QuotientPoint, basis,
                     planar_geodesic, planar_jet, project, radius_sq, s_int,
                     sample_path, to_coords, x_int)
 from sl2geo import geodesics
-from sl2geo._kernels import bisect, coshc, sinhc
+from sl2geo._kernels import bisect, coshc, sinhc, zeroin
 from sl2geo.errors import (BadGridError, NonFiniteError, OutOfRegimeError,
                            UnboundedError)
 from sl2geo.figures import FAN_C_VALUES
@@ -332,15 +332,15 @@ def test_s_int_objective_matches_reference(monkeypatch):
 
 def _python_calls(fn, *args):
     # (Python function calls, objective evaluations) during fn(*args); an
-    # evaluation is a call made by bisect.
+    # evaluation is a call made by a root finder, bisect or zeroin.
     calls = evaluations = 0
-    bisect_code = bisect.__code__
+    finders = (bisect.__code__, zeroin.__code__)
 
     def profile(frame, event, arg):
         nonlocal calls, evaluations
         if event == "call":
             calls += 1
-            evaluations += frame.f_back.f_code is bisect_code
+            evaluations += frame.f_back.f_code in finders
 
     sys.setprofile(profile)
     try:
@@ -352,7 +352,8 @@ def _python_calls(fn, *args):
 
 def test_one_python_frame_per_search_step():
     # Counts, not times: each step of a root search is one Python frame.
-    # The fan search of a regular target: 8 calls besides its 43 steps.
+    # The fan search of a regular target (r <= 3, so zeroin): 8 calls
+    # besides its steps.
     calls, evaluations = _python_calls(distance_to_class, QuotientPoint(0.0, 1.5))
     assert calls == evaluations + 8, (calls, evaluations)
     # s_int: besides its objective, only s_int, _finite and bisect run.

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import pytest
 
-from sl2geo._kernels import bisect, coshc, coshc_sinhc, sinhc
+from sl2geo._kernels import bisect, coshc, coshc_sinhc, sinhc, zeroin
 from sl2geo.errors import NoRootError
 from sl2geo.tolerances import SERIES_CUTOFF
 
@@ -42,6 +43,41 @@ class TestBisect:
         assert len(calls) <= 64
         assert lo <= got <= hi
         assert abs(got - (1e5 + 1.0 / 3.0)) <= math.ulp(1e5)
+
+
+class TestZeroin:
+    def test_no_sign_change(self):
+        with pytest.raises(NoRootError):
+            zeroin(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_endpoint_root_is_exact(self):
+        assert zeroin(lambda x: x - 2.0, 2.0, 3.0) == 2.0
+        assert zeroin(lambda x: x - 3.0, 2.0, 3.0) == 3.0
+
+    @pytest.mark.parametrize("f, a, b, root", [
+        (lambda x: x * x - 2.0, 0.0, 2.0, math.sqrt(2.0)),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+        (lambda x: math.exp(x) - 10.0, 0.0, 5.0, math.log(10.0)),
+        (lambda x: 3.0 * (x - 7.25e-3), 0.0, 4.0, 7.25e-3),
+        (lambda x: math.pi - x, 0.0, 4.0, math.pi),
+        (lambda x: x - 1e-300, -1.0, 1.0, 1e-300),
+    ])
+    def test_smooth_root_to_rounding(self, f, a, b, root):
+        f, calls = counted(f)
+        got = zeroin(f, a, b)
+        assert abs(got - root) <= 2.0 * math.ulp(root)
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize("lo, hi, edge", [(0.0, 1.0, 1.0 / 3.0),
+                                              (1e5, 1e5 + 1.0, 1e5 + 1.0 / 3.0)])
+    def test_step_function_stays_bracketed(self, lo, hi, edge):
+        # No interpolation step helps on a jump: the forced midpoint steps
+        # keep every evaluation inside [lo, hi] and end next to the jump.
+        f, calls = counted(lambda x: -1.0 if x < edge else 1.0)
+        got = zeroin(f, lo, hi)
+        assert all(lo <= x <= hi for x in calls)
+        assert abs(got - edge) <= 4.0 * sys.float_info.epsilon * edge
+        assert len(calls) <= 64
 
 
 # The smallest z at which cosh(sqrt(z)) overflows; the float below it does not.

@@ -158,10 +158,11 @@ def _expression_homes(texts) -> Counter:
     return homes
 
 
-# The fan coordinate's two maps, u -> delta on the trigonometric part and
-# u -> c on the hyperbolic one: a second copy of either would be a second
-# definition of the fan crossing, free to drift from the first.
-_FAN_MAPS = ("math.pi * u / span", "(1.0 + span) - u")
+# The fan coordinate's maps, u -> delta on the trigonometric part (u ->
+# pi - delta on its upper half, up to the junction u = span) and u -> c on
+# the hyperbolic one: a second copy of any would be a second definition of
+# the fan crossing, free to drift from the first.
+_FAN_MAPS = ("math.pi * u / span", "math.pi * (span - u) / span", "(1.0 + span) - u")
 
 
 def test_fan_coordinate_has_one_home():

@@ -129,6 +129,26 @@ def test_distance_to_class_crossing_times():
     assert worst <= 1e-13
 
 
+def test_distance_to_class_past_the_fan_junction():
+    # Next to (1, 0), with r^2 - 1 = 1.4e-8 and y = 2.8e-20, the minimizer
+    # has c = 5.27e-8 (50-digit solve), on the hyperbolic side of the fan's
+    # junction u = span.  Taken as pi - (rounded delta), pi - delta had ~14 %
+    # relative error there, and the gap's false sign change stopped the
+    # search at c = 1.0000000272.  c is ill-conditioned so close to (1, 0):
+    # it is checked loosely, the planar residual tightly.
+    x, y = 1.0000000067704442, 2.7654249046197205e-20
+    res = distance_to_class(QuotientPoint(x, y))
+    assert abs(res.c - 5.2651698514972917e-8) <= 1e-4 * 5.2651698514972917e-8
+    px, py = _planar(mp.mpf(res.c), mp.mpf(res.s))
+    assert mp.hypot(px - x, py - y) <= 1e-15 * mp.hypot(x, y)
+    # A regular target whose search passes the junction: the false sign
+    # change there put zeroin 1.7 % off in t_f.
+    x, y = 1.4314005064733188, 1.9846771107579522
+    res = distance_to_class(QuotientPoint(x, y))
+    _, s = _planar_solve(x, y, res)
+    assert abs(res.t_f - 2 * s) <= 1e-13 * 2 * s
+
+
 @pytest.mark.parametrize("excess", [5e-10, 1e-10, 1e-12, 1e-14])
 @pytest.mark.parametrize("beta", [1e-5, 0.05, 0.66, 1.27, 1.88, 2.49, 3.1])
 def test_distance_to_class_landing_band(excess, beta):

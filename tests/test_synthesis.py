@@ -362,18 +362,21 @@ def test_horizon_sentinel_targets_bit_identical(monkeypatch):
 
 
 # Fan searches off the rising-branch horizon, (x, y, t_f, c), re-recorded when
-# the fan coordinate was reversed (each moved by at most 4.0e-12 max(1, t_f)):
-# an inlined operation that is reordered moves some of these answers.  The
+# the fan coordinate was reversed (each moved by at most 4.0e-12 max(1, t_f))
+# and when searches without the horizon test took zeroin and the junction
+# took pi - delta exactly (14 moved, by at most 5.7e-16 max(1, t_f) but for
+# 1.3e-11 at the target near (1, 0), where c is ill-conditioned): an inlined
+# operation that is reordered moves some of these answers.  The
 # targets near the circle and on the c = +-1 geodesics reach the series
 # branch of the hyperbolic crossing; the r > 3 hyperbolic ones also evaluate
 # the horizon test.
 _FAN_PINS = [
     # axis cut
-    (-1.5, 0.0, 9.291798312170215, 1.135279796064387),
-    (-3.0, 0.0, 8.885765876316732, 1.0606601717798212),
-    (-10.0, 0.0, 9.550812201465089, 0.8821753010498776),
+    (-1.5, 0.0, 9.291798312170217, 1.135279796064387),
+    (-3.0, 0.0, 8.88576587631673, 1.0606601717798212),
+    (-10.0, 0.0, 9.550812201465083, 0.8821753010498774),
     (-1.001, 0.0, 10.793400644616998, 1.154698430006658),
-    (-2.2, -0.0, 8.95296340446412, 1.0988300459021978),
+    (-2.2, -0.0, 8.952963404464118, 1.0988300459021978),
     # near r = 3
     (-2.999, 0.01, 8.878692254145703, 1.0607036265762735),
     (-3.0, 0.05, 8.850414464868392, 1.0606392535529),
@@ -381,30 +384,30 @@ _FAN_PINS = [
     (2.999, 0.2, 3.534883900404188, 0.08086304252564958),
     (-3.01, -0.3, 8.675307568972462, -1.0594083658733682),
     # regular hyperbolic
-    (1.5823662963727558, 0.711357365701801, 2.7595878032179084, 0.956082487875412),
+    (1.5823662963727558, 0.711357365701801, 2.759587803217908, 0.9560824878754117),
     (-5.926705947122258, -4.841774031039918, 8.087086905506075, -0.8600701753994819),
     (7.550165226784762, -0.08906366878589296, 5.420825136757868, -0.006861105977489235),
     (5.161103638508357, 0.7507789810291041, 4.686273078378339, 0.10622472909057712),
     # trigonometric rising
-    (0.8814687861558497, -1.7717330290689357, 4.3767456369893525, -1.1381731677376632),
-    (-4.003348197876582, -0.13281802291598294, 8.865955435807448, -1.0196542561371436),
-    (1.249094666352005, -1.2911863704494084, 3.6191142284390962, -1.1573588077109511),
+    (0.8814687861558497, -1.7717330290689357, 4.376745636989354, -1.1381731677376634),
+    (-4.003348197876582, -0.13281802291598294, 8.865955435807447, -1.0196542561371436),
+    (1.249094666352005, -1.2911863704494084, 3.619114228439098, -1.1573588077109511),
     (1.1036677113362978, 1.0449600497420992, 3.440339384284359, 1.3264316383996568),
     # trigonometric falling
     (0.18963232166392585, 1.1457767171325008, 5.564074706625001, 1.360326176686404),
-    (-2.015424851557545, -0.031911733004411115, 8.965249037054013, -1.108814813084571),
+    (-2.015424851557545, -0.031911733004411115, 8.965249037054017, -1.108814813084571),
     (0.7887549430872778, 1.098715993045512, 4.009304082036844, 1.4128752382983663),
     (-1.5760189607778492, 0.9554202484053788, 7.835641548990348, 1.139024685591158),
     # r^2 - 1 = 1e-8, and on the c = +-1 geodesics
-    (0.07073720202138892, 0.9974949915915293, 6.833474841774283, 1.3584470321053004),
-    (-0.9899925015504079, -0.14112000876546724, 10.554335692591337, -1.1637826300405623),
+    (0.07073720202138892, 0.9974949915915293, 6.8334748417742865, 1.3584470321053002),
+    (-0.9899925015504079, -0.14112000876546724, 10.554335692591334, -1.1637826300405625),
     (0.6950367447129576, 2.6013311829712906, 5.0, 1.0),
     (1.402448017104221, -1.7415910999199666, 4.0, -1.0),
     # the circle's band outside the circle: r^2 - 1 = 5e-10 and 1e-12 at
     # beta = 1.27, and r^2 - 1 = 8.9e-10 near (1, 0)
-    (0.296280872999389, 0.9551008558234675, 6.194322184180478, 1.424388552006147),
-    (0.2962808729254669, 0.9551008555851699, 6.194364905230942, 1.4243885520061492),
-    (1.000000000444152, -3.1042849165784786e-09, 0.00022435664452074585, -21726.4387335026),
+    (0.296280872999389, 0.9551008558234675, 6.1943221841804785, 1.4243885520061468),
+    (0.2962808729254669, 0.9551008555851699, 6.1943649052309455, 1.4243885520061486),
+    (1.000000000444152, -3.1042849165784786e-09, 0.0002243566314695962, -21726.439670624768),
 ]
 
 
@@ -418,21 +421,23 @@ def test_fan_objective_is_the_fan_point_angle(monkeypatch):
     # Every value the fan search sees, other than the horizon sentinel,
     # equals the angle gap of the crossing that _fan returns, bit for bit.
     calls, parts = [], Counter()
-    bisect = synthesis.bisect
 
-    def capturing(f, a, b):
-        def objective(u):
-            value = f(u)
-            calls.append((u, value))
-            return value
-        return bisect(objective, a, b)
+    def capturing(find):
+        def captured(f, a, b):
+            def objective(u):
+                value = f(u)
+                calls.append((u, value))
+                return value
+            return find(objective, a, b)
+        return captured
 
-    monkeypatch.setattr(synthesis, "bisect", capturing)
+    for name in ("bisect", "zeroin"):
+        monkeypatch.setattr(synthesis, name, capturing(getattr(synthesis, name)))
     for x, y, _, _ in _FAN_PINS:
         del calls[:]
         distance_to_class(QuotientPoint(x, y))
         radial = math.sqrt(x * x + y * y - 1.0)
-        _, crossing, span = _fan(radial)
+        _, crossing, span, _ = _fan(radial)
         on_cut = abs(y) <= SINGULAR_BAND and x < 0.0
         beta = math.pi if on_cut else math.atan2(abs(y), x)
         for u, value in calls:
@@ -443,8 +448,28 @@ def test_fan_objective_is_the_fan_point_angle(monkeypatch):
             assert value == c * s - math.atan2(c * radial, k1) - beta, (x, y, u)
             w = (1.0 - c * c) * radial * radial
             parts["trig" if u < span else "series" if w < SERIES_CUTOFF else "hyp"] += 1
+            parts["junction"] += 0.5 * span <= u < span
             parts["band"] += radial < 1e-4
-    assert min(parts[k] for k in ("far", "trig", "series", "hyp", "band")) > 0, parts
+    keys = ("far", "trig", "junction", "series", "hyp", "band")
+    assert min(parts[k] for k in keys) > 0, parts
+
+
+def test_zeroin_agrees_with_bisect(monkeypatch):
+    # The fan searches that take zeroin, against bisect on the same
+    # objective, away from (1, 0), where c is ill-conditioned: t_f and c
+    # agree to 1e-9 max(1, t_f) and 1e-9 max(1, |c|).
+    targets = [(x, y) for _, x, y, xm in strata_targets(
+        np.random.default_rng(11), 800, ["overlap-1", "circle", "axis", "r3"])
+        if xm is not None and math.hypot(x - 1.0, y) > 1.7e-3]
+    brent = [distance_to_class(QuotientPoint(x, y)) for x, y in targets]
+    monkeypatch.setattr(synthesis, "zeroin", synthesis.bisect)
+    moved = 0
+    for (x, y), got in zip(targets, brent):
+        want = distance_to_class(QuotientPoint(x, y))
+        moved += got != want
+        assert abs(got.t_f - want.t_f) <= 1e-9 * max(1.0, want.t_f), (x, y)
+        assert abs(got.c - want.c) <= 1e-9 * max(1.0, abs(want.c)), (x, y)
+    assert len(targets) > 500 and moved > 100
 
 
 def test_fan_angle_closed_form_matches_polar_angle():
@@ -454,7 +479,7 @@ def test_fan_angle_closed_form_matches_polar_angle():
     worst, parts = 0.0, Counter()
     for e in range(-28, 13):
         radial = math.sqrt((1.0 + 10.0 ** (e / 2.0)) ** 2 - 1.0)
-        _, crossing, span = _fan(radial)
+        _, crossing, span, _ = _fan(radial)
         for i in range(1, 64):
             for u in (1.0 + span - i / 64.0, span * i / 64.0):
                 c, s, k1 = crossing(u)
@@ -468,12 +493,14 @@ def test_fan_angle_closed_form_matches_polar_angle():
 
 # Objective evaluations per root search on a fixed seeded set: (median, max)
 # over each stratum's fan searches, over the s_int searches nested in them
-# (the horizon test of r > 3 targets) and over s_int at _COUNT_CS.  Counts do
-# not depend on the machine; a change that moves them sets new budgets here.
+# (the horizon test of r > 3 targets) and over s_int at _COUNT_CS.  Fan
+# searches with that test keep bisect (the maxima of 43); the others, the
+# axis cut included, take zeroin.  Counts do not depend on the machine; a
+# change that moves them sets new budgets here.
 _COUNT_CS = (1e-6, 0.01, 0.3, 0.9, 1.0, 1.05, C_ORTHOGONAL, 1.1, C_LANDING)
 _COUNT_BUDGETS = {
-    "fan axis": (43, 46), "fan circle": (59, 62), "fan overlap+1": (56, 59),
-    "fan overlap-1": (59, 63), "fan r3": (43, 43),
+    "fan axis": (14, 43), "fan circle": (29, 34), "fan overlap+1": (34, 41),
+    "fan overlap-1": (29, 33), "fan r3": (8, 43),
     "s_int axis": (39, 39), "s_int r3": (44, 44), "s_int": (37, 44),
 }
 
