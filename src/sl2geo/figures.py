@@ -8,7 +8,7 @@ its parameter in a ``data-c`` (or ``data-omega``/``data-s``) attribute.
 Figure 1: the optimal fan in the SL(2) quotient (green |c| < 1, black
 |c| = 1, blue 1 < |c| <= 2/sqrt(3), red |c| = 3/(2 sqrt(2)), purple
 landing geodesics), each drawn up to its optimality horizon.
-Figure 2: the worked endpoint example with the bisection iterates.
+Figure 2: the worked endpoint example, with two fixed illustrative curves.
 Figure 3: SU(2) geodesics and reachable-set boundaries in the unit disc.
 """
 
@@ -118,13 +118,13 @@ def figure_fan() -> str:
 
 
 def figure_worked_example() -> str:
-    """Bisection iterates of the endpoint example with target (0, 3/2)."""
+    """Endpoint example with target (0, 3/2), and two fixed illustrative c."""
     target = QuotientPoint(0.0, 1.5)
     converged = distance_to_class(target).c
     curves = (
         (C_LANDING, "black"),
         (3.0 / math.sqrt(5.0), "black"),
-        (1.248171, "red"),
+        (1.248171, "red"),  # two fixed illustrative c inside the black bracket
         (1.294906, "green"),
         (converged, "blue"),
     )

@@ -40,7 +40,7 @@ from .errors import (NoRootError, NonFiniteError, StartPointError,
 from .geodesics import (C_ORTHOGONAL, k1k2, landing_time, lift_with_direction,
                         s_int, x_int)
 from .quotient import project
-from .tolerances import MATCH_TOL, SERIES_CUTOFF, SINGULAR_BAND, SYNTH_TOL
+from .tolerances import MATCH_TOL, ROTATION_FLOOR, SERIES_CUTOFF, SINGULAR_BAND, SYNTH_TOL
 from .types import (CutLocusClass, DistanceResult, QuotientPoint,
                     SynthesisSolution)
 
@@ -88,7 +88,8 @@ def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
     unbounded as u -> 0), the tangent, then trigonometric rising ones.
     u >= span is the hyperbolic rising crossing at c = (1 + span) - u.
     span, a power of two >= 1 growing like 1/radial, keeps the ROOT_TOL
-    bracket fine near the circle and pi u/span and (1 + span) - u exact.
+    bracket fine near the circle and pi u/span and (1 + span) - u exact;
+    as _distance lands every radial <= ROTATION_FLOOR, span <= 2^47.
     For u >= span/2, pi - delta is computed as pi (span - u)/span, with
     span - u exact (Sterbenz): pi minus a rounded delta loses all relative
     precision as u -> span, and its noise put false sign changes into gap
@@ -172,7 +173,7 @@ def _distance(x: float, y: float, radial: float) -> DistanceResult:
         return DistanceResult(2.0 * s, 0.0, s, False)
     beta, mirror = math.atan2(abs(y), x), y < 0.0  # pi, c > 0 on the cut at y = +-0
 
-    if radial == 0.0:
+    if radial <= ROTATION_FLOOR:  # a rotation to rounding, as in _recover_rotation
         # Landing targets land at angle beta when c/sqrt(c^2-1) = 1 + beta/pi.
         # Band targets outside the circle stop short and take the fan search.
         rho = 1.0 + beta / math.pi
@@ -205,8 +206,6 @@ def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
     _check_unimodular(xi)
     xf_hat = _mul(_entries(xf), _adj(xi))
     px, py = _project(xf_hat)
-    if _stratum(px, py) is _START:
-        raise StartPointError("Xf and Xi coincide: the geodesic is a point")
     # For det 1, x^2 + y^2 - 1 is the squared size of the symmetric part.
     radial = math.hypot(0.5 * (xf_hat[0] - xf_hat[3]), 0.5 * (xf_hat[1] + xf_hat[2]))
     dist = _distance(px, py, radial)

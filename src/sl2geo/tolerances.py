@@ -17,7 +17,8 @@ SINGULAR_BAND = 1e-9
 """Half-width of the band around the unit circle treated as singular."""
 
 ROTATION_FLOOR = 1e-14
-"""Symmetric-part size |(m, k)| at rounding level: no rotation is recovered."""
+"""Symmetric-part size |(m, k)| at rounding level: at or below it no rotation
+is recovered, and solve takes the closed-form landing."""
 
 SERIES_CUTOFF = 1e-8
 """Switch to Taylor series for the trig/hyperbolic kernels below this."""

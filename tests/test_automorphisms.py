@@ -35,6 +35,9 @@ class TestIsSo12:
     def test_reflection_rejected_by_determinant(self):
         assert not is_so12(np.diag([-1.0, 1.0, 1.0]))
 
+    def test_wrong_shape_rejected(self):
+        assert not is_so12(np.eye(2))
+
     def test_boost_and_involutions(self):
         assert is_so12(lorentz_boost(-1.2))
         assert is_so12(I1)
@@ -84,6 +87,12 @@ class TestIsLieAutomorphism:
 
     def test_scaling_rejected(self):
         assert not is_lie_automorphism(np.diag([1.0, 2.0, 1.0]))
+
+    def test_determinant_minus_one_rejected_with_is_so12(self):
+        # diag(1, 1, -1) preserves the form, so only the determinant rejects it.
+        m = np.diag([1.0, 1.0, -1.0])
+        assert not is_so12(m)
+        assert not is_lie_automorphism(m)
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):

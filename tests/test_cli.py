@@ -96,6 +96,16 @@ class TestSolveCommand:
         assert float(kv["residual"]) <= 1e-6
         assert kv["cut_flag"] == "true"
 
+    @pytest.mark.parametrize("m", ["1e-18", "1e-310"])
+    def test_near_rotation_lands_as_the_rotation(self, capsys, m):
+        # A symmetric part of size m <= ROTATION_FLOOR is rounding: the target
+        # lands as the exact rotation does, subnormal m included.
+        code, out, err = run(capsys, "solve", "1", "0", "0", "1", m, "-1", "1", f"-{m}")
+        assert (code, err) == (0, "")
+        _, exact, _ = run(capsys, "solve", "1", "0", "0", "1", "0", "-1", "1", "0")
+        fields = ("c", "t_f", "cut_flag")
+        assert [parse_kv(out)[k] for k in fields] == [parse_kv(exact)[k] for k in fields]
+
     def test_pretty_multiline(self, capsys):
         code, out, _ = run(capsys, "solve", "--pretty", "1", "0", "0", "1",
                            "0", "1", "-1", "0")
@@ -378,6 +388,10 @@ class TestFigures:
         assert any(abs(c - 1.294906) < 1e-9 for c in cs)
         assert any(abs(c - 1.2575651629) < 1e-6 for c in cs)
 
+    def test_unknown_figure_rejected(self):
+        with pytest.raises(ValueError, match="unknown figure 4; expected 1, 2 or 3"):
+            figure_svg(4)
+
     def test_su2_figure_points_inside_disc(self):
         svg = figure_svg(3)
         for match in re.finditer(r'd="M ([^"]+)"', svg):
@@ -441,6 +455,16 @@ class TestSelftestCommand:
         target = importlib.import_module(f"sl2geo.{module}")
         monkeypatch.setattr(target, name, fault(getattr(target, name)))
         self._only_failure(capsys, module)
+
+    def test_raising_check_fails_its_module_only(self, monkeypatch):
+        def broken(*args):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(sl2geo.su2, "c_of_omega", broken)
+        lines = []
+        assert selftest.run_selftests(out=lines.append) == 1
+        assert lines == ["FAIL su2: raised ZeroDivisionError: injected" if name == "su2"
+                         else f"PASS {name}" for name in _SELFTEST_MODULES]
 
     def test_runtime_budget(self):
         import time

@@ -381,6 +381,10 @@ class TestXInt:
         with pytest.raises(OutOfRegimeError):
             x_int(1.5)
 
+    def test_unbounded_at_zero(self):
+        with pytest.raises(UnboundedError, match="never crosses the negative axis"):
+            x_int(0.0)
+
     def test_finite_where_the_squared_radius_overflows(self):
         # k1^2 + k2^2 overflows below c ~ 0.0088, the end point only below
         # c ~ 0.00443 (where x_int raises NonFiniteError).

@@ -1,6 +1,7 @@
 """Module boundaries: the numpy-free core, the one home of the argument
-checks, of the fan coordinate and of the axis band, the names the benchmark
-traces, and no unused imports.
+checks, of the fan coordinate, of the axis band and of the start-point test,
+the two readers of the rotation floor, the names the benchmark traces, and no
+unused imports.
 
 `_kernels` holds the endpoint solver's float core, so it and every package
 module it imports must not import numpy.  `import sl2geo._kernels` runs the
@@ -182,6 +183,22 @@ def test_axis_band_has_one_home():
              if token.type == tokenize.NAME}
     assert ("synthesis", "_stratum") in names  # the scan sees names
     assert not {module for module, name in names if name == "on_axis"}
+
+
+# The start point is rejected in _distance alone, for solve as well, and
+# |(m, k)| <= ROTATION_FLOOR is read where it rules: no rotation is
+# recovered, and the target lands.  (None is module level: the definitions.)
+def test_start_point_test_has_one_home():
+    assert _expression_homes(["_START"]) == {
+        ("synthesis", None, "_START"): 1, ("synthesis", "_stratum", "_START"): 1,
+        ("synthesis", "_distance", "_START"): 1}
+
+
+def test_rotation_floor_has_one_rule():
+    assert _expression_homes(["ROTATION_FLOOR"]) == {
+        ("tolerances", None, "ROTATION_FLOOR"): 1,
+        ("_kernels", "_recover_rotation", "ROTATION_FLOOR"): 2,
+        ("synthesis", "_distance", "ROTATION_FLOOR"): 1}
 
 
 def test_cli_raises_no_geometry_error_of_its_own():

@@ -15,7 +15,7 @@ from sl2geo import synthesis
 from sl2geo.errors import (BadGridError, NonFiniteError, NotUnimodularError,
                            StartPointError, UnreachableError)
 from sl2geo.synthesis import _FAR, _fan, _polar_angle
-from sl2geo.tolerances import SERIES_CUTOFF, SINGULAR_BAND
+from sl2geo.tolerances import ROTATION_FLOOR, SERIES_CUTOFF, SINGULAR_BAND
 
 from conftest import random_sl2, strata_targets
 
@@ -638,8 +638,26 @@ class TestSolve:
             assert sol.on_cut_locus and sol.residual <= 1e-12, theta
         assert above >= 50
 
+    @pytest.mark.parametrize("family", [
+        lambda m: [[m, -1.0], [1.0, -m]],
+        lambda m: [[m, 1.0], [-1.0, -m]],
+        lambda m: [[-1.0, m], [m, -1.0]],
+    ], ids=["y=-1", "y=1", "x=-1"])
+    def test_near_rotations_solved(self, family):
+        # Exact near-rotations with symmetric part of size |m|, down to
+        # subnormal.  Up to ROTATION_FLOOR they are rotations to rounding and
+        # land as m = 0 does; the fan search, whose span grows like 1/|m|,
+        # takes only the larger ones.
+        rotation = solve(np.eye(2), np.array(family(0.0)))
+        rng = np.random.default_rng(5)
+        for m in rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-320.0, -8.0, 1000):
+            sol = solve(np.eye(2), np.array(family(float(m))))
+            assert sol.on_cut_locus and sol.residual <= 1e-13, m
+            if abs(m) <= ROTATION_FLOOR:
+                assert (sol.c, sol.t_f) == (rotation.c, rotation.t_f), m
+
     def test_start_point_target_rejected(self):
-        with pytest.raises(StartPointError):
+        with pytest.raises(StartPointError, match="^target coincides with the start point"):
             solve(np.eye(2), np.eye(2))
 
     def test_non_finite_endpoint_rejected(self):
