@@ -11,13 +11,13 @@ z = 0 both functions are computed by a short Taylor series, so callers never
 have to special-case the parabolic limit.  coshc_sinhc gives both from one
 square root, for callers that need the pair.
 
-The two root finders share one bracket contract.  zeroin (Brent's method,
-to rounding) takes the endpoint solver's fan searches at target radius
-r <= 3, the axis cut included.  bisect (to ROOT_TOL) takes the searches
-whose cost is the optimality horizon: s_int and the fan searches at r > 3,
-whose objective jumps to a sentinel past the horizon.  Those stay on
-bisection until the benchmark's peak RSS stops growing with throughput and
-the sentinel is deleted (ROADMAP items 1 and 2).
+The two root finders share one bracket contract, the caller passing both
+end values.  zeroin (Brent's method, to rounding) takes the fan searches at
+target radius r <= 3, the axis cut and every falling part.  bisect (to
+ROOT_TOL) takes the searches whose cost is the optimality horizon: s_int
+and the rising fan parts at r > 3, whose objective jumps to a sentinel
+past the horizon.  Those stay on bisection until the benchmark's peak RSS
+stops growing with throughput and the sentinel is deleted (ROADMAP 1, 2).
 
 _finite and _grid state once the argument domains the public functions share.
 
@@ -104,20 +104,18 @@ def coshc_sinhc(z: float) -> tuple[float, float]:
     return math.cos(w), math.sin(w) / w
 
 
-def bisect(f, a: float, b: float) -> float:
+def bisect(f, a: float, b: float, fa: float, fb: float) -> float:
     """Root of f on [a, b] by bisection, finished with one secant step.
 
-    f(a) and f(b) must have opposite signs (an endpoint where f is zero is
-    returned as the root).  The bracket is halved, keeping f at both ends,
-    until it is at most ROOT_TOL wide or no float lies strictly between its
-    ends.  The answer is the secant point through the final ends: it costs
-    no evaluation and lies inside the bracket, as the two values have
-    opposite signs.
+    The caller gives fa = f(a) and fb = f(b), of opposite signs; an end
+    whose value is zero is returned as the root without a call.  The bracket
+    is halved, keeping f at both ends, until it is at most ROOT_TOL wide or
+    no float lies strictly between its ends.  The answer is the secant point
+    through the final ends: it costs no evaluation and lies inside the
+    bracket, as the two values have opposite signs.
     """
-    fa = f(a)
     if fa == 0.0:
         return a
-    fb = f(b)
     if fb == 0.0:
         return b
     positive = fa > 0.0  # the sign of f at the moving end a never changes
@@ -137,20 +135,19 @@ def bisect(f, a: float, b: float) -> float:
     return a + (b - a) * (fa / (fa - fb))
 
 
-def zeroin(f, a: float, b: float) -> float:
+def zeroin(f, a: float, b: float, fa: float, fb: float) -> float:
     """Root of f on [a, b] by Brent's zeroin, to rounding.
 
     Brent, Algorithms for Minimization without Derivatives (1973), ch. 4;
-    the bracket contract is bisect's.  Each step evaluates f once, at the
-    inverse quadratic or secant point when it is inside the bracket and the
-    steps shrink fast enough, else at the midpoint, and at least tol from
-    the best end b; it stops once the other end is within 2 tol of b, with
-    tol = 2 eps |b| (plus the least subnormal, so that every step moves b).
+    the bracket contract is bisect's; an end value may be infinite.  Each
+    step evaluates f once, at the inverse quadratic or secant point when it
+    is inside the bracket and the steps shrink fast enough, else at the
+    midpoint, and at least tol from the best end b; it stops once the other
+    end is within 2 tol of b, with tol = 2 eps |b| (plus the least
+    subnormal, so that every step moves b).
     """
-    fa = f(a)
     if fa == 0.0:
         return a
-    fb = f(b)
     if fb == 0.0:
         return b
     if (fa > 0.0) == (fb > 0.0):
@@ -208,25 +205,28 @@ def _direction(phi: float) -> tuple:
     return v, h, h, -v
 
 
-def _lift_with_direction(c: float, p: tuple, t: float) -> tuple:
-    # (c A0 + P) t and -c A0 t in entries, with c A0 = [[0, -c/2], [c/2, 0]].
+def _spin(c: float, t: float) -> tuple:  # exp(-c A0 t), c A0 = [[0, -c/2], [c/2, 0]]
+    return _exp2((0.0, 0.5 * c * t, -0.5 * c * t, 0.0))
+
+
+def _lift_with_direction(c: float, p: tuple, t: float, spin: tuple = ()) -> tuple:
+    # exp((c A0 + P) t) exp(-c A0 t); a caller lifting twice passes the spin.
     p0, p1, p2, p3 = p
     h = 0.5 * c
-    return _mul(_exp2((p0 * t, (p1 - h) * t, (p2 + h) * t, p3 * t)),
-                _exp2((0.0, h * t, -h * t, 0.0)))
+    return _mul(_exp2((p0 * t, (p1 - h) * t, (p2 + h) * t, p3 * t)), spin or _spin(c, t))
 
 
 def _check_unimodular(x: tuple) -> None:
-    # Non-finite entries go first: a NaN determinant passes the comparison
-    # below.  The determinant of a stored matrix is only representable to
-    # about eps * ||X||^2, so the tolerance scales with the squared matrix
-    # size; for moderate entries this is the plain absolute check.
+    # Non-finite entries go first.  The determinant of a stored matrix is
+    # only representable to about eps * ||X||^2, so the tolerance scales with
+    # the squared size (plain absolute check for moderate entries, inf once
+    # it overflows); a determinant that overflows (inf, or NaN) fails.
     a, b, c, d = x
     if not all(map(math.isfinite, x)):
         raise NotUnimodularError(f"entries {[[a, b], [c, d]]} are not all finite")
     det = a * d - b * c
     scale = max(1.0, a * a + b * b + c * c + d * d)
-    if abs(det - 1.0) > DET_TOL * scale:
+    if not (math.isfinite(det) and abs(det - 1.0) <= DET_TOL * scale):
         raise NotUnimodularError(f"det = {det!r} is not 1 within {DET_TOL * scale}")
 
 

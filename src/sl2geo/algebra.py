@@ -45,8 +45,7 @@ def _entries(x: np.ndarray) -> tuple[float, float, float, float]:
 
 def _matrix(x: tuple[float, float, float, float]) -> np.ndarray:
     """2x2 array from row-major entries (a, b, c, d)."""
-    a, b, c, d = x
-    return np.array(((a, b), (c, d)))
+    return np.array(x, dtype=float).reshape(2, 2)
 
 
 def adjugate(x: np.ndarray) -> np.ndarray:

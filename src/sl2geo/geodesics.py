@@ -181,7 +181,7 @@ def s_int(c: float) -> float:
             return k1 * math.sin(cs) - cs * sh * math.cos(cs)
 
     try:
-        return bisect(y, lo, hi)
+        return bisect(y, lo, hi, y(lo), y(hi))
     except NoRootError:
         # Rounding put the crossing past a bracket end, the crossing to rounding:
         # F(lo) ~ F(hi) where tanh saturates (|c| < ~0.2), y(hi) > 0 at 2/sqrt(3).

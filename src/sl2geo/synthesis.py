@@ -14,12 +14,12 @@ mirrors with c -> -c) the solver uses the fan structure of the family:
     and k2 = c sqrt(r^2 - 1) in closed form, hence the search's polar angle
     (_fan defines the crossing once; check_fan_monotone walks it too, but
     takes the angle from k1k2, to stay independent of the search);
-  * one fan coordinate starts at 0, where floats are densest, on the falling
-    crossings (angle unbounded) and runs back through the rising ones to
-    angle 0, so one root search finds every target outside the circle at
-    its own angle, the bands included; only the exact positive axis is
-    closed-form.  The search is Brent's zeroin, or bisection where the
-    objective carries the horizon sentinel (r > 3; see _kernels).
+  * the fan's three parts (falling, rising trigonometric and hyperbolic
+    crossings) each have a coordinate dense at their own small end; the
+    gap's signs at the two junctions pick the part, whose root search finds
+    every target outside the circle at its own angle, the bands included;
+    only the exact positive axis is closed-form.  The search is Brent's
+    zeroin, or bisection where the objective carries the horizon sentinel.
 
 Cut-locus targets (unit circle, or the axis with x <= -1) are reached by
 several minimizing geodesics; one representative is returned with a flag.
@@ -33,7 +33,7 @@ import numpy as np
 
 from ._kernels import (_A2_ENTRIES, _adj, _check_unimodular, _finite, _grid,
                        _lift_with_direction, _mul, _project, _recover_rotation,
-                       bisect, zeroin)
+                       _spin, bisect, zeroin)
 from .algebra import _entries, _matrix
 from .errors import (NoRootError, NonFiniteError, StartPointError,
                      UnreachableError)
@@ -45,6 +45,7 @@ from .types import (CutLocusClass, DistanceResult, QuotientPoint,
                     SynthesisSolution)
 
 _FAR = 1e9  # sentinel angle for rising crossings beyond the optimality horizon
+_SLACK = 1.0 + 1e-15  # the horizon test's margin on the terminal radius |x_int|
 # The classes as module names: each CutLocusClass.X lookup costs ~0.14 us.
 _START, _CIRCLE = CutLocusClass.START_POINT, CutLocusClass.SINGULAR_CIRCLE
 _AXIS_CUT, _REGULAR = CutLocusClass.NEGATIVE_AXIS_SEGMENT, CutLocusClass.REGULAR
@@ -80,68 +81,67 @@ def _polar_angle(c: float, s: float) -> float:
 
 
 def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
-    """(gap, crossing, span) of the fan's crossings of radius sqrt(1 + radial^2).
+    """(falling, rising, hyperbolic, crossing) for the fan at radius sqrt(1 + radial^2).
 
-    The fan coordinate u in (0, 1 + span] orders them by decreasing angle.
-    u < span sets delta = pi u/span, sqrt(c^2-1) = sin(delta)/radial and
-    s = (pi - delta)/sqrt(c^2-1): falling crossings (angle past pi,
-    unbounded as u -> 0), the tangent, then trigonometric rising ones.
-    u >= span is the hyperbolic rising crossing at c = (1 + span) - u.
-    span, a power of two >= 1 growing like 1/radial, keeps the ROOT_TOL
-    bracket fine near the circle and pi u/span and (1 + span) - u exact;
-    as _distance lands every radial <= ROTATION_FLOOR, span <= 2^47.
-    For u >= span/2, pi - delta is computed as pi (span - u)/span, with
-    span - u exact (Sterbenz): pi minus a rounded delta loses all relative
-    precision as u -> span, and its noise put false sign changes into gap
-    next to the junction u = span.
-
-    As s sinhc(z) = radial, k2 = c radial and k1 = coshc(z) is -cos(delta)
-    for u < span and sqrt(1 + w) for u >= span, with w = (1 - c^2) radial^2
-    and s = asinh(sqrt(w))/sqrt(1 - c^2) (a series near w = 0).  gap(u), one
-    Python frame per call, is the angle cs - atan2(k2, k1) minus beta, or
-    _FAR past the horizon of a target at radius r > 3 (r = 0 skips that
-    test); crossing(u) re-evaluates it and returns (c >= 0, s, k1).  The
-    fourth value is the root finder for gap: bisect where the sentinel can
-    appear, zeroin elsewhere (see _kernels).
+    The parts, by decreasing angle, return the gap c s - atan2(k2, k1) - beta
+    (k2 = c radial) in one Python frame, all intermediates finite:
+      * falling(delta), delta in (0, pi/2]: v = sqrt(c^2 - 1) = sin(delta)/radial,
+        s = (pi - delta)/v, k1 = -cos(delta); unbounded as delta -> 0;
+      * rising(eps), eps = pi - delta in (0, pi/2]: v = sin(eps)/radial,
+        s = radial eps/sin(eps), k1 = cos(eps); c -> 1 as eps -> 0;
+      * hyperbolic(c), c in [0, 1]: a = radial sqrt(1 - c^2), k1 = hypot(1, a),
+        s = asinh(a)/sqrt(1 - c^2) (a series near a = 0); angle 0 at c = 0.
+    With g = c/v - 1 = 1/(v (c + v)) and X = g sin cos/(1 + g sin^2), the
+    angle is g (pi - delta) + atan(X) or g eps - atan(X), free of the
+    cancellation near pi and just outside the circle.  Past the horizon of
+    a target at r > 3 (r = 0 skips the test) the rising parts return _FAR:
+    only rising c <= C_ORTHOGONAL crosses the axis, the radius grows over
+    the optimal segment, and s <= pi/c is always inside.  crossing(part, t)
+    evaluates part at t and returns its (c >= 0, s, k1).
     """
-    span = 2.0 ** max(0, math.ceil(-math.log2(radial)))
     horizon = r > 3.0
     c = s = k1 = 0.0
 
-    def gap(u: float) -> float:
+    def falling(delta: float) -> float:
         nonlocal c, s, k1
-        if u < 0.5 * span:
-            delta = math.pi * u / span
-            v = math.sin(delta) / radial
-            c, s, k1 = math.sqrt(1.0 + v * v), (math.pi - delta) / v, -math.cos(delta)
-        elif u < span:  # rest = pi - delta, to full relative precision
-            rest = math.pi * (span - u) / span
-            v = math.sin(rest) / radial
-            c, s, k1 = math.sqrt(1.0 + v * v), rest / v, math.cos(rest)
+        sin_d = math.sin(delta)
+        v = sin_d / radial
+        c = math.sqrt(1.0 + v * v)
+        g = 1.0 / (v * (c + v))
+        s, k1 = (math.pi - delta) / v, -math.cos(delta)
+        x = g * sin_d * -k1 / (1.0 + g * sin_d * sin_d)
+        return g * (math.pi - delta) + math.atan(x) - beta
+
+    def rising(eps: float) -> float:
+        nonlocal c, s, k1
+        sin_e = math.sin(eps)
+        v = sin_e / radial
+        c = math.sqrt(1.0 + v * v)
+        g = 1.0 / (v * (c + v))
+        s, k1 = radial * (eps / sin_e), math.cos(eps)
+        if horizon and c <= C_ORTHOGONAL and s > math.pi / c and r > -x_int(c) * _SLACK:
+            return _FAR
+        return g * eps - math.atan(g * sin_e * k1 / (1.0 + g * sin_e * sin_e)) - beta
+
+    def hyperbolic(t: float) -> float:
+        nonlocal c, s, k1
+        c, q = t, math.sqrt(1.0 - t * t)
+        a = radial * q
+        w = a * a
+        if w < SERIES_CUTOFF:
+            s = radial * (1.0 - w * (1.0 / 6.0 - w * (3.0 / 40.0 - w * 15.0 / 336.0)))
         else:
-            c = (1.0 + span) - u
-            w = (1.0 - c * c) * radial * radial
-            if w < SERIES_CUTOFF:
-                s = radial * (1.0 - w * (1.0 / 6.0 - w * (3.0 / 40.0 - w * 15.0 / 336.0)))
-            else:
-                a = math.sqrt(w)
-                s = radial * math.asinh(a) / a
-            k1 = math.sqrt(1.0 + w)
-        # Crossings past the optimality horizon have angle beyond pi >= beta;
-        # falling ones need no test.  Only rising c <= C_ORTHOGONAL crosses the
-        # axis, only r > 3 (span 1) is at stake, and the radius grows over the
-        # optimal segment, so the terminal radius |x_int| decides; s <= pi/c is
-        # always inside (which skips |x_int|, astronomic for tiny c).
-        if (horizon and u >= span - 0.5 and 0.0 < c <= C_ORTHOGONAL
-                and s > math.pi / c and r > -x_int(c) * (1.0 + 1e-15)):
+            s = math.asinh(a) / q
+        k1 = math.hypot(1.0, a)
+        if horizon and 0.0 < c and s > math.pi / c and r > -x_int(c) * _SLACK:
             return _FAR
         return c * s - math.atan2(c * radial, k1) - beta
 
-    def crossing(u: float) -> tuple[float, float, float]:
-        gap(u)
+    def crossing(part, t: float) -> tuple[float, float, float]:
+        part(t)
         return c, s, k1
 
-    return gap, crossing, span, bisect if horizon else zeroin
+    return falling, rising, hyperbolic, crossing
 
 
 def distance_to_class(p: QuotientPoint) -> DistanceResult:
@@ -153,13 +153,15 @@ def distance_to_class(p: QuotientPoint) -> DistanceResult:
     """
     x, y = float(p[0]), float(p[1])
     r_sq = x * x + y * y
-    if not math.isfinite(r_sq):
-        _finite("target coordinate x", x)
-        _finite("target coordinate y", y)
-        raise NonFiniteError(f"squared radius of ({x}, {y}) overflows")
     if r_sq < 1.0 - SINGULAR_BAND:
         raise UnreachableError(f"({x}, {y}) lies inside the unit disc")
-    return _distance(x, y, math.sqrt(r_sq - 1.0) if r_sq > 1.0 else 0.0)
+    if math.isfinite(r_sq):
+        return _distance(x, y, math.sqrt(r_sq - 1.0) if r_sq > 1.0 else 0.0)
+    _finite("target coordinate x", x)
+    _finite("target coordinate y", y)
+    r = math.hypot(x, y)  # r^2 overflows, r need not
+    _finite("target radius", r)
+    return _distance(x, y, math.sqrt(r - 1.0) * math.sqrt(r + 1.0))
 
 
 def _distance(x: float, y: float, radial: float) -> DistanceResult:
@@ -172,22 +174,40 @@ def _distance(x: float, y: float, radial: float) -> DistanceResult:
         s = math.acosh(x)  # x > 1: the c = 0 geodesic along the axis
         return DistanceResult(2.0 * s, 0.0, s, False)
     beta, mirror = math.atan2(abs(y), x), y < 0.0  # pi, c > 0 on the cut at y = +-0
-
+    # Landing targets land at angle beta when c/sqrt(c^2-1) = rho = 1 + beta/pi.
+    rho = 1.0 + beta / math.pi
+    inv_v = math.sqrt(rho * rho - 1.0)  # 1/sqrt(c^2 - 1) at that landing
     if radial <= ROTATION_FLOOR:  # a rotation to rounding, as in _recover_rotation
-        # Landing targets land at angle beta when c/sqrt(c^2-1) = 1 + beta/pi.
         # Band targets outside the circle stop short and take the fan search.
-        rho = 1.0 + beta / math.pi
-        c = rho / math.sqrt(rho * rho - 1.0)
+        c = rho / inv_v
         s = landing_time(c)
         return DistanceResult(2.0 * s, -c if mirror else c, s, True)
 
-    # Axis-cut targets skip _fan's horizon test, and so take zeroin: their
+    # Axis-cut targets skip the horizon test, and so take zeroin: their
     # answers lie on or just inside the horizon, so the sign of the angle gap
     # already is that test.
-    r = 0.0 if stratum is _AXIS_CUT else math.sqrt(x * x + y * y)
-    gap, crossing, span, find = _fan(radial, beta, r)
-    # u = 0 is delta = 0, where s divides by zero; every answer has u > 0.1.
-    c, s, _ = crossing(find(gap, 2.0 ** -60 * span, 1.0 + span))
+    r = 0.0 if stratum is _AXIS_CUT else math.hypot(x, y)
+    falling, rising, hyperbolic, crossing = _fan(radial, beta, r)
+    find = bisect if r > 3.0 else zeroin
+    # The gap falls through the tangent and c = 1 to -beta at c = 0: its
+    # signs at those two junctions pick the part that holds the root.
+    tangent = falling(0.5 * math.pi)
+    if tangent <= 0.0:
+        # As radial -> 0 the falling root tends to the landing asymptote,
+        # sin(delta) = radial/inv_v: one gap at 4x that delta halves the
+        # bracket.  Falling parts carry no horizon test, so zeroin searches.
+        part, lo, f_lo, hi, f_hi = falling, 0.0, math.inf, 0.5 * math.pi, tangent
+        cut = 4.0 * math.asin(radial / inv_v) if radial < inv_v else hi
+        if cut < hi:
+            f_cut = falling(cut)
+            lo, f_lo, hi, f_hi = ((cut, f_cut, hi, f_hi) if f_cut > 0.0
+                                  else (lo, f_lo, cut, f_cut))
+        t = zeroin(falling, lo, hi, f_lo, f_hi)
+    elif (junction := hyperbolic(1.0)) < 0.0:
+        part, t = rising, find(rising, 0.0, 0.5 * math.pi, junction, tangent)
+    else:
+        part, t = hyperbolic, find(hyperbolic, 0.0, 1.0, -beta, junction)
+    c, s, _ = crossing(part, t)
     return DistanceResult(2.0 * s, -c if mirror else c, s, stratum is not _REGULAR)
 
 
@@ -209,11 +229,12 @@ def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
     # For det 1, x^2 + y^2 - 1 is the squared size of the symmetric part.
     radial = math.hypot(0.5 * (xf_hat[0] - xf_hat[3]), 0.5 * (xf_hat[1] + xf_hat[2]))
     dist = _distance(px, py, radial)
-    y_f = _lift_with_direction(dist.c, _A2_ENTRIES, dist.t_f)
+    spin = _spin(dist.c, dist.t_f)
+    y_f = _lift_with_direction(dist.c, _A2_ENTRIES, dist.t_f, spin)
     k, _ = _recover_rotation(y_f, xf_hat, MATCH_TOL)
     k_t = (k[0], k[2], k[1], k[3])
     direction = _mul(_mul(k, _A2_ENTRIES), k_t)  # K A2 K^T
-    recon = _lift_with_direction(dist.c, direction, dist.t_f)
+    recon = _lift_with_direction(dist.c, direction, dist.t_f, spin)
     residual = math.dist(recon, xf_hat)
     if residual > SYNTH_TOL * max(1.0, math.hypot(*xf_hat)):
         raise NoRootError(f"endpoint residual {residual} exceeds {SYNTH_TOL}")
@@ -231,24 +252,24 @@ def verify_solution(sol: SynthesisSolution, xi: np.ndarray, xf: np.ndarray) -> f
 def check_fan_monotone(r: float, n: int = 128) -> float:
     """Largest violation of the angular fan ordering at radius r.
 
-    Walks the fan coordinate of :func:`distance_to_class` with n samples on
-    each of its hyperbolic and trigonometric parts, through the crossings
-    that its root search sees, keeps the optimal ones (s <= s_int(c)), whose
-    polar angles (from k1k2, not the search's closed form) must not
-    decrease, and returns the worst decrease, 0.0 for a clean fan.  Used as
-    a runtime validation of the ordering the search relies on.
+    Walks the three parts of the fan that :func:`distance_to_class` searches,
+    with n samples on each, in order of increasing angle: c up to 1, then
+    pi - delta up to the tangent, then delta down from it.  It keeps the
+    optimal crossings (s <= s_int(c)), whose polar angles (from k1k2, not
+    the search's closed form) must not decrease, and returns the worst
+    decrease, 0.0 for a clean fan.  Used as a runtime validation of the
+    ordering the search relies on.
     """
     _finite("fan radius r", r)
     if r <= 1.0:
         raise UnreachableError("fan check needs a radius strictly above 1")
     if not math.isfinite(r * r):
         raise NonFiniteError(f"squared radius of r = {r} overflows")
-    _, crossing, span, _ = _fan(math.sqrt(r * r - 1.0))
-    _grid(span, n)
-    angles = []
-    for i in range(1, 2 * n):
-        u = 1.0 + span - i / n if i <= n else span * (2 * n - i) / n
-        c, s, _ = crossing(u)
-        if s <= s_int(c):
-            angles.append(_polar_angle(c, s))
+    _grid(1.0, n)
+    falling, rising, hyperbolic, crossing = _fan(math.sqrt(r * r - 1.0))
+    walk = ([(hyperbolic, i / n) for i in range(1, n + 1)]
+            + [(rising, 0.5 * math.pi * i / n) for i in range(1, n + 1)]
+            + [(falling, 0.5 * math.pi * i / n) for i in range(n - 1, 0, -1)])
+    angles = [_polar_angle(c, s) for c, s, _ in (crossing(*step) for step in walk)
+              if s <= s_int(c)]
     return max([0.0] + [a - b for a, b in zip(angles, angles[1:])])

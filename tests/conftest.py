@@ -30,11 +30,19 @@ def _axis(rng):
     return math.copysign(10.0 ** rng.uniform(0.0, 1.0), rng.random() - 0.5), _offset(rng)
 
 
+def _positive_axis(rng):
+    # x log-uniform in [1.01, 100], |y| log-uniform in [1e-9, 1e-6]: just
+    # outside the axis band, where c is tiny.
+    y = 10.0 ** rng.uniform(-9.0, -6.0)
+    return 10.0 ** rng.uniform(math.log10(1.01), 2.0), math.copysign(y, rng.random() - 0.5)
+
+
 STRATA = {
     "overlap+1": lambda rng: _near(rng, 1.0),
     "overlap-1": lambda rng: _near(rng, -1.0),
     "circle": _circle,
     "axis": _axis,
+    "axis+": _positive_axis,
     "r3": lambda rng: (-3.0 + _offset(rng), _offset(rng)),
 }
 
@@ -43,10 +51,11 @@ def strata_targets(rng, n, strata=tuple(STRATA)):
     """Yield n planar targets on the strata boundaries of the quotient.
 
     The targets cycle through `strata`: the overlaps of the singular bands
-    near (1, 0) and (-1, 0), the unit circle, the axis, and the orthogonal
-    crossing (-3, 0) of r = 3.  Each yields (stratum, x, y, X), where X is a
-    unimodular matrix projecting to (x, y), with symmetric part of size
-    sqrt(r^2 - 1) in a random direction, or None where r^2 < 1.
+    near (1, 0) and (-1, 0), the unit circle, the axis, the positive axis
+    just outside its band, and the orthogonal crossing (-3, 0) of r = 3.
+    Each yields (stratum, x, y, X), where X is a unimodular matrix
+    projecting to (x, y), with symmetric part of size sqrt(r^2 - 1) in a
+    random direction, or None where r^2 < 1.
     """
     for i in range(n):
         name = strata[i % len(strata)]
@@ -60,6 +69,15 @@ def strata_targets(rng, n, strata=tuple(STRATA)):
         yield name, x, y, matrix
 
 
+def near_circle_targets(n=1000):
+    """n planar targets just outside the unit circle, (x, y) each: r^2 - 1
+    log-uniform in [1e-14, 1e-2] and the polar angle uniform, seeded."""
+    rng = np.random.default_rng(24)
+    excess, beta = 10.0 ** rng.uniform(-14.0, -2.0, n), rng.uniform(-math.pi, math.pi, n)
+    r = np.sqrt(1.0 + excess)
+    return [(float(x), float(y)) for x, y in zip(r * np.cos(beta), r * np.sin(beta))]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -69,28 +87,38 @@ def rng():
 def search_counts(monkeypatch):
     """Objective evaluations per root search, as [finder, count] records.
 
-    Wraps the `bisect` and `zeroin` bindings of `synthesis` (the fan
-    search, finder "fan", whichever root finder it takes) and the `bisect`
-    binding of `geodesics` (`s_int`, finder "s_int").  A record is appended
-    when its search starts, so an `s_int` search nested in a fan objective
-    follows the fan record.  Clear the list between calls to attribute
-    records to one call.
+    Wraps `synthesis._fan` (finder "fan"): each fan it builds is one search,
+    and every call of its three parts counts, the junction signs and the cut
+    included; the crossing that re-evaluates the root for its (c, s) does
+    not.  Wraps the `bisect` binding of `geodesics` (`s_int`, finder
+    "s_int"): s_int evaluates both bracket ends itself before it calls the
+    finder, so its record starts at 2.  A record is appended when its search
+    starts, so an `s_int` search nested in a fan objective follows the fan
+    record.  Clear the list between calls to attribute records to one call.
     """
     records = []
 
-    def counting(finder, find):
-        def counted(f, a, b):
-            record = [finder, 0]
-            records.append(record)
-
-            def objective(t):
-                record[1] += 1
-                return f(t)
-            return find(objective, a, b)
+    def counting(record, f):
+        def counted(t):
+            record[1] += 1
+            return f(t)
         return counted
 
-    for module, name, finder in ((sl2geo.synthesis, "bisect", "fan"),
-                                 (sl2geo.synthesis, "zeroin", "fan"),
-                                 (sl2geo.geodesics, "bisect", "s_int")):
-        monkeypatch.setattr(module, name, counting(finder, getattr(module, name)))
+    fan, find = sl2geo.synthesis._fan, sl2geo.geodesics.bisect
+
+    def counted_fan(*args):
+        record = ["fan", 0]
+        records.append(record)
+        *parts, crossing = fan(*args)
+        counted = [counting(record, part) for part in parts]
+        raw = dict(zip(counted, parts))
+        return (*counted, lambda part, t: crossing(raw[part], t))
+
+    def counted_bisect(f, a, b, fa, fb):
+        record = ["s_int", 2]
+        records.append(record)
+        return find(counting(record, f), a, b, fa, fb)
+
+    monkeypatch.setattr(sl2geo.synthesis, "_fan", counted_fan)
+    monkeypatch.setattr(sl2geo.geodesics, "bisect", counted_bisect)
     return records

@@ -47,6 +47,14 @@ class TestProjectCommand:
         assert code == 2
         assert "det" in err
 
+    def test_singular_huge_entries_exit_2(self, capsys):
+        # det 0, and every product of entries overflows: the determinant
+        # cannot be checked, so the matrix is not taken as unimodular.
+        code, out, err = run(capsys, "project", "--", "1e160", "1e160", "1e160", "1e160")
+        assert code == 2
+        assert out == ""
+        assert "det = nan" in err
+
 
 class TestSolveCommand:
     def test_reference_example(self, capsys):

@@ -1,5 +1,6 @@
 import math
 import sys
+import types
 from collections import Counter
 
 import numpy as np
@@ -9,8 +10,8 @@ from sl2geo import (C_LANDING, C_ORTHOGONAL, QuotientPoint, basis,
                     distance_to_class, k1k2, landing_point, landing_time, lift,
                     planar_geodesic, planar_jet, project, radius_sq, s_int,
                     sample_path, to_coords, x_int)
-from sl2geo import geodesics
-from sl2geo._kernels import bisect, coshc, sinhc, zeroin
+from sl2geo import geodesics, synthesis
+from sl2geo._kernels import bisect, coshc, sinhc
 from sl2geo.errors import (BadGridError, NonFiniteError, OutOfRegimeError,
                            UnboundedError)
 from sl2geo.figures import FAN_C_VALUES
@@ -202,11 +203,16 @@ class TestSInt:
         assert abs(s_int(1.0 + 1e-9) - s_int(1.0)) < 1e-6
 
     def test_boundary_value_evaluated_once(self, monkeypatch):
-        # For 1 < |c| <= 2/sqrt(3) bisect's own end-point evaluation is the
-        # y(hi) > 0 test: at c = 1.1 the search takes 44 evaluations of y.
+        # For 1 < |c| <= 2/sqrt(3) the end value y(hi) that s_int hands to
+        # bisect is the y(hi) > 0 test: at c = 1.1 the search takes 44
+        # evaluations of y, both ends included, and none twice.
         calls = []
-        monkeypatch.setattr(geodesics, "bisect", lambda f, a, b: bisect(
-            lambda s: calls.append(s) or f(s), a, b))
+
+        def capturing(f, a, b, fa, fb):
+            calls.extend((a, b))
+            return bisect(lambda s: calls.append(s) or f(s), a, b, fa, fb)
+
+        monkeypatch.setattr(geodesics, "bisect", capturing)
         s_int(1.1)
         assert len(calls) == len(set(calls)) == 44
 
@@ -221,7 +227,7 @@ class TestSInt:
             hi = 2.0 * math.pi / c
             if y(c, hi) > 0.0:
                 return hi
-            return bisect(lambda s: y(c, s), math.pi / c, hi)
+            return bisect(lambda s: y(c, s), math.pi / c, hi, y(c, math.pi / c), y(c, hi))
 
         cs = [float(c) for c in np.linspace(1.0, C_LANDING, 2001)[1:]]
         for _ in range(20):
@@ -311,12 +317,13 @@ def test_s_int_objective_matches_reference(monkeypatch):
     # bit, over the series band on both sides of c = 1 and both regimes.
     calls, parts = [], Counter()
 
-    def capturing(f, a, b):
+    def capturing(f, a, b, fa, fb):
         def objective(s):
             value = f(s)
             calls.append((s, value))
             return value
-        return bisect(objective, a, b)
+        calls.extend(((a, fa), (b, fb)))
+        return bisect(objective, a, b, fa, fb)
 
     monkeypatch.setattr(geodesics, "bisect", capturing)
     for c, _ in _S_INT_PINS:
@@ -330,17 +337,24 @@ def test_s_int_objective_matches_reference(monkeypatch):
     assert len(parts) == 4, parts
 
 
+# The search objectives: s_int's y and the fan's three parts, nested in the
+# functions that build them.
+_OBJECTIVES = {code for fn in (geodesics.s_int, synthesis._fan)
+               for code in fn.__code__.co_consts if isinstance(code, types.CodeType)
+               and code.co_name in ("y", "falling", "rising", "hyperbolic")}
+
+
 def _python_calls(fn, *args):
     # (Python function calls, objective evaluations) during fn(*args); an
-    # evaluation is a call made by a root finder, bisect or zeroin.
+    # evaluation is a call of a search objective, whoever makes it: a root
+    # finder, or its caller at a bracket end, a junction or the answer.
     calls = evaluations = 0
-    finders = (bisect.__code__, zeroin.__code__)
 
     def profile(frame, event, arg):
         nonlocal calls, evaluations
         if event == "call":
             calls += 1
-            evaluations += frame.f_back.f_code in finders
+            evaluations += frame.f_code in _OBJECTIVES
 
     sys.setprofile(profile)
     try:
@@ -352,10 +366,12 @@ def _python_calls(fn, *args):
 
 def test_one_python_frame_per_search_step():
     # Counts, not times: each step of a root search is one Python frame.
-    # The fan search of a regular target (r <= 3, so zeroin): 8 calls
-    # besides its steps.
+    # The fan search of a regular target (r <= 3, so zeroin): 7 calls
+    # besides its evaluations (distance_to_class, _distance, _stratum, _fan,
+    # zeroin, crossing and the result's constructor).
+    assert len(_OBJECTIVES) == 5
     calls, evaluations = _python_calls(distance_to_class, QuotientPoint(0.0, 1.5))
-    assert calls == evaluations + 8, (calls, evaluations)
+    assert calls == evaluations + 7, (calls, evaluations)
     # s_int: besides its objective, only s_int, _finite and bisect run.
     for c in (0.3, 1.0, 1.1):
         calls, evaluations = _python_calls(s_int, c)

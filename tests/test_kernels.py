@@ -18,20 +18,25 @@ def counted(f):
     return wrapped, calls
 
 
+def _ends(f, a, b):
+    # The finders take the bracket ends' values from their caller.
+    return f, a, b, f(a), f(b)
+
+
 class TestBisect:
     def test_no_sign_change(self):
         with pytest.raises(NoRootError):
-            bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+            bisect(*_ends(lambda x: x * x + 1.0, -1.0, 1.0))
 
     def test_endpoint_root_is_exact(self):
-        assert bisect(lambda x: x - 2.0, 2.0, 3.0) == 2.0
-        assert bisect(lambda x: x - 3.0, 2.0, 3.0) == 3.0
+        assert bisect(*_ends(lambda x: x - 2.0, 2.0, 3.0)) == 2.0
+        assert bisect(*_ends(lambda x: x - 3.0, 2.0, 3.0)) == 3.0
 
     def test_linear_root_to_one_ulp(self):
         for root in (0.1, 1.0 / 3.0, math.pi, 7.25e-3):
-            got = bisect(lambda x: 3.0 * (x - root), 0.0, 4.0)
+            got = bisect(*_ends(lambda x: 3.0 * (x - root), 0.0, 4.0))
             assert abs(got - root) <= math.ulp(root)
-            got = bisect(lambda x: root - x, 0.0, 4.0)
+            got = bisect(*_ends(lambda x: root - x, 0.0, 4.0))
             assert abs(got - root) <= math.ulp(root)
 
     def test_stops_when_no_float_lies_between_the_ends(self):
@@ -39,20 +44,45 @@ class TestBisect:
         # narrow as ROOT_TOL; the search must stop on adjacent floats.
         lo, hi = 1e5, 1e5 + 1.0
         f, calls = counted(lambda x: x - (1e5 + 1.0 / 3.0))
-        got = bisect(f, lo, hi)
+        got = bisect(*_ends(f, lo, hi))
         assert len(calls) <= 64
         assert lo <= got <= hi
         assert abs(got - (1e5 + 1.0 / 3.0)) <= math.ulp(1e5)
 
 
+@pytest.mark.parametrize("find", [bisect, zeroin])
+class TestBracketContract:
+    """The end values come from the caller; neither finder evaluates an end."""
+
+    def test_zero_end_returned_without_a_call(self, find):
+        f, calls = counted(lambda x: x - 2.0)
+        assert find(f, 2.0, 3.0, 0.0, 1.0) == 2.0
+        assert find(f, 1.0, 2.0, -1.0, 0.0) == 2.0
+        assert find(f, 2.0, 3.0, -0.0, 1.0) == 2.0
+        assert calls == []
+
+    @pytest.mark.parametrize("fa, fb", [(1.0, 2.0), (-1.0, -3.0), (math.inf, 1.0)])
+    def test_same_signs_raise(self, find, fa, fb):
+        f, calls = counted(lambda x: x)
+        with pytest.raises(NoRootError, match="no sign change"):
+            find(f, -1.0, 1.0, fa, fb)
+        assert calls == []
+
+    def test_ends_never_evaluated(self, find):
+        f, calls = counted(lambda x: x * x - 2.0)
+        got = find(f, 0.0, 2.0, -2.0, 2.0)
+        assert abs(got - math.sqrt(2.0)) <= 4.0 * math.ulp(math.sqrt(2.0))
+        assert calls and 0.0 not in calls and 2.0 not in calls
+
+
 class TestZeroin:
     def test_no_sign_change(self):
         with pytest.raises(NoRootError):
-            zeroin(lambda x: x * x + 1.0, -1.0, 1.0)
+            zeroin(*_ends(lambda x: x * x + 1.0, -1.0, 1.0))
 
     def test_endpoint_root_is_exact(self):
-        assert zeroin(lambda x: x - 2.0, 2.0, 3.0) == 2.0
-        assert zeroin(lambda x: x - 3.0, 2.0, 3.0) == 3.0
+        assert zeroin(*_ends(lambda x: x - 2.0, 2.0, 3.0)) == 2.0
+        assert zeroin(*_ends(lambda x: x - 3.0, 2.0, 3.0)) == 3.0
 
     @pytest.mark.parametrize("f, a, b, root", [
         (lambda x: x * x - 2.0, 0.0, 2.0, math.sqrt(2.0)),
@@ -64,9 +94,17 @@ class TestZeroin:
     ])
     def test_smooth_root_to_rounding(self, f, a, b, root):
         f, calls = counted(f)
-        got = zeroin(f, a, b)
+        got = zeroin(*_ends(f, a, b))
         assert abs(got - root) <= 2.0 * math.ulp(root)
         assert len(calls) <= 12
+
+    def test_pole_at_an_end(self):
+        # An infinite end value, as the fan's falling part has at delta = 0:
+        # the search stays bracketed and ends at the root.
+        f, calls = counted(lambda x: 1.0 / (x * x) - 4.0)
+        got = zeroin(f, 0.0, 1.0, math.inf, f(1.0))
+        assert abs(got - 0.5) <= 2.0 * math.ulp(0.5)
+        assert all(0.0 < x <= 1.0 for x in calls) and len(calls) <= 20
 
     @pytest.mark.parametrize("lo, hi, edge", [(0.0, 1.0, 1.0 / 3.0),
                                               (1e5, 1e5 + 1.0, 1e5 + 1.0 / 3.0)])
@@ -74,7 +112,7 @@ class TestZeroin:
         # No interpolation step helps on a jump: the forced midpoint steps
         # keep every evaluation inside [lo, hi] and end next to the jump.
         f, calls = counted(lambda x: -1.0 if x < edge else 1.0)
-        got = zeroin(f, lo, hi)
+        got = zeroin(*_ends(f, lo, hi))
         assert all(lo <= x <= hi for x in calls)
         assert abs(got - edge) <= 4.0 * sys.float_info.epsilon * edge
         assert len(calls) <= 64

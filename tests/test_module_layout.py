@@ -1,5 +1,5 @@
 """Module boundaries: the numpy-free core, the one home of the argument
-checks, of the fan coordinate, of the axis band and of the start-point test,
+checks, of the fan's part maps, of the axis band and of the start-point test,
 the two readers of the rotation floor, the names the benchmark traces, and no
 unused imports.
 
@@ -159,15 +159,29 @@ def _expression_homes(texts) -> Counter:
     return homes
 
 
-# The fan coordinate's maps, u -> delta on the trigonometric part (u ->
-# pi - delta on its upper half, up to the junction u = span) and u -> c on
-# the hyperbolic one: a second copy of any would be a second definition of
+# The fan's part maps, delta -> v = sqrt(c^2 - 1) on the falling part,
+# pi - delta -> v on the rising trigonometric one and c -> radial sqrt(1 - c^2)
+# on the hyperbolic one: a second copy of any would be a second definition of
 # the fan crossing, free to drift from the first.
-_FAN_MAPS = ("math.pi * u / span", "math.pi * (span - u) / span", "(1.0 + span) - u")
+_FAN_MAPS = {"falling": "sin_d / radial", "rising": "sin_e / radial",
+             "hyperbolic": "radial * q"}
 
 
 def test_fan_coordinate_has_one_home():
-    assert _expression_homes(_FAN_MAPS) == {("synthesis", "gap", text): 1 for text in _FAN_MAPS}
+    assert _expression_homes(_FAN_MAPS.values()) == {
+        ("synthesis", part, text): 1 for part, text in _FAN_MAPS.items()}
+
+
+def test_single_fan_coordinate_is_gone():
+    # The one coordinate u over the whole fan, with its power-of-two span and
+    # its bracket start 2^-60 span, gave way to one coordinate per part.
+    names = {token.string for path in sorted(PACKAGE.glob("*.py"))
+             for token in tokenize.generate_tokens(io.StringIO(
+                 path.read_text(encoding="utf-8")).readline)
+             if token.type == tokenize.NAME}
+    assert "radial" in names and "span" not in names
+    assert _expression_homes(["2.0 ** -60", "2.0 ** 60"]) == {}
+    assert _expression_homes(["2.0 ** -51"])  # the scan sees powers of two
 
 
 # The axis band: the solver branches on the cut-locus class alone, so the

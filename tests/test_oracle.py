@@ -16,6 +16,8 @@ from sl2geo import (C_ORTHOGONAL, QuotientPoint, c_of_omega, distance_to_class,
                     landing_time, s_int, x_int)
 from sl2geo.tolerances import ROOT_TOL
 
+from conftest import near_circle_targets
+
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
@@ -132,10 +134,11 @@ def test_distance_to_class_crossing_times():
 def test_distance_to_class_past_the_fan_junction():
     # Next to (1, 0), with r^2 - 1 = 1.4e-8 and y = 2.8e-20, the minimizer
     # has c = 5.27e-8 (50-digit solve), on the hyperbolic side of the fan's
-    # junction u = span.  Taken as pi - (rounded delta), pi - delta had ~14 %
-    # relative error there, and the gap's false sign change stopped the
-    # search at c = 1.0000000272.  c is ill-conditioned so close to (1, 0):
-    # it is checked loosely, the planar residual tightly.
+    # junction c = 1.  When one coordinate u ran over the whole fan, pi -
+    # delta, taken as pi - (rounded delta), had ~14 % relative error there,
+    # and the gap's false sign change stopped the search at c = 1.0000000272.
+    # c is ill-conditioned so close to (1, 0): it is checked loosely, the
+    # planar residual tightly.
     x, y = 1.0000000067704442, 2.7654249046197205e-20
     res = distance_to_class(QuotientPoint(x, y))
     assert abs(res.c - 5.2651698514972917e-8) <= 1e-4 * 5.2651698514972917e-8
@@ -179,16 +182,15 @@ def test_c_of_omega(omega):
         assert abs(c_of_omega(omega) - ref) <= 1e-14 * abs(ref)
 
 
-# Targets near the positive axis, outside its band: the hyperbolic end of the
-# fan coordinate, c = (1 + span) - u, sits on u's coarse float grid near
-# 1 + span, so c is resolved only to an absolute ~1e-16 there (relative
-# errors 1.45e-5, 3.6e-6, 1.4e-7, 4.1e-8 and 4.0e-10 when recorded).
+# Targets near the positive axis, outside its band: tiny c on the hyperbolic
+# part.  When the fan had one coordinate u, with c = (1 + span) - u on u's
+# coarse float grid near 1 + span, c was resolved only to an absolute ~1e-16
+# there (relative errors 1.45e-5, 3.6e-6, 1.4e-7, 4.1e-8 and 4.0e-10); c is
+# now the hyperbolic part's own search variable.
 _NEAR_AXIS = [(99.98999899979995, 3e-9), (50.0, 3e-9), (10.0, 1e-8), (2.0, 2e-9),
               (1.01, 1.5e-9)]
 
 
-@pytest.mark.xfail(strict=True, reason="tiny c near the positive axis loses "
-                   "relative precision (ROADMAP item 3)")
 def test_distance_to_class_near_axis_relative_c():
     worst = 0.0
     for x, y in _NEAR_AXIS:
@@ -196,3 +198,25 @@ def test_distance_to_class_near_axis_relative_c():
         c, _ = _planar_solve(x, y, res)
         worst = max(worst, float(abs(res.c - c) / abs(c)))
     assert worst <= 1e-13
+
+
+def _relative_residual(x, y, res):
+    px, py = _planar(mp.mpf(res.c), mp.mpf(res.s))
+    return mp.hypot(px - x, py - y) / mp.hypot(x, y)
+
+
+def test_near_circle_family_residual():
+    # Every 20th target of the near-circle family whose evaluation budget
+    # test_synthesis checks.
+    worst = max(_relative_residual(x, y, distance_to_class(QuotientPoint(x, y)))
+                for x, y in near_circle_targets()[::20])
+    assert worst <= 5e-15
+
+
+@pytest.mark.parametrize("x, y", [(1e200, 1e199), (-1e200, 0.0), (5e159, 0.0)])
+def test_distance_to_class_beyond_squared_overflow(x, y):
+    # x^2 + y^2 overflows, r does not: the answer's planar point, at 40
+    # digits, reaches the target to a relative residual of rounding in c and
+    # s, whose sensitivity there is about s ~ 460.
+    res = distance_to_class(QuotientPoint(x, y))
+    assert _relative_residual(x, y, res) <= 1e-13

@@ -17,7 +17,7 @@ from sl2geo.errors import (BadGridError, NonFiniteError, NotUnimodularError,
 from sl2geo.synthesis import _FAR, _fan, _polar_angle
 from sl2geo.tolerances import ROTATION_FLOOR, SERIES_CUTOFF, SINGULAR_BAND
 
-from conftest import random_sl2, strata_targets
+from conftest import near_circle_targets, random_sl2, strata_targets
 
 A0, A1, A2 = basis()
 
@@ -159,11 +159,21 @@ class TestDistance:
         with pytest.raises(NonFiniteError, match=f"coordinate {name} = "):
             distance_to_class(QuotientPoint(x, y))
 
-    @pytest.mark.parametrize("x, y", [(1e200, 1e199), (-1e200, 0.0),
-                                      (-1e160, 1e160)])
-    def test_rejects_overflowing_radius(self, x, y):
-        with pytest.raises(NonFiniteError, match="squared radius"):
-            distance_to_class(QuotientPoint(x, y))
+    def test_rejects_overflowing_radius(self):
+        with pytest.raises(NonFiniteError, match="target radius = inf"):
+            distance_to_class(QuotientPoint(1.7e308, -1e308))
+
+    @pytest.mark.parametrize("x, y, tol", [
+        (1e200, 1e199, 1e-13), (-1e200, 0.0, 1e-13), (-1e160, 1e160, 1e-13),
+        (5e159, 0.0, 1e-13), (-1e308, 1e-300, 1e-13), (1.5e308, 1.0, 1e-13),
+        # Bisection next to the horizon sentinel (ROADMAP item 2).
+        (-1e200, 3.0, 1e-9)])
+    def test_overflowing_radius_solved(self, x, y, tol):
+        # x^2 + y^2 overflows, but r and every intermediate of the search
+        # stay finite: the answer reaches the target to a relative residual.
+        res = distance_to_class(QuotientPoint(x, y))
+        p = planar_geodesic(res.c, res.s)
+        assert math.hypot(p.x - x, p.y - y) <= tol * math.hypot(x, y)
 
     def test_positive_axis_closed_form(self):
         res = distance_to_class(QuotientPoint(math.cosh(0.5), 0.0))
@@ -266,55 +276,60 @@ class TestNearAxisBand:
 # (checked with a counting wrapper when they were drawn: random.Random(20150),
 # r log-uniform in [3, 60], polar angle uniform in (-pi, pi); every one of the
 # first 40 draws qualified).  (x, y, t_f, c), recorded with that test in place
-# (re-recorded when the fan coordinate was reversed; each moved by at most
-# 4.4e-16 max(1, t_f)): removing the test must leave both answers
-# bit-identical.  Sending x_int to -inf removes it, as no rising crossing is
-# then past the horizon.
+# (re-recorded when the fan coordinate was reversed, and when the fan was
+# split into three parts, each searched in its own coordinate; each moved by
+# at most 4.4e-16 and 5.2e-16 max(1, t_f)): removing the test must leave both
+# answers bit-identical.  Sending x_int to -inf removes it, as no rising
+# crossing is then past the horizon.
 _HORIZON_PINS = [
-    (5.2610429606604505, -41.63819891318304, 9.446022743896284, -0.39100296230985987),
-    (-10.548578901243847, 1.003852986720156, 9.442463423125854, 0.865128486212543),
+    (5.2610429606604505, -41.63819891318304, 9.446022743896284, -0.39100296230985976),
+    (-10.548578901243847, 1.003852986720156, 9.442463423125854, 0.8651284862125431),
     (-4.016929354150478, 11.085086269850937, 7.800699316260637, 0.6841851820584479),
-    (-13.474647665272258, -11.176480022731672, 9.110550478229204, -0.7108797158741813),
-    (-19.706531011524774, 32.65200431543374, 9.904604067734683, 0.542599205204817),
-    (-4.3496729983217515, -2.5381390549509124, 8.001564238772028, -0.958099793188568),
-    (-10.288943191055647, 29.061203721588274, 9.32780970197894, 0.5292745935115801),
-    (58.04145599431788, 0.9879908595939775, 9.508827866009065, 0.00453329275241221),
-    (22.06935781688788, -5.3404081700965085, 7.650593341780106, -0.08403949017902002),
-    (16.514289787261017, -18.939331983061685, 8.078697937995015, -0.2820803981623925),
-    (1.2769772678296987, -5.30273317215524, 5.864370408392552, -0.726308913099386),
-    (17.866145458126695, 2.666684319375149, 7.181086330183103, 0.05717280681756676),
-    (-4.575184363069441, -10.605611272997058, 7.853357264283098, -0.7004407371106693),
-    (-10.065990675888527, -7.109603631637539, 8.756138383340637, -0.780832078876809),
-    (2.030654458111557, 5.73764808181268, 5.883232122633912, 0.6588500683531808),
-    (-28.533710307733667, 2.8766445880503975, 10.649025356446222, 0.7227403051288741),
-    (4.44157087106237, 3.0445326643643877, 4.987770453414693, 0.4051167963787856),
+    (-13.474647665272258, -11.176480022731672, 9.110550478229205, -0.7108797158741813),
+    (-19.706531011524774, 32.65200431543374, 9.904604067734684, 0.5425992052048171),
+    (-4.3496729983217515, -2.5381390549509124, 8.001564238772024, -0.9580997931885679),
+    (-10.288943191055647, 29.061203721588274, 9.32780970197894, 0.5292745935115802),
+    (58.04145599431788, 0.9879908595939775, 9.508827866009065, 0.004533292752412108),
+    (22.06935781688788, -5.3404081700965085, 7.650593341780105, -0.08403949017901996),
+    (16.514289787261017, -18.939331983061685, 8.078697937995013, -0.28208039816239244),
+    (1.2769772678296987, -5.30273317215524, 5.864370408392552, -0.7263089130993859),
+    (17.866145458126695, 2.666684319375149, 7.181086330183104, 0.05717280681756673),
+    (-4.575184363069441, -10.605611272997058, 7.8533572642830975, -0.7004407371106692),
+    (-10.065990675888527, -7.109603631637539, 8.756138383340636, -0.7808320788768089),
+    (2.030654458111557, 5.73764808181268, 5.883232122633912, 0.6588500683531807),
+    (-28.533710307733667, 2.8766445880503975, 10.64902535644622, 0.7227403051288741),
+    (4.44157087106237, 3.0445326643643877, 4.987770453414692, 0.4051167963787856),
     (-20.697196097416924, 5.820155315172206, 10.001298274709773, 0.7396779190275549),
-    (33.04063001927018, 18.888155751091404, 8.744688534521838, 0.1541620040375533),
-    (5.933850315916666, 12.712825852472395, 7.191290264863308, 0.4425598442625409),
+    (33.04063001927018, 18.888155751091404, 8.74468853452184, 0.15416200403755323),
+    (5.933850315916666, 12.712825852472395, 7.1912902648633095, 0.442559844262541),
     (-6.531166244717587, 2.8272031989870237, 8.503829551253657, 0.9029388587133744),
-    (-31.98563405680688, 38.190839755112464, 10.52092551429334, 0.5394252140459674),
-    (-15.93340210190161, -14.686478669018099, 9.347911354330048, -0.6695771707477425),
+    (-31.98563405680688, 38.190839755112464, 10.520925514293339, 0.5394252140459673),
+    (-15.93340210190161, -14.686478669018099, 9.347911354330046, -0.6695771707477424),
     (-2.677242025171417, 6.456048680198697, 7.161064558888891, 0.806760830092665),
-    (-5.153028425762168, -12.71424343166238, 8.07626670917024, -0.6633850168536966),
+    (-5.153028425762168, -12.71424343166238, 8.07626670917024, -0.6633850168536963),
     (3.6795254247777143, -2.2917896145645367, 4.546780501123596, -0.43931874977000906),
     (-7.4200019992216415, 17.454898073626854, 8.59870550678124, 0.6116890199327087),
-    (-3.0367755628661737, 5.792273416677, 7.230656746588568, 0.8379059729187754),
+    (-3.0367755628661737, 5.792273416677, 7.230656746588567, 0.8379059729187753),
     (0.795797808433616, -13.902587234323304, 7.558701620890002, -0.5560535694917359),
-    (-1.3490743117732809, 8.693717814385503, 7.106118835969797, 0.7030769745242289),
-    (1.3296374351980187, -56.58886670261772, 10.076880550869573, -0.3856693921255292),
-    (-38.11658249495033, -42.695027591206674, 10.789401480809067, -0.529742156432377),
-    (-10.15519324997081, 37.507525967631786, 9.650050241168186, 0.48533953754457304),
-    (-12.594459872144112, 3.2421156162475557, 9.40195967751946, 0.8173170396981357),
-    (39.50296712748616, -21.369499232186023, 9.065461031688619, -0.14048816666881225),
-    (-41.19867820462352, 19.549901685251672, 10.87643030454322, 0.6188929572635982),
-    (9.048158728946058, -6.1990851975562355, 6.34180423398953, -0.277843371429215),
-    (-3.2612382527198274, 5.958857957303981, 7.3038287432452265, 0.831855649268834),
-    (-2.241772662749917, 3.873328709993247, 6.928413494234978, 0.9377822895879928),
-    (18.17069845311513, 8.705499334562944, 7.464893197757632, 0.16370685538857055),
+    (-1.3490743117732809, 8.693717814385503, 7.106118835969797, 0.7030769745242288),
+    (1.3296374351980187, -56.58886670261772, 10.076880550869573, -0.38566939212552925),
+    (-38.11658249495033, -42.695027591206674, 10.789401480809067, -0.5297421564323771),
+    (-10.15519324997081, 37.507525967631786, 9.650050241168184, 0.48533953754457304),
+    (-12.594459872144112, 3.2421156162475557, 9.401959677519462, 0.8173170396981358),
+    (39.50296712748616, -21.369499232186023, 9.065461031688619, -0.14048816666881234),
+    (-41.19867820462352, 19.549901685251672, 10.87643030454322, 0.6188929572635983),
+    (9.048158728946058, -6.1990851975562355, 6.34180423398953, -0.2778433714292149),
+    (-3.2612382527198274, 5.958857957303981, 7.303828743245227, 0.831855649268834),
+    (-2.241772662749917, 3.873328709993247, 6.928413494234975, 0.9377822895879927),
+    (18.17069845311513, 8.705499334562944, 7.464893197757632, 0.16370685538857052),
 ]
 
 
-@pytest.mark.parametrize("x, y, t_f, c", _HORIZON_PINS)
+def _ids(pins):
+    return [f"{x!r}-{y!r}" for x, y, *_ in pins]
+
+
+@pytest.mark.parametrize("x, y, t_f, c", _HORIZON_PINS, ids=_ids(_HORIZON_PINS))
 def test_horizon_targets_bit_identical(x, y, t_f, c, monkeypatch):
     res = distance_to_class(QuotientPoint(x, y))
     assert (res.t_f, res.c) == (t_f, c)
@@ -362,95 +377,111 @@ def test_horizon_sentinel_targets_bit_identical(monkeypatch):
 
 
 # Fan searches off the rising-branch horizon, (x, y, t_f, c), re-recorded when
-# the fan coordinate was reversed (each moved by at most 4.0e-12 max(1, t_f))
-# and when searches without the horizon test took zeroin and the junction
-# took pi - delta exactly (14 moved, by at most 5.7e-16 max(1, t_f) but for
-# 1.3e-11 at the target near (1, 0), where c is ill-conditioned): an inlined
-# operation that is reordered moves some of these answers.  The
-# targets near the circle and on the c = +-1 geodesics reach the series
-# branch of the hyperbolic crossing; the r > 3 hyperbolic ones also evaluate
-# the horizon test.
+# the fan coordinate was reversed (each moved by at most 4.0e-12 max(1, t_f)),
+# when searches without the horizon test took zeroin and the junction took
+# pi - delta exactly (14 moved, by at most 5.7e-16 max(1, t_f) but for
+# 1.3e-11 at the target near (1, 0), where c is ill-conditioned), and when
+# the fan was split into three parts, each searched in its own coordinate
+# (21 moved, by at most 6.0e-16 max(1, t_f) but for 6.4e-12 at the target
+# near (1, 0)): an inlined operation that is reordered moves some of these
+# answers.  The targets near the circle and on the c = +-1 geodesics reach
+# the series branch of the hyperbolic crossing; the r > 3 hyperbolic ones
+# also evaluate the horizon test.
 _FAN_PINS = [
     # axis cut
     (-1.5, 0.0, 9.291798312170217, 1.135279796064387),
-    (-3.0, 0.0, 8.88576587631673, 1.0606601717798212),
+    (-3.0, 0.0, 8.885765876316732, 1.0606601717798212),
     (-10.0, 0.0, 9.550812201465083, 0.8821753010498774),
-    (-1.001, 0.0, 10.793400644616998, 1.154698430006658),
-    (-2.2, -0.0, 8.952963404464118, 1.0988300459021978),
+    (-1.001, 0.0, 10.793400644616996, 1.154698430006658),
+    (-2.2, -0.0, 8.952963404464123, 1.0988300459021978),
     # near r = 3
     (-2.999, 0.01, 8.878692254145703, 1.0607036265762735),
-    (-3.0, 0.05, 8.850414464868392, 1.0606392535529),
-    (0.0, 3.0001, 5.603631666569612, 0.9963596055177262),
-    (2.999, 0.2, 3.534883900404188, 0.08086304252564958),
-    (-3.01, -0.3, 8.675307568972462, -1.0594083658733682),
+    (-3.0, 0.05, 8.85041446486839, 1.0606392535529),
+    (0.0, 3.0001, 5.603631666569611, 0.9963596055177262),
+    (2.999, 0.2, 3.534883900404188, 0.08086304252564967),
+    (-3.01, -0.3, 8.675307568972459, -1.0594083658733682),
     # regular hyperbolic
-    (1.5823662963727558, 0.711357365701801, 2.759587803217908, 0.9560824878754117),
+    (1.5823662963727558, 0.711357365701801, 2.7595878032179084, 0.956082487875412),
     (-5.926705947122258, -4.841774031039918, 8.087086905506075, -0.8600701753994819),
-    (7.550165226784762, -0.08906366878589296, 5.420825136757868, -0.006861105977489235),
-    (5.161103638508357, 0.7507789810291041, 4.686273078378339, 0.10622472909057712),
+    (7.550165226784762, -0.08906366878589296, 5.420825136757868, -0.006861105977489236),
+    (5.161103638508357, 0.7507789810291041, 4.686273078378339, 0.10622472909057705),
     # trigonometric rising
-    (0.8814687861558497, -1.7717330290689357, 4.376745636989354, -1.1381731677376634),
-    (-4.003348197876582, -0.13281802291598294, 8.865955435807447, -1.0196542561371436),
-    (1.249094666352005, -1.2911863704494084, 3.619114228439098, -1.1573588077109511),
+    (0.8814687861558497, -1.7717330290689357, 4.376745636989353, -1.1381731677376632),
+    (-4.003348197876582, -0.13281802291598294, 8.865955435807448, -1.0196542561371436),
+    (1.249094666352005, -1.2911863704494084, 3.619114228439097, -1.1573588077109511),
     (1.1036677113362978, 1.0449600497420992, 3.440339384284359, 1.3264316383996568),
     # trigonometric falling
-    (0.18963232166392585, 1.1457767171325008, 5.564074706625001, 1.360326176686404),
-    (-2.015424851557545, -0.031911733004411115, 8.965249037054017, -1.108814813084571),
-    (0.7887549430872778, 1.098715993045512, 4.009304082036844, 1.4128752382983663),
+    (0.18963232166392585, 1.1457767171325008, 5.564074706624999, 1.3603261766864043),
+    (-2.015424851557545, -0.031911733004411115, 8.965249037054013, -1.108814813084571),
+    (0.7887549430872778, 1.098715993045512, 4.009304082036843, 1.4128752382983665),
     (-1.5760189607778492, 0.9554202484053788, 7.835641548990348, 1.139024685591158),
     # r^2 - 1 = 1e-8, and on the c = +-1 geodesics
-    (0.07073720202138892, 0.9974949915915293, 6.8334748417742865, 1.3584470321053002),
-    (-0.9899925015504079, -0.14112000876546724, 10.554335692591334, -1.1637826300405625),
+    (0.07073720202138892, 0.9974949915915293, 6.833474841774284, 1.3584470321053004),
+    (-0.9899925015504079, -0.14112000876546724, 10.554335692591332, -1.1637826300405625),
     (0.6950367447129576, 2.6013311829712906, 5.0, 1.0),
     (1.402448017104221, -1.7415910999199666, 4.0, -1.0),
     # the circle's band outside the circle: r^2 - 1 = 5e-10 and 1e-12 at
     # beta = 1.27, and r^2 - 1 = 8.9e-10 near (1, 0)
-    (0.296280872999389, 0.9551008558234675, 6.1943221841804785, 1.4243885520061468),
-    (0.2962808729254669, 0.9551008555851699, 6.1943649052309455, 1.4243885520061486),
-    (1.000000000444152, -3.1042849165784786e-09, 0.0002243566314695962, -21726.439670624768),
+    (0.296280872999389, 0.9551008558234675, 6.194322184180476, 1.424388552006147),
+    (0.2962808729254669, 0.9551008555851699, 6.194364905230943, 1.424388552006149),
+    (1.000000000444152, -3.1042849165784786e-09, 0.00022435662510147256, -21726.440127880287),
 ]
 
 
-@pytest.mark.parametrize("x, y, t_f, c", _FAN_PINS)
+@pytest.mark.parametrize("x, y, t_f, c", _FAN_PINS, ids=_ids(_FAN_PINS))
 def test_fan_targets_bit_identical(x, y, t_f, c):
     res = distance_to_class(QuotientPoint(x, y))
     assert (res.t_f, res.c) == (t_f, c)
 
 
+_PARTS = ("falling", "rising", "hyperbolic")
+
+
 def test_fan_objective_is_the_fan_point_angle(monkeypatch):
-    # Every value the fan search sees, other than the horizon sentinel,
-    # equals the angle gap of the crossing that _fan returns, bit for bit.
+    # Every value the fan search sees, other than the horizon sentinel, is
+    # the angle gap of the crossing that _fan returns: bit for bit its part's
+    # closed form, and within rounding c s - atan2(c radial, k1) - beta.
     calls, parts = [], Counter()
+    fan = synthesis._fan
 
-    def capturing(find):
-        def captured(f, a, b):
-            def objective(u):
-                value = f(u)
-                calls.append((u, value))
-                return value
-            return find(objective, a, b)
-        return captured
+    def capture(name, part):
+        def objective(t):
+            value = part(t)
+            calls.append((name, t, value))
+            return value
+        return objective
 
-    for name in ("bisect", "zeroin"):
-        monkeypatch.setattr(synthesis, name, capturing(getattr(synthesis, name)))
+    def capturing(*args):
+        *found, crossing = fan(*args)
+        return (*map(capture, _PARTS, found), crossing)
+
+    monkeypatch.setattr(synthesis, "_fan", capturing)
     for x, y, _, _ in _FAN_PINS:
         del calls[:]
         distance_to_class(QuotientPoint(x, y))
-        radial = math.sqrt(x * x + y * y - 1.0)
-        _, crossing, span, _ = _fan(radial)
-        on_cut = abs(y) <= SINGULAR_BAND and x < 0.0
-        beta = math.pi if on_cut else math.atan2(abs(y), x)
-        for u, value in calls:
+        radial, beta = math.sqrt(x * x + y * y - 1.0), math.atan2(abs(y), x)
+        *found, crossing = fan(radial)
+        for name, t, value in calls:
             if value == _FAR:
                 parts["far"] += 1
                 continue
-            c, s, k1 = crossing(u)
-            assert value == c * s - math.atan2(c * radial, k1) - beta, (x, y, u)
-            w = (1.0 - c * c) * radial * radial
-            parts["trig" if u < span else "series" if w < SERIES_CUTOFF else "hyp"] += 1
-            parts["junction"] += 0.5 * span <= u < span
+            c, s, k1 = crossing(dict(zip(_PARTS, found))[name], t)
+            naive = c * s - math.atan2(c * radial, k1) - beta
+            if name == "hyperbolic":
+                assert value == naive, (x, y, t)
+                w = (1.0 - c * c) * radial * radial
+                parts["series" if w < SERIES_CUTOFF else "hyp"] += 1
+            else:
+                sin_t = math.sin(t)
+                v = sin_t / radial
+                g = 1.0 / (v * (c + v))
+                atan = math.atan(g * sin_t * abs(k1) / (1.0 + g * sin_t * sin_t))
+                want = g * (math.pi - t) + atan if name == "falling" else g * t - atan
+                assert value == want - beta, (x, y, name, t)
+                assert abs(value - naive) <= 1e-14 * max(1.0, c * s), (x, y, name, t)
+                parts[name] += 1
             parts["band"] += radial < 1e-4
-    keys = ("far", "trig", "junction", "series", "hyp", "band")
+    keys = ("far", "falling", "rising", "series", "hyp", "band")
     assert min(parts[k] for k in keys) > 0, parts
 
 
@@ -473,35 +504,39 @@ def test_zeroin_agrees_with_bisect(monkeypatch):
 
 
 def test_fan_angle_closed_form_matches_polar_angle():
-    # The fan objective's angle c s - atan2(c radial, k1), with the closed-form
-    # k1 of _fan's crossing, against _polar_angle's k1k2 at the same (c, s): both
-    # parts of the fan, r - 1 from 1e-14 to 1e6, angles up to 2 pi.
+    # The fan objective's angle, each part's closed form, against
+    # _polar_angle's k1k2 at the crossing's (c, s): all three parts, r - 1
+    # from 1e-14 to 1e6, angles up to 2 pi.
     worst, parts = 0.0, Counter()
     for e in range(-28, 13):
         radial = math.sqrt((1.0 + 10.0 ** (e / 2.0)) ** 2 - 1.0)
-        _, crossing, span, _ = _fan(radial)
-        for i in range(1, 64):
-            for u in (1.0 + span - i / 64.0, span * i / 64.0):
-                c, s, k1 = crossing(u)
-                angle = _polar_angle(c, s)
+        *found, crossing = _fan(radial)
+        for name, part in zip(_PARTS, found):
+            for i in range(1, 65):
+                t = (1.0 if name == "hyperbolic" else 0.5 * math.pi) * i / 64.0
+                angle = part(t)
+                c, s, _ = crossing(part, t)
                 if angle <= 2.0 * math.pi:
-                    parts[u >= span] += 1
-                    worst = max(worst, abs(c * s - math.atan2(c * radial, k1) - angle))
-    assert parts[True] > 1000 and parts[False] > 1000
+                    parts[name] += 1
+                    worst = max(worst, abs(angle - _polar_angle(c, s)))
+    assert min(parts[name] for name in _PARTS) > 500, parts
     assert worst <= 1e-13
 
 
 # Objective evaluations per root search on a fixed seeded set: (median, max)
-# over each stratum's fan searches, over the s_int searches nested in them
-# (the horizon test of r > 3 targets) and over s_int at _COUNT_CS.  Fan
-# searches with that test keep bisect (the maxima of 43); the others, the
-# axis cut included, take zeroin.  Counts do not depend on the machine; a
-# change that moves them sets new budgets here.
+# over each stratum's fan searches (every evaluation of the fan's parts: the
+# two junction signs, the falling part's cut and the search itself), over
+# the s_int searches nested in them (the horizon test of r > 3 targets) and
+# over s_int at _COUNT_CS.  Fan searches with that test keep bisect on the
+# rising parts (the maxima of 42 and 43); the others, the axis cut
+# included, take zeroin.  Counts do not depend on the machine; a change that
+# moves them sets new budgets here.
 _COUNT_CS = (1e-6, 0.01, 0.3, 0.9, 1.0, 1.05, C_ORTHOGONAL, 1.1, C_LANDING)
 _COUNT_BUDGETS = {
-    "fan axis": (14, 43), "fan circle": (29, 34), "fan overlap+1": (34, 41),
-    "fan overlap-1": (29, 33), "fan r3": (8, 43),
-    "s_int axis": (39, 39), "s_int r3": (44, 44), "s_int": (37, 44),
+    "fan axis": (10, 42), "fan axis+": (42, 42), "fan circle": (6, 7),
+    "fan overlap+1": (9.0, 13), "fan overlap-1": (6, 7), "fan r3": (5, 43),
+    "s_int axis": (38, 39), "s_int axis+": (39, 39), "s_int r3": (44.0, 44),
+    "s_int": (37, 44),
 }
 
 
@@ -521,6 +556,20 @@ def test_search_count_budgets(search_counts):
     counts["s_int"] = [n for _, n in search_counts]
     got = {key: (statistics.median(n), max(n)) for key, n in counts.items()}
     assert got == _COUNT_BUDGETS
+
+
+def test_near_circle_count_budget(search_counts):
+    # The seeded near-circle family: the falling part's cut at the landing
+    # asymptote and the gaps free of cancellation keep every search short
+    # (a median of 26 and a maximum of 61 when one coordinate ran over the
+    # whole fan).
+    counts = []
+    for x, y in near_circle_targets():
+        del search_counts[:]
+        distance_to_class(QuotientPoint(x, y))
+        counts += [n for _, n in search_counts]
+    assert len(counts) == 1000
+    assert (statistics.median(counts), max(counts)) == (7, 10)
 
 
 class TestSolve:
@@ -678,6 +727,19 @@ class TestSolve:
         with pytest.raises(NotUnimodularError) as err:
             solve(np.eye(2), np.diag([2.0, 1.0]))
         assert str(err.value) == "det = 2.0 is not 1 within 5e-12"
+
+    def test_huge_singular_endpoint_rejected(self):
+        # det 0 with entries whose products overflow: the parent check passed
+        # the NaN determinant, and solve answered with residual 1.6e146.
+        with pytest.raises(NotUnimodularError, match="det = nan"):
+            solve(np.eye(2), np.full((2, 2), 1e160))
+
+    def test_huge_diagonal_endpoint_solved(self):
+        # Its size overflows, but its determinant is 1: the c = 0 geodesic
+        # of length 2 ln(1e160).
+        sol = solve(np.eye(2), np.diag([1e160, 1e-160]))
+        assert sol.c == 0.0
+        assert sol.t_f == pytest.approx(2.0 * math.log(1e160), rel=1e-15)
 
     def test_non_finite_start_rejected(self):
         xi = np.array([[math.nan, 0.0], [0.0, 1.0]])
