@@ -325,8 +325,70 @@ _HORIZON_PINS = [
 ]
 
 
+# The (t_f, c) each re-recorded pin held before the fan was split into its
+# three parts.  A pin's test id is "x-y-t_f-c" with the values it was named
+# by, so that re-recording a pin keeps its test's name.
+_NAMED_AS = {
+    (5.2610429606604505, -41.63819891318304): (9.446022743896284, -0.39100296230985987),
+    (-10.548578901243847, 1.003852986720156): (9.442463423125854, 0.865128486212543),
+    (-13.474647665272258, -11.176480022731672): (9.110550478229204, -0.7108797158741813),
+    (-19.706531011524774, 32.65200431543374): (9.904604067734683, 0.542599205204817),
+    (-4.3496729983217515, -2.5381390549509124): (8.001564238772028, -0.958099793188568),
+    (-10.288943191055647, 29.061203721588274): (9.32780970197894, 0.5292745935115801),
+    (58.04145599431788, 0.9879908595939775): (9.508827866009065, 0.00453329275241221),
+    (22.06935781688788, -5.3404081700965085): (7.650593341780106, -0.08403949017902002),
+    (16.514289787261017, -18.939331983061685): (8.078697937995015, -0.2820803981623925),
+    (1.2769772678296987, -5.30273317215524): (5.864370408392552, -0.726308913099386),
+    (17.866145458126695, 2.666684319375149): (7.181086330183103, 0.05717280681756676),
+    (-4.575184363069441, -10.605611272997058): (7.853357264283098, -0.7004407371106693),
+    (-10.065990675888527, -7.109603631637539): (8.756138383340637, -0.780832078876809),
+    (2.030654458111557, 5.73764808181268): (5.883232122633912, 0.6588500683531808),
+    (-28.533710307733667, 2.8766445880503975): (10.649025356446222, 0.7227403051288741),
+    (4.44157087106237, 3.0445326643643877): (4.987770453414693, 0.4051167963787856),
+    (33.04063001927018, 18.888155751091404): (8.744688534521838, 0.1541620040375533),
+    (5.933850315916666, 12.712825852472395): (7.191290264863308, 0.4425598442625409),
+    (-31.98563405680688, 38.190839755112464): (10.52092551429334, 0.5394252140459674),
+    (-15.93340210190161, -14.686478669018099): (9.347911354330048, -0.6695771707477425),
+    (-5.153028425762168, -12.71424343166238): (8.07626670917024, -0.6633850168536966),
+    (-3.0367755628661737, 5.792273416677): (7.230656746588568, 0.8379059729187754),
+    (-1.3490743117732809, 8.693717814385503): (7.106118835969797, 0.7030769745242289),
+    (1.3296374351980187, -56.58886670261772): (10.076880550869573, -0.3856693921255292),
+    (-38.11658249495033, -42.695027591206674): (10.789401480809067, -0.529742156432377),
+    (-10.15519324997081, 37.507525967631786): (9.650050241168186, 0.48533953754457304),
+    (-12.594459872144112, 3.2421156162475557): (9.40195967751946, 0.8173170396981357),
+    (39.50296712748616, -21.369499232186023): (9.065461031688619, -0.14048816666881225),
+    (-41.19867820462352, 19.549901685251672): (10.87643030454322, 0.6188929572635982),
+    (9.048158728946058, -6.1990851975562355): (6.34180423398953, -0.277843371429215),
+    (-3.2612382527198274, 5.958857957303981): (7.3038287432452265, 0.831855649268834),
+    (-2.241772662749917, 3.873328709993247): (6.928413494234978, 0.9377822895879928),
+    (18.17069845311513, 8.705499334562944): (7.464893197757632, 0.16370685538857055),
+    (-3.0, 0.0): (8.88576587631673, 1.0606601717798212),
+    (-1.001, 0.0): (10.793400644616998, 1.154698430006658),
+    (-2.2, -0.0): (8.952963404464118, 1.0988300459021978),
+    (-3.0, 0.05): (8.850414464868392, 1.0606392535529),
+    (0.0, 3.0001): (5.603631666569612, 0.9963596055177262),
+    (2.999, 0.2): (3.534883900404188, 0.08086304252564958),
+    (-3.01, -0.3): (8.675307568972462, -1.0594083658733682),
+    (1.5823662963727558, 0.711357365701801): (2.759587803217908, 0.9560824878754117),
+    (7.550165226784762, -0.08906366878589296): (5.420825136757868, -0.006861105977489235),
+    (5.161103638508357, 0.7507789810291041): (4.686273078378339, 0.10622472909057712),
+    (0.8814687861558497, -1.7717330290689357): (4.376745636989354, -1.1381731677376634),
+    (-4.003348197876582, -0.13281802291598294): (8.865955435807447, -1.0196542561371436),
+    (1.249094666352005, -1.2911863704494084): (3.619114228439098, -1.1573588077109511),
+    (0.18963232166392585, 1.1457767171325008): (5.564074706625001, 1.360326176686404),
+    (-2.015424851557545, -0.031911733004411115): (8.965249037054017, -1.108814813084571),
+    (0.7887549430872778, 1.098715993045512): (4.009304082036844, 1.4128752382983663),
+    (0.07073720202138892, 0.9974949915915293): (6.8334748417742865, 1.3584470321053002),
+    (-0.9899925015504079, -0.14112000876546724): (10.554335692591334, -1.1637826300405625),
+    (0.296280872999389, 0.9551008558234675): (6.1943221841804785, 1.4243885520061468),
+    (0.2962808729254669, 0.9551008555851699): (6.1943649052309455, 1.4243885520061486),
+    (1.000000000444152, -3.1042849165784786e-09): (0.0002243566314695962, -21726.439670624768),
+}
+
+
 def _ids(pins):
-    return [f"{x!r}-{y!r}" for x, y, *_ in pins]
+    return ["-".join(map(str, (x, y, *_NAMED_AS.get((x, y), (t_f, c)))))
+            for x, y, t_f, c in pins]
 
 
 @pytest.mark.parametrize("x, y, t_f, c", _HORIZON_PINS, ids=_ids(_HORIZON_PINS))
