@@ -21,8 +21,8 @@ stops growing with throughput and the sentinel is deleted (ROADMAP 1, 2).
 
 _finite and _grid state once the argument domains the public functions share.
 
-The rest is the endpoint solver's 2x2 algebra on row-major float 4-tuples
-(a, b, c, d), the one home of that format.  Nothing here imports numpy.
+The rest is the 2x2 algebra on row-major float 4-tuples (a, b, c, d), which
+solve runs inline with the same operations.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -209,11 +209,11 @@ def _spin(c: float, t: float) -> tuple:  # exp(-c A0 t), c A0 = [[0, -c/2], [c/2
     return _exp2((0.0, 0.5 * c * t, -0.5 * c * t, 0.0))
 
 
-def _lift_with_direction(c: float, p: tuple, t: float, spin: tuple = ()) -> tuple:
-    # exp((c A0 + P) t) exp(-c A0 t); a caller lifting twice passes the spin.
+def _lift_with_direction(c: float, p: tuple, t: float) -> tuple:
+    # exp((c A0 + P) t) exp(-c A0 t)
     p0, p1, p2, p3 = p
     h = 0.5 * c
-    return _mul(_exp2((p0 * t, (p1 - h) * t, (p2 + h) * t, p3 * t)), spin or _spin(c, t))
+    return _mul(_exp2((p0 * t, (p1 - h) * t, (p2 + h) * t, p3 * t)), _spin(c, t))
 
 
 def _check_unimodular(x: tuple) -> None:
@@ -237,15 +237,18 @@ def _project(x: tuple) -> tuple[float, float]:
 
 
 def _recover_rotation(x1: tuple, x2: tuple, tol: float) -> tuple[tuple, bool]:
-    (px1, py1), (px2, py2) = _project(x1), _project(x2)
+    return _align(*_project(x1), 0.5 * (x1[0] - x1[3]), 0.5 * (x1[1] + x1[2]),
+                  *_project(x2), 0.5 * (x2[0] - x2[3]), 0.5 * (x2[1] + x2[2]), tol)
+
+
+def _align(px1: float, py1: float, m1: float, k1: float,
+           px2: float, py2: float, m2: float, k2: float, tol: float) -> tuple[tuple, bool]:
+    # (K, unique) with K X1 K^T = X2, each X being [[px, py], [-py, px]] plus
+    # [[m, k], [k, -m]]: K turns (m, k), of size^2 px^2 + py^2 - 1, by the double angle.
     scale = max(1.0, math.hypot(px1, py1))
     if math.hypot(px1 - px2, py1 - py2) > tol * scale:
         raise ClassMismatchError(f"projections {QuotientPoint(px1, py1)} and "
                                  f"{QuotientPoint(px2, py2)} differ")
-    # Writing X = [[x, y], [-y, x]] + [[m, k], [k, -m]], the rotation acts
-    # on the symmetric part (m, k), of squared size x^2 + y^2 - 1.
-    m1, k1 = 0.5 * (x1[0] - x1[3]), 0.5 * (x1[1] + x1[2])
-    m2, k2 = 0.5 * (x2[0] - x2[3]), 0.5 * (x2[1] + x2[2])
     sym_sq = m1 * m1 + k1 * k1
     if sym_sq <= ROTATION_FLOOR * ROTATION_FLOOR:
         return (1.0, 0.0, 0.0, 1.0), False

@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from .algebra import _matrix
 from .figures import figure_svg
 from .geodesics import planar_curve, s_int
 from .quotient import project
@@ -39,10 +40,6 @@ def _emit(pairs: list[tuple[str, str]], pretty: bool) -> None:
             print(f"{key.ljust(width)} = {val}")
     else:
         print(" ".join(f"{k}={v}" for k, v in pairs))
-
-
-def _matrix(values: list[float]) -> np.ndarray:
-    return np.array(values, dtype=float).reshape(2, 2)
 
 
 def _matrix_pairs(name: str, m: np.ndarray, precision: int) -> list[tuple[str, str]]:

@@ -31,9 +31,8 @@ import math
 
 import numpy as np
 
-from ._kernels import (_A2_ENTRIES, _adj, _check_unimodular, _finite, _grid,
-                       _lift_with_direction, _mul, _project, _recover_rotation,
-                       _spin, bisect, zeroin)
+from ._kernels import (_A2_ENTRIES, _align, _check_unimodular, _finite, _grid,
+                       _mul, bisect, coshc_sinhc, zeroin)
 from .algebra import _entries, _matrix
 from .errors import (NoRootError, NonFiniteError, StartPointError,
                      UnreachableError)
@@ -96,8 +95,8 @@ def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
     cancellation near pi and just outside the circle.  Past the horizon of
     a target at r > 3 (r = 0 skips the test) the rising parts return _FAR:
     only rising c <= C_ORTHOGONAL crosses the axis, the radius grows over
-    the optimal segment, and s <= pi/c is always inside.  crossing(part, t)
-    evaluates part at t and returns its (c >= 0, s, k1).
+    the optimal segment, s <= pi/c is always inside, and so is an x_int that
+    overflows.  crossing(part, t) evaluates part at t and returns its (c >= 0, s, k1).
     """
     horizon = r > 3.0
     c = s = k1 = 0.0
@@ -119,8 +118,11 @@ def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
         c = math.sqrt(1.0 + v * v)
         g = 1.0 / (v * (c + v))
         s, k1 = radial * (eps / sin_e), math.cos(eps)
-        if horizon and c <= C_ORTHOGONAL and s > math.pi / c and r > -x_int(c) * _SLACK:
-            return _FAR
+        try:  # an x_int that overflows lies beyond every finite r
+            if horizon and c <= C_ORTHOGONAL and s > math.pi / c and r > -x_int(c) * _SLACK:
+                return _FAR
+        except NonFiniteError:
+            pass
         return g * eps - math.atan(g * sin_e * k1 / (1.0 + g * sin_e * sin_e)) - beta
 
     def hyperbolic(t: float) -> float:
@@ -133,8 +135,11 @@ def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
         else:
             s = math.asinh(a) / q
         k1 = math.hypot(1.0, a)
-        if horizon and 0.0 < c and s > math.pi / c and r > -x_int(c) * _SLACK:
-            return _FAR
+        try:
+            if horizon and 0.0 < c and s > math.pi / c and r > -x_int(c) * _SLACK:
+                return _FAR
+        except NonFiniteError:
+            pass
         return c * s - math.atan2(c * radial, k1) - beta
 
     def crossing(part, t: float) -> tuple[float, float, float]:
@@ -177,7 +182,7 @@ def _distance(x: float, y: float, radial: float) -> DistanceResult:
     # Landing targets land at angle beta when c/sqrt(c^2-1) = rho = 1 + beta/pi.
     rho = 1.0 + beta / math.pi
     inv_v = math.sqrt(rho * rho - 1.0)  # 1/sqrt(c^2 - 1) at that landing
-    if radial <= ROTATION_FLOOR:  # a rotation to rounding, as in _recover_rotation
+    if radial <= ROTATION_FLOOR:  # a rotation to rounding, as in _align
         # Band targets outside the circle stop short and take the fan search.
         c = rho / inv_v
         s = landing_time(c)
@@ -219,28 +224,38 @@ def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
     conjugates by the recovered rotation to align the lift with X_hat.  The
     geodesic itself is t -> exp((c A0 + P) t) exp(-c A0 t) Xi.  Xi is
     checked to be in SL(2); with det(X_hat) = 1 that makes det(Xf) = 1 too.
-    Each matrix is read once; the group algebra runs on float entries, and
-    P and K are the only arrays built.
+    Each matrix is read once; the group algebra runs in this frame on float
+    entries, as the _kernels cores do it, and P and K are the only arrays built.
     """
-    xi = _entries(xi)
+    e, f, g, h = xi = _entries(xi)
     _check_unimodular(xi)
-    xf_hat = _mul(_entries(xf), _adj(xi))
-    px, py = _project(xf_hat)
-    # For det 1, x^2 + y^2 - 1 is the squared size of the symmetric part.
-    radial = math.hypot(0.5 * (xf_hat[0] - xf_hat[3]), 0.5 * (xf_hat[1] + xf_hat[2]))
-    dist = _distance(px, py, radial)
-    spin = _spin(dist.c, dist.t_f)
-    y_f = _lift_with_direction(dist.c, _A2_ENTRIES, dist.t_f, spin)
-    k, _ = _recover_rotation(y_f, xf_hat, MATCH_TOL)
-    k_t = (k[0], k[2], k[1], k[3])
-    direction = _mul(_mul(k, _A2_ENTRIES), k_t)  # K A2 K^T
-    recon = _lift_with_direction(dist.c, direction, dist.t_f, spin)
-    residual = math.dist(recon, xf_hat)
-    if residual > SYNTH_TOL * max(1.0, math.hypot(*xf_hat)):
+    a, b, c, d = _entries(xf)
+    # X_hat = Xf adj(Xi), its class (x, y) and symmetric part (m, k): |(m, k)|^2 = r^2 - 1.
+    a, b, c, d = x_hat = (a * h - b * g, b * e - a * f, c * h - d * g, d * e - c * f)
+    _check_unimodular(x_hat)
+    x, y, m, k = 0.5 * (a + d), 0.5 * (b - c), 0.5 * (a - d), 0.5 * (b + c)
+    t_f, c_f, _, cut = _distance(x, y, math.hypot(m, k))
+    hc, w = 0.5 * c_f, 0.5 * c_f * t_f  # exp(-c A0 t_f) = [[cw, sw], [-sw, cw]]
+    cw, sw = coshc_sinhc(-(w * w))
+    sw *= w
+    p0, p1, p2, p3 = _A2_ENTRIES  # the A2 lift exp((c A0 + A2) t_f) exp(-c A0 t_f)
+    a, b, c, d = p0 * t_f, (p1 - hc) * t_f, (p2 + hc) * t_f, p3 * t_f
+    ch, sh = coshc_sinhc(-(a * d - b * c))
+    a, b, c, d = ch + sh * a, sh * b, sh * c, ch + sh * d
+    a, b, c, d = a * cw - b * sw, a * sw + b * cw, c * cw - d * sw, c * sw + d * cw
+    _check_unimodular((a, b, c, d))
+    rot, _ = _align(0.5 * (a + d), 0.5 * (b - c), 0.5 * (a - d), 0.5 * (b + c),
+                    x, y, m, k, MATCH_TOL)
+    p0, p1, p2, p3 = direction = _mul(_mul(rot, _A2_ENTRIES), (rot[0], rot[2], rot[1], rot[3]))
+    a, b, c, d = p0 * t_f, (p1 - hc) * t_f, (p2 + hc) * t_f, p3 * t_f  # lift with K A2 K^T
+    ch, sh = coshc_sinhc(-(a * d - b * c))
+    a, b, c, d = ch + sh * a, sh * b, sh * c, ch + sh * d
+    a, b, c, d = a * cw - b * sw, a * sw + b * cw, c * cw - d * sw, c * sw + d * cw
+    residual = math.dist((a, b, c, d), x_hat)
+    if residual > SYNTH_TOL * max(1.0, math.hypot(*x_hat)):
         raise NoRootError(f"endpoint residual {residual} exceeds {SYNTH_TOL}")
-    return SynthesisSolution(c=dist.c, t_f=dist.t_f, P=_matrix(direction),
-                             K=_matrix(k), residual=residual,
-                             on_cut_locus=dist.on_cut_locus)
+    return SynthesisSolution(c=c_f, t_f=t_f, P=_matrix(direction), K=_matrix(rot),
+                             residual=residual, on_cut_locus=cut)
 
 
 def verify_solution(sol: SynthesisSolution, xi: np.ndarray, xf: np.ndarray) -> float:

@@ -2,25 +2,30 @@
 
 Each public 2x2 function reads its array's entries once, runs a private core
 on the row-major tuple (a, b, c, d) and builds one result array; the
-wrappers must equal their cores exactly.  `solve` runs on the cores alone,
-so it is compared with a composition of the same steps in numpy matrix
-products, with an exponential that does not use the closed form.
+wrappers must equal their cores exactly.  `solve` runs the cores'
+operations inline, in one frame, so it must equal their composition bit for
+bit; it is also compared with a composition of the same steps in numpy
+matrix products, with an exponential that does not use the closed form.
 """
 
 import math
 
 import numpy as np
 
-from sl2geo import (C_LANDING, CutLocusClass, QuotientPoint,
+from sl2geo import (C_LANDING, CutLocusClass, QuotientPoint, SynthesisSolution,
                     classify_cut_locus, distance_to_class, exp2, from_coords,
                     landing_time, lift, lift_with_direction, project,
-                    recover_rotation, rotation, s_int, solve)
-from sl2geo._kernels import (_direction, _exp2, _lift_with_direction,
-                             _project, _recover_rotation, coshc, sinhc)
+                    recover_rotation, rotation, s_int, solve, synthesis)
+from sl2geo._kernels import (_A2_ENTRIES, _adj, _check_unimodular, _direction,
+                             _exp2, _lift_with_direction, _mul, _project,
+                             _recover_rotation, coshc, sinhc)
 from sl2geo.algebra import _entries, _matrix
-from sl2geo.tolerances import MATCH_TOL, ROTATION_FLOOR
+from sl2geo.errors import (ClassMismatchError, GeometryError, NoRootError,
+                           NotUnimodularError, StartPointError)
+from sl2geo.tolerances import MATCH_TOL, ROTATION_FLOOR, SYNTH_TOL
+from sl2geo.types import DistanceResult
 
-from conftest import random_sl2
+from conftest import random_sl2, strata_targets
 
 
 def _traceless(rng, spread=1.5):
@@ -175,3 +180,76 @@ def test_solve_matches_numpy_composition(rng):
         bound = 1e-9 * max(1.0, float(np.linalg.norm(x_hat)))
         assert sol.residual <= bound
         assert residual <= bound
+
+
+# The reference for solve: the composition of the cores whose operations it
+# runs inline, _lift_with_direction (with exp(-c A0 t) from _spin) for both
+# lifts and _recover_rotation, which checks X_hat a second time.
+
+def _composed_solve(xi, xf):
+    xi = _entries(xi)
+    _check_unimodular(xi)
+    x_hat = _mul(_entries(xf), _adj(xi))
+    px, py = _project(x_hat)
+    radial = math.hypot(0.5 * (x_hat[0] - x_hat[3]), 0.5 * (x_hat[1] + x_hat[2]))
+    dist = synthesis._distance(px, py, radial)
+    y_f = _lift_with_direction(dist.c, _A2_ENTRIES, dist.t_f)
+    k, _ = _recover_rotation(y_f, x_hat, MATCH_TOL)
+    direction = _mul(_mul(k, _A2_ENTRIES), (k[0], k[2], k[1], k[3]))
+    residual = math.dist(_lift_with_direction(dist.c, direction, dist.t_f), x_hat)
+    if residual > SYNTH_TOL * max(1.0, math.hypot(*x_hat)):
+        raise NoRootError(f"endpoint residual {residual} exceeds {SYNTH_TOL}")
+    return SynthesisSolution(dist.c, dist.t_f, _matrix(direction), _matrix(k),
+                             residual, dist.on_cut_locus)
+
+
+def _outcome(fn, *args):
+    # The answer's bits (float.hex tells -0.0 from 0.0), or the error's type
+    # and message.
+    try:
+        sol = fn(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return (sol.c.hex(), sol.t_f.hex(), sol.P.tobytes(), sol.K.tobytes(),
+            sol.residual.hex(), sol.on_cut_locus)
+
+
+def _near_rotations(rng, n=300):
+    # Exact near-rotations of the three families, |m| <= ROTATION_FLOOR.
+    for m in rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320.0, -14.0, n):
+        m = float(m)
+        yield np.array([[m, -1.0], [1.0, -m]])
+        yield np.array([[m, 1.0], [-1.0, -m]])
+        yield np.array([[-1.0, m], [m, -1.0]])
+
+
+def test_solve_bit_identical_to_composed_cores(rng):
+    eye = np.eye(2)
+    pairs = list(_generated_pairs(rng, 300))
+    pairs += [(eye, xm) for _, _, _, xm in strata_targets(
+        np.random.default_rng(27), 1000, ("axis", "circle", "r3", "overlap+1", "overlap-1"))
+        if xm is not None]
+    pairs += [(eye, xm) for xm in _near_rotations(np.random.default_rng(28))]
+    pairs += [(eye, np.diag([1e160, 1e-160]))]
+    solved = 0
+    for xi, xf in pairs:
+        expected = _outcome(_composed_solve, xi, xf)
+        assert _outcome(solve, xi, xf) == expected, (xi, xf)
+        solved += expected[0] is not StartPointError
+    assert solved >= 0.8 * len(pairs)  # mostly answers, not rejections
+
+
+def test_solve_errors_match_composed_cores(monkeypatch):
+    eye, xf = np.eye(2), np.array([[2.0, 1.0], [1.0, 1.0]])
+    cases = [(NotUnimodularError, 2.0 * eye, xf), (NotUnimodularError, eye, 2.0 * xf),
+             (StartPointError, xf, xf)]
+    for error, xi, xf_ in cases:
+        expected = _outcome(_composed_solve, xi, xf_)
+        assert expected[0] is error
+        assert _outcome(solve, xi, xf_) == expected
+    # A planar answer for the wrong class: its lift does not match X_hat.
+    monkeypatch.setattr(synthesis, "_distance",
+                        lambda x, y, radial: DistanceResult(3.0, 0.5, 1.5, False))
+    expected = _outcome(_composed_solve, eye, xf)
+    assert expected[0] is ClassMismatchError
+    assert _outcome(solve, eye, xf) == expected

@@ -378,6 +378,35 @@ def test_one_python_frame_per_search_step():
         assert calls == evaluations + 3, (c, calls, evaluations)
 
 
+def test_solve_group_layer_in_one_frame():
+    # Counts, not times: around its one call into _distance, solve makes at
+    # most 16 Python calls on the worked example, itself and that call
+    # included: _entries twice, _check_unimodular for Xi, X_hat and the A2
+    # lift, coshc_sinhc for exp(-c A0 t) and both lifts, _align, _mul twice
+    # for K A2 K^T, _matrix for P and K, and the result's constructor.
+    names = []
+    inside = 0
+
+    def profile(frame, event, arg):
+        nonlocal inside
+        if event == "call" and inside:
+            inside += 1  # a frame below _distance
+        elif event == "call":
+            names.append(frame.f_code.co_name)
+            inside = int(frame.f_code is synthesis._distance.__code__)
+        elif event == "return" and inside:
+            inside -= 1
+
+    xi, xf = np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([[2.0, 1.0], [1.0, 1.0]])
+    sys.setprofile(profile)
+    try:
+        synthesis.solve(xi, xf)
+    finally:
+        sys.setprofile(None)
+    assert names.count("_distance") == 1 and names[0] == "solve", names
+    assert len(names) <= 16, names
+
+
 class TestXInt:
     def test_limit_at_one(self):
         sbar = tan_fixed_point()

@@ -211,7 +211,7 @@ def test_start_point_test_has_one_home():
 def test_rotation_floor_has_one_rule():
     assert _expression_homes(["ROTATION_FLOOR"]) == {
         ("tolerances", None, "ROTATION_FLOOR"): 1,
-        ("_kernels", "_recover_rotation", "ROTATION_FLOOR"): 2,
+        ("_kernels", "_align", "ROTATION_FLOOR"): 2,
         ("synthesis", "_distance", "ROTATION_FLOOR"): 1}
 
 

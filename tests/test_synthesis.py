@@ -166,6 +166,8 @@ class TestDistance:
     @pytest.mark.parametrize("x, y, tol", [
         (1e200, 1e199, 1e-13), (-1e200, 0.0, 1e-13), (-1e160, 1e160, 1e-13),
         (5e159, 0.0, 1e-13), (-1e308, 1e-300, 1e-13), (1.5e308, 1.0, 1e-13),
+        # The horizon test's x_int overflows: the horizon is beyond every r.
+        (-1.7e308, 1e300, 1e-12), (-1.7e308, 1e305, 1e-12),
         # Bisection next to the horizon sentinel (ROADMAP item 2).
         (-1e200, 3.0, 1e-9)])
     def test_overflowing_radius_solved(self, x, y, tol):
