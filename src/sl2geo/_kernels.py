@@ -205,15 +205,12 @@ def _direction(phi: float) -> tuple:
     return v, h, h, -v
 
 
-def _spin(c: float, t: float) -> tuple:  # exp(-c A0 t), c A0 = [[0, -c/2], [c/2, 0]]
-    return _exp2((0.0, 0.5 * c * t, -0.5 * c * t, 0.0))
-
-
 def _lift_with_direction(c: float, p: tuple, t: float) -> tuple:
-    # exp((c A0 + P) t) exp(-c A0 t)
+    # exp((c A0 + P) t) exp(-c A0 t), c A0 = [[0, -c/2], [c/2, 0]]
     p0, p1, p2, p3 = p
     h = 0.5 * c
-    return _mul(_exp2((p0 * t, (p1 - h) * t, (p2 + h) * t, p3 * t)), _spin(c, t))
+    spin = _exp2((0.0, h * t, -h * t, 0.0))
+    return _mul(_exp2((p0 * t, (p1 - h) * t, (p2 + h) * t, p3 * t)), spin)
 
 
 def _check_unimodular(x: tuple) -> None:

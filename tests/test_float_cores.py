@@ -183,8 +183,8 @@ def test_solve_matches_numpy_composition(rng):
 
 
 # The reference for solve: the composition of the cores whose operations it
-# runs inline, _lift_with_direction (with exp(-c A0 t) from _spin) for both
-# lifts and _recover_rotation, which checks X_hat a second time.
+# runs inline, _lift_with_direction for both lifts (each forming exp(-c A0 t))
+# and _recover_rotation, which checks X_hat a second time.
 
 def _composed_solve(xi, xf):
     xi = _entries(xi)
