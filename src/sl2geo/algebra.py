@@ -20,7 +20,8 @@ import math
 
 import numpy as np
 
-from ._kernels import _adj, _exp2
+from ._kernels import _adj, _exp2, _finite
+from .errors import NonFiniteError
 
 # Matrices of ad_{A0}, ad_{A1}, ad_{A2} in the basis {A0, A1, A2}; column j
 # holds the coordinates of [A_i, basis_j].
@@ -72,7 +73,11 @@ def exp2(m: np.ndarray) -> np.ndarray:
     Uses M^2 = -det(M) I: the result is coshc(-det) I + sinhc(-det) M, which
     covers the rotation, boost and parabolic cases in one expression.
     """
-    return _matrix(_exp2(_entries(m)))
+    a, b, c, d = x = _entries(m)
+    _finite("determinant of M", a * d - b * c)
+    if not all(map(math.isfinite, e := _exp2(x))):
+        raise NonFiniteError(f"exp2 of {[[a, b], [c, d]]} overflows")
+    return _matrix(e)
 
 
 def rotation(angle: float) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._kernels import _finite
 from .algebra import adjoint_matrix, adjugate, basis, rotation, to_coords
-from .errors import (DependentFrameError, NotInGroupError,
+from .errors import (DependentFrameError, NonFiniteError, NotInGroupError,
                      NotUnitDeterminantError, SingularMatrixError)
 from .tolerances import ALG_TOL, DET_TOL, INVERTIBLE_TOL, LORENTZ_TOL
 from .types import Factorization, StructureKind
@@ -40,9 +40,16 @@ def lorentz_rotation(theta: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
 
 
+def _cosh_sinh(z: float) -> tuple[float, float]:
+    try:
+        return math.cosh(z), math.sinh(z)
+    except OverflowError:  # |z| above ~710.5
+        raise NonFiniteError(f"cosh({z}) overflows") from None
+
+
 def lorentz_boost(z: float) -> np.ndarray:
     """Generator H(z): hyperbolic rotation of the (A0, A2) plane."""
-    ch, sh = math.cosh(z), math.sinh(z)
+    ch, sh = _cosh_sinh(z)
     return np.array([[ch, 0.0, sh], [0.0, 1.0, 0.0], [sh, 0.0, ch]])
 
 
@@ -159,7 +166,7 @@ def realize(f: Factorization) -> np.ndarray:
         k = k @ np.array([[1.0, 0.0], [0.0, -1.0]])
     elif f.branch == 2:
         k = k @ np.array([[0.0, 1.0], [1.0, 0.0]])
-    ch, sh = math.cosh(0.5 * f.z), math.sinh(0.5 * f.z)
+    ch, sh = _cosh_sinh(0.5 * f.z)
     k = k @ np.array([[ch, sh], [sh, ch]])
     return k @ rotation(0.5 * f.theta2)
 

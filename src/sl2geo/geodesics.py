@@ -45,11 +45,11 @@ def k1k2(c: float, s: float) -> tuple[float, float]:
     return ch, c * s * sh
 
 
-def _end(c: float, s: float, values, name: str = "s"):
+def _end(c: float, s: float, values, name: str = "s", what: str = "the geodesic"):
     # The one overflow check of the geodesic at half-time s: returns the
     # values computed there once all are finite.
     if not all(map(math.isfinite, values)):
-        raise NonFiniteError(f"c = {c} with {name} = {s} overflows the geodesic")
+        raise NonFiniteError(f"c = {c} with {name} = {s} overflows {what}")
     return values
 
 
@@ -99,7 +99,7 @@ def radius_sq(c: float, s: float) -> float:
     """Squared distance from the origin, k1^2 + k2^2."""
     _reach(c, s)
     k1, k2 = _end(c, s, k1k2(c, s))
-    return k1 * k1 + k2 * k2
+    return _end(c, s, (k1 * k1 + k2 * k2,), "s", "the squared radius")[0]
 
 
 def _landing_rate(c: float) -> float:
@@ -203,10 +203,11 @@ def x_int(c: float) -> float:
 def lift_with_direction(c: float, p: np.ndarray, t: float) -> np.ndarray:
     """Sub-Riemannian geodesic exp((c A0 + P) t) exp(-c A0 t) for unit P.
 
-    Its projection is planar_geodesic(c, t/2), and c and s = t/2 are
-    checked as there.
+    Its projection is planar_geodesic(c, t/2); c and s = t/2 are checked
+    as there, and so is (c t/2)^2, which can overflow where z does not (|c| = 1).
     """
     _reach(c, 0.5 * t)
+    _end(c, 0.5 * t, (0.5 * c * t * (0.5 * c * t),), "s", "the lift's determinant")
     return _matrix(_end(c, 0.5 * t, _lift_with_direction(c, _entries(p), t)))
 
 
@@ -218,6 +219,7 @@ def lift(c: float, phi: float, t: float) -> np.ndarray:
     """
     _reach(c, 0.5 * t)
     _finite("phi", phi)
+    _end(c, 0.5 * t, (0.5 * c * t * (0.5 * c * t),), "s", "the lift's determinant")
     return _matrix(_end(c, 0.5 * t, _lift_with_direction(c, _direction(phi), t)))
 
 

@@ -45,6 +45,7 @@ from .types import (CutLocusClass, DistanceResult, QuotientPoint,
 
 _FAR = 1e9  # sentinel angle for rising crossings beyond the optimality horizon
 _SLACK = 1.0 + 1e-15  # the horizon test's margin on the terminal radius |x_int|
+_X_INT_1 = x_int(1.0)  # the c = 1 terminal point, read by every junction gap
 # The classes as module names: each CutLocusClass.X lookup costs ~0.14 us.
 _START, _CIRCLE = CutLocusClass.START_POINT, CutLocusClass.SINGULAR_CIRCLE
 _AXIS_CUT, _REGULAR = CutLocusClass.NEGATIVE_AXIS_SEGMENT, CutLocusClass.REGULAR
@@ -92,11 +93,12 @@ def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
         s = asinh(a)/sqrt(1 - c^2) (a series near a = 0); angle 0 at c = 0.
     With g = c/v - 1 = 1/(v (c + v)) and X = g sin cos/(1 + g sin^2), the
     angle is g (pi - delta) + atan(X) or g eps - atan(X), free of the
-    cancellation near pi and just outside the circle.  Past the horizon of
-    a target at r > 3 (r = 0 skips the test) the rising parts return _FAR:
-    only rising c <= C_ORTHOGONAL crosses the axis, the radius grows over
-    the optimal segment, s <= pi/c is always inside, and so is an x_int that
-    overflows.  crossing(part, t) evaluates part at t and returns its (c >= 0, s, k1).
+    cancellation near pi and just outside the circle.  Past the horizon of a
+    target at r > 3 (r = 0 skips the test) the rising parts return _FAR: only
+    rising c <= C_ORTHOGONAL crosses the axis, the radius grows over the optimal
+    segment, s <= pi/c is always inside, and so is an x_int that overflows; the
+    c = 1 junction reads _X_INT_1.  crossing(part, t) evaluates part at t with the
+    test off and returns its (c >= 0, s, k1); both go with the guard (ROADMAP 2).
     """
     horizon = r > 3.0
     c = s = k1 = 0.0
@@ -136,14 +138,18 @@ def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
             s = math.asinh(a) / q
         k1 = math.hypot(1.0, a)
         try:
-            if horizon and 0.0 < c and s > math.pi / c and r > -x_int(c) * _SLACK:
+            if (horizon and 0.0 < c and s > math.pi / c
+                    and r > -(x_int(c) if c < 1.0 else _X_INT_1) * _SLACK):
                 return _FAR
         except NonFiniteError:
             pass
         return c * s - math.atan2(c * radial, k1) - beta
 
     def crossing(part, t: float) -> tuple[float, float, float]:
+        nonlocal horizon
+        horizon, on = False, horizon  # each part sets (c, s, k1) before the test
         part(t)
+        horizon = on
         return c, s, k1
 
     return falling, rising, hyperbolic, crossing

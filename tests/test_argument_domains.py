@@ -11,13 +11,13 @@ import re
 import numpy as np
 import pytest
 
-from sl2geo import (QuotientPoint, aut_matrix_from_group, c_of_omega,
-                    check_fan_monotone, classify_structure, distance_to_class,
-                    is_lie_automorphism, is_so12, landing_match_error,
-                    landing_point, landing_time, lift, lift_with_direction,
-                    planar_geodesic, planar_jet, radius_sq, s_int,
-                    su2_landing_point, su2_landing_time, su2_planar_geodesic,
-                    x_int)
+from sl2geo import (Factorization, QuotientPoint, aut_matrix_from_group,
+                    c_of_omega, check_fan_monotone, classify_structure,
+                    distance_to_class, exp2, is_lie_automorphism, is_so12,
+                    landing_match_error, landing_point, landing_time, lift,
+                    lift_with_direction, lorentz_boost, planar_geodesic,
+                    planar_jet, radius_sq, realize, s_int, su2_landing_point,
+                    su2_landing_time, su2_planar_geodesic, x_int)
 from sl2geo.errors import NonFiniteError
 from sl2geo.geodesics import planar_curve
 from sl2geo.su2 import su2_curve
@@ -107,6 +107,31 @@ def test_finite_overflow_is_typed(call, c, s):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    # At |c| = 1, z = 0 and c s are finite, but the lift's exponents hold
+    # (c t/2)^2 in their determinants.
+    (lambda: lift(1.0, 0.0, 1e155), "c = 1.0 with s = 5e+154 overflows the lift's determinant"),
+    (lambda: lift(-1.0, 3.0, 4e287), "c = -1.0 with s = 2e+287 overflows the lift's determinant"),
+    (lambda: lift_with_direction(-1.0, _A2, 1e200),
+     "c = -1.0 with s = 5e+199 overflows the lift's determinant"),
+    (lambda: radius_sq(1.0, 1e300), "c = 1.0 with s = 1e+300 overflows the squared radius"),
+    (lambda: radius_sq(-1.0, 2e154), "c = -1.0 with s = 2e+154 overflows the squared radius"),
+    (lambda: exp2(np.array([[0.0, 1e200], [-1e200, 0.0]])),
+     "determinant of M = inf is not finite"),
+    (lambda: exp2(np.diag([800.0, -800.0])), "exp2 of [[800.0, 0.0], [0.0, -800.0]] overflows"),
+    (lambda: exp2(np.diag([1e200, -1e200])), "determinant of M = -inf is not finite"),
+    (lambda: lorentz_boost(711.0), "cosh(711.0) overflows"),
+    (lambda: realize(Factorization(0.0, 0, 1500.0, 0.0)), "cosh(750.0) overflows"),
+], ids=["lift", "lift-negative", "lift_with_direction", "radius_sq", "radius_sq-negative",
+        "exp2-rotation", "exp2-boost", "exp2-determinant", "lorentz_boost", "realize"])
+def test_finite_overflow_names_the_quantity(call, message):
+    # Finite arguments whose computation overflows past the geodesic's own
+    # checks: a typed error naming what overflows, never a math error or inf.
+    with pytest.raises(NonFiniteError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_x_int_overflows_below_tiny_c():
     # x_int is -hypot(k1, k2) at s_int(c) ~ pi/c, where cosh overflows
     # once pi/c > ~710, that is for c below ~0.00443.
@@ -121,5 +146,11 @@ def test_finite_geodesics_near_the_limit_pass():
     assert all(map(math.isfinite, planar_jet(1e150, 1e-150)))
     assert math.isfinite(radius_sq(1e150, 1e-150))
     assert np.all(np.isfinite(lift(1e150, 0.3, 2e-150)))
+    # At |c| = 1, (c t/2)^2 = 1e308 and the squared radius 1 + 1e308.
+    assert np.all(np.isfinite(lift(1.0, 0.3, 2e154)))
+    assert np.all(np.isfinite(lift_with_direction(-1.0, _A2, 2e154)))
+    assert radius_sq(1.0, 1e154) == 1e308
+    assert np.all(np.isfinite(exp2(np.diag([700.0, -700.0]))))
+    assert np.all(np.isfinite(lorentz_boost(710.0)))
     # The bracket end 1.5 pi/c of s_int is still finite here.
     assert s_int(2.7e-308) == 1.1635528346628864e+308

@@ -337,6 +337,11 @@ class TestNonFiniteInput:
         assert out == ""
         assert message in err
 
+    def test_realize_overflow_exits_2(self, capsys):
+        code, out, err = run(capsys, "aut-realize", "0", "0", "1500", "0")
+        assert (code, out) == (2, "")
+        assert "cosh(750.0) overflows" in err
+
 
 class TestExponentFormReals:
     """Negative reals in exponent form are values, not unknown flags."""

@@ -413,6 +413,12 @@ class TestXInt:
         assert -x_int(1.0) == pytest.approx(math.sqrt(1.0 + sbar * sbar), abs=1e-9)
         assert -x_int(1.0) == pytest.approx(4.60333, abs=1e-5)
 
+    def test_junction_constant_is_x_int_at_one(self):
+        # The fan's c = 1 junction reads x_int(1) from this constant.
+        assert synthesis._X_INT_1.hex() == x_int(1.0).hex()
+        sbar = tan_fixed_point()
+        assert -synthesis._X_INT_1 == pytest.approx(math.sqrt(1.0 + sbar * sbar), abs=1e-12)
+
     def test_boundary_value(self):
         assert x_int(C_LANDING) == pytest.approx(-1.0, abs=1e-9)
 

@@ -281,8 +281,8 @@ class TestNearAxisBand:
 # (re-recorded when the fan coordinate was reversed, and when the fan was
 # split into three parts, each searched in its own coordinate; each moved by
 # at most 4.4e-16 and 5.2e-16 max(1, t_f)): removing the test must leave both
-# answers bit-identical.  Sending x_int to -inf removes it, as no rising
-# crossing is then past the horizon.
+# answers bit-identical.  Sending x_int and the junction's constant
+# _X_INT_1 to -inf removes it, as no rising crossing is then past the horizon.
 _HORIZON_PINS = [
     (5.2610429606604505, -41.63819891318304, 9.446022743896284, -0.39100296230985976),
     (-10.548578901243847, 1.003852986720156, 9.442463423125854, 0.8651284862125431),
@@ -398,8 +398,38 @@ def test_horizon_targets_bit_identical(x, y, t_f, c, monkeypatch):
     res = distance_to_class(QuotientPoint(x, y))
     assert (res.t_f, res.c) == (t_f, c)
     monkeypatch.setattr(synthesis, "x_int", lambda c: -math.inf)
+    monkeypatch.setattr(synthesis, "_X_INT_1", -math.inf)
     res = distance_to_class(QuotientPoint(x, y))
     assert (res.t_f, res.c) == (t_f, c)
+
+
+def test_horizon_solved_only_where_new(monkeypatch):
+    # The pins' nested x_int calls: 445 when every junction gap solved
+    # x_int(1) and crossing re-ran the test, whose answer it does not read.
+    calls, in_crossing = [], [False]
+    x_int, fan = synthesis.x_int, synthesis._fan
+
+    def counted_x_int(c):
+        calls.append((c, in_crossing[0]))
+        return x_int(c)
+
+    def counted_fan(*args):
+        *parts, crossing = fan(*args)
+
+        def counted_crossing(part, t):
+            in_crossing[0] = True
+            try:
+                return crossing(part, t)
+            finally:
+                in_crossing[0] = False
+        return (*parts, counted_crossing)
+
+    monkeypatch.setattr(synthesis, "x_int", counted_x_int)
+    monkeypatch.setattr(synthesis, "_fan", counted_fan)
+    for x, y, _, _ in _HORIZON_PINS:
+        distance_to_class(QuotientPoint(x, y))
+    assert len(calls) == 395
+    assert [call for call in calls if call[0] == 1.0 or call[1]] == []
 
 
 # Targets with r > 3 just before the horizon, near the negative axis, whose
@@ -421,6 +451,7 @@ _SENTINEL_TARGETS = [
 def _with_and_without_horizon_test(x, y, monkeypatch):
     with_test = distance_to_class(QuotientPoint(x, y))
     monkeypatch.setattr(synthesis, "x_int", lambda c: -math.inf, raising=False)
+    monkeypatch.setattr(synthesis, "_X_INT_1", -math.inf, raising=False)
     return with_test, distance_to_class(QuotientPoint(x, y))
 
 
@@ -590,16 +621,17 @@ def test_fan_angle_closed_form_matches_polar_angle():
 # Objective evaluations per root search on a fixed seeded set: (median, max)
 # over each stratum's fan searches (every evaluation of the fan's parts: the
 # two junction signs, the falling part's cut and the search itself), over
-# the s_int searches nested in them (the horizon test of r > 3 targets) and
-# over s_int at _COUNT_CS.  Fan searches with that test keep bisect on the
-# rising parts (the maxima of 42 and 43); the others, the axis cut
-# included, take zeroin.  Counts do not depend on the machine; a change that
-# moves them sets new budgets here.
+# the s_int searches nested in them (the horizon test of r > 3 targets, but
+# for the c = 1 junction, which reads a constant: the axis+ stratum nests
+# none) and over s_int at _COUNT_CS.  Fan searches with that test keep
+# bisect on the rising parts (the maxima of 42 and 43); the others, the axis
+# cut included, take zeroin.  Counts do not depend on the machine; a change
+# that moves them sets new budgets here.
 _COUNT_CS = (1e-6, 0.01, 0.3, 0.9, 1.0, 1.05, C_ORTHOGONAL, 1.1, C_LANDING)
 _COUNT_BUDGETS = {
     "fan axis": (10, 42), "fan axis+": (42, 42), "fan circle": (6, 7),
     "fan overlap+1": (9.0, 13), "fan overlap-1": (6, 7), "fan r3": (5, 43),
-    "s_int axis": (38, 39), "s_int axis+": (39, 39), "s_int r3": (44.0, 44),
+    "s_int axis": (38, 38), "s_int r3": (44.0, 44),
     "s_int": (37, 44),
 }
 
