@@ -234,18 +234,20 @@ def _project(x: tuple) -> tuple[float, float]:
 
 
 def _recover_rotation(x1: tuple, x2: tuple, tol: float) -> tuple[tuple, bool]:
-    return _align(*_project(x1), 0.5 * (x1[0] - x1[3]), 0.5 * (x1[1] + x1[2]),
-                  *_project(x2), 0.5 * (x2[0] - x2[3]), 0.5 * (x2[1] + x2[2]), tol)
-
-
-def _align(px1: float, py1: float, m1: float, k1: float,
-           px2: float, py2: float, m2: float, k2: float, tol: float) -> tuple[tuple, bool]:
-    # (K, unique) with K X1 K^T = X2, each X being [[px, py], [-py, px]] plus
-    # [[m, k], [k, -m]]: K turns (m, k), of size^2 px^2 + py^2 - 1, by the double angle.
-    scale = max(1.0, math.hypot(px1, py1))
-    if math.hypot(px1 - px2, py1 - py2) > tol * scale:
+    # _align's (K, unique) for X1 and X2, once they project to one class within tol.
+    _finite("tol", tol)
+    px1, py1 = _project(x1)
+    px2, py2 = _project(x2)
+    if not math.hypot(px1 - px2, py1 - py2) <= tol * max(1.0, math.hypot(px1, py1)):
         raise ClassMismatchError(f"projections {QuotientPoint(px1, py1)} and "
                                  f"{QuotientPoint(px2, py2)} differ")
+    return _align(0.5 * (x1[0] - x1[3]), 0.5 * (x1[1] + x1[2]),
+                  0.5 * (x2[0] - x2[3]), 0.5 * (x2[1] + x2[2]))
+
+
+def _align(m1: float, k1: float, m2: float, k2: float) -> tuple[tuple, bool]:
+    # (K, unique) with K S1 K^T = S2 for symmetric parts S = [[m, k], [k, -m]] of one
+    # size: K turns (m, k) by the double angle.  The one home of the ROTATION_FLOOR rule.
     sym_sq = m1 * m1 + k1 * k1
     if sym_sq <= ROTATION_FLOOR * ROTATION_FLOOR:
         return (1.0, 0.0, 0.0, 1.0), False

@@ -82,6 +82,7 @@ def exp2(m: np.ndarray) -> np.ndarray:
 
 def rotation(angle: float) -> np.ndarray:
     """Counterclockwise rotation by `angle`; equals exp2(2*angle*A0)."""
+    _finite("angle", angle)
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
 

@@ -16,6 +16,7 @@ explicit K in SL(2) or its determinant -1 coset.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -36,6 +37,7 @@ _ADJ_BASIS = tuple(adjoint_matrix(a) for a in basis())
 
 def lorentz_rotation(theta: float) -> np.ndarray:
     """Generator O(theta): rotation of the (A1, A2) plane."""
+    _finite("theta", theta)
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
 
@@ -49,6 +51,7 @@ def _cosh_sinh(z: float) -> tuple[float, float]:
 
 def lorentz_boost(z: float) -> np.ndarray:
     """Generator H(z): hyperbolic rotation of the (A0, A2) plane."""
+    _finite("z", z)
     ch, sh = _cosh_sinh(z)
     return np.array([[ch, 0.0, sh], [0.0, 1.0, 0.0], [sh, 0.0, ch]])
 
@@ -147,8 +150,17 @@ def factorize(m: np.ndarray) -> Factorization:
     return Factorization(_wrap_angle(theta1), branch, z, _wrap_angle(theta2))
 
 
+def _check_factors(f: Factorization) -> None:
+    # The domain of assemble and realize: finite parameters, a branch in {0, 1, 2}.
+    for name in ("theta1", "z", "theta2"):
+        _finite(name, getattr(f, name))
+    if not isinstance(f.branch, numbers.Integral) or f.branch not in (0, 1, 2):
+        raise NotInGroupError(f"branch {f.branch!r} is not 0, 1 or 2")
+
+
 def assemble(f: Factorization) -> np.ndarray:
     """Product O(theta1) I^branch H(z) O(theta2) of a factorization."""
+    _check_factors(f)
     return (lorentz_rotation(f.theta1) @ _I_BRANCH[f.branch]
             @ lorentz_boost(f.z) @ lorentz_rotation(f.theta2))
 
@@ -161,6 +173,7 @@ def realize(f: Factorization) -> np.ndarray:
     and I^2 from the swap [[0, 1], [1, 0]]; the latter two have determinant
     -1, realizing the outer coset.
     """
+    _check_factors(f)
     k = rotation(0.5 * f.theta1)
     if f.branch == 1:
         k = k @ np.array([[1.0, 0.0], [0.0, -1.0]])

@@ -46,7 +46,7 @@ class BadGridError(GeometryError):
 
 
 class NotInGroupError(GeometryError):
-    """3x3 matrix does not preserve the (1,2) Lorentz form with det +1."""
+    """3x3 matrix or factorization outside the determinant-one Lorentz group."""
 
 
 class NotUnitDeterminantError(GeometryError):

@@ -204,11 +204,14 @@ def lift_with_direction(c: float, p: np.ndarray, t: float) -> np.ndarray:
     """Sub-Riemannian geodesic exp((c A0 + P) t) exp(-c A0 t) for unit P.
 
     Its projection is planar_geodesic(c, t/2); c and s = t/2 are checked
-    as there, and so is (c t/2)^2, which can overflow where z does not (|c| = 1).
+    as there, and so are the determinants of the two exponents, (c t/2)^2 and
+    det((c A0 + P) t), which can overflow where z does not (|c| = 1, huge P).
     """
     _reach(c, 0.5 * t)
-    _end(c, 0.5 * t, (0.5 * c * t * (0.5 * c * t),), "s", "the lift's determinant")
-    return _matrix(_end(c, 0.5 * t, _lift_with_direction(c, _entries(p), t)))
+    p0, p1, p2, p3 = p = _entries(p)
+    a, b, g, d = p0 * t, (p1 - 0.5 * c) * t, (p2 + 0.5 * c) * t, p3 * t  # as the core
+    _end(c, 0.5 * t, (0.5 * c * t * (0.5 * c * t), a * d - b * g), "s", "the lift's determinant")
+    return _matrix(_end(c, 0.5 * t, _lift_with_direction(c, p, t)))
 
 
 def lift(c: float, phi: float, t: float) -> np.ndarray:

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import geodesics
-from ._kernels import _project, _recover_rotation
+from ._kernels import _finite, _project, _recover_rotation
 from .algebra import _entries, _matrix
 from .errors import SingularPointError
 from .tolerances import MATCH_TOL, SINGULAR_BAND
@@ -36,7 +36,8 @@ def project(x: np.ndarray) -> QuotientPoint:
 
 def recover_rotation(x1: np.ndarray, x2: np.ndarray,
                      tol: float = MATCH_TOL) -> RecoveredRotation:
-    """K in SO(2) with K X1 K^T = X2, for two matrices of one class.
+    """K in SO(2) with K X1 K^T = X2, for two matrices of one class: their
+    projections within tol max(1, r) of each other, for a finite tol.
 
     The rotation acts on the symmetric parts (m, k) by the double angle, so
     theta is half the atan2 angle aligning (m1, k1) with (m2, k2); of the
@@ -62,6 +63,8 @@ def pushforward_frame(x: np.ndarray) -> tuple[TangentVec2, TangentVec2]:
 
 
 def _regular_weight(p: QuotientPoint) -> float:
+    _finite("point coordinate x", p.x)
+    _finite("point coordinate y", p.y)
     denom = p.radius_sq - 1.0
     if denom <= SINGULAR_BAND:
         raise SingularPointError(f"{p} is not strictly outside the unit circle")

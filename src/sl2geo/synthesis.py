@@ -39,7 +39,7 @@ from .errors import (NoRootError, NonFiniteError, StartPointError,
 from .geodesics import (C_ORTHOGONAL, k1k2, landing_time, lift_with_direction,
                         s_int, x_int)
 from .quotient import project
-from .tolerances import MATCH_TOL, ROTATION_FLOOR, SERIES_CUTOFF, SINGULAR_BAND, SYNTH_TOL
+from .tolerances import ROTATION_FLOOR, SERIES_CUTOFF, SINGULAR_BAND, SYNTH_TOL
 from .types import (CutLocusClass, DistanceResult, QuotientPoint,
                     SynthesisSolution)
 
@@ -225,11 +225,12 @@ def _distance(x: float, y: float, radial: float) -> DistanceResult:
 def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
     """Minimizing geodesic data from Xi to Xf.
 
-    Reduces to the identity problem for X_hat = Xf Xi^{-1}, solves the
-    planar problem for (c, t_f), lifts with the fixed direction P = A2, and
-    conjugates by the recovered rotation to align the lift with X_hat.  The
-    geodesic itself is t -> exp((c A0 + P) t) exp(-c A0 t) Xi.  Xi is
-    checked to be in SL(2); with det(X_hat) = 1 that makes det(Xf) = 1 too.
+    Reduces to the identity problem for X_hat = Xf Xi^{-1} and solves the
+    planar problem for (c, t_f = 2s).  The A2 lift of that answer has the
+    symmetric part sqrt(r^2 - 1) (cos cs, sin cs), which gives the rotation
+    K onto X_hat's in closed form; solve lifts once, with P = K A2 K^T.  The
+    geodesic is t -> exp((c A0 + P) t) exp(-c A0 t) Xi.  Xi is checked to be
+    in SL(2); with det(X_hat) = 1 that makes det(Xf) = 1 too.
     Each matrix is read once; the group algebra runs in this frame on float
     entries, as the _kernels cores do it, and P and K are the only arrays built.
     """
@@ -240,23 +241,17 @@ def solve(xi: np.ndarray, xf: np.ndarray) -> SynthesisSolution:
     a, b, c, d = x_hat = (a * h - b * g, b * e - a * f, c * h - d * g, d * e - c * f)
     _check_unimodular(x_hat)
     x, y, m, k = 0.5 * (a + d), 0.5 * (b - c), 0.5 * (a - d), 0.5 * (b + c)
-    t_f, c_f, _, cut = _distance(x, y, math.hypot(m, k))
+    t_f, c_f, s, cut = _distance(x, y, radial := math.hypot(m, k))
+    rot, _ = _align(radial * math.cos(c_f * s), radial * math.sin(c_f * s), m, k)
+    p0, p1, p2, p3 = direction = _mul(_mul(rot, _A2_ENTRIES), (rot[0], rot[2], rot[1], rot[3]))
     hc, w = 0.5 * c_f, 0.5 * c_f * t_f  # exp(-c A0 t_f) = [[cw, sw], [-sw, cw]]
     cw, sw = coshc_sinhc(-(w * w))
     sw *= w
-    p0, p1, p2, p3 = _A2_ENTRIES  # the A2 lift exp((c A0 + A2) t_f) exp(-c A0 t_f)
-    a, b, c, d = p0 * t_f, (p1 - hc) * t_f, (p2 + hc) * t_f, p3 * t_f
-    ch, sh = coshc_sinhc(-(a * d - b * c))
-    a, b, c, d = ch + sh * a, sh * b, sh * c, ch + sh * d
-    a, b, c, d = a * cw - b * sw, a * sw + b * cw, c * cw - d * sw, c * sw + d * cw
-    _check_unimodular((a, b, c, d))
-    rot, _ = _align(0.5 * (a + d), 0.5 * (b - c), 0.5 * (a - d), 0.5 * (b + c),
-                    x, y, m, k, MATCH_TOL)
-    p0, p1, p2, p3 = direction = _mul(_mul(rot, _A2_ENTRIES), (rot[0], rot[2], rot[1], rot[3]))
     a, b, c, d = p0 * t_f, (p1 - hc) * t_f, (p2 + hc) * t_f, p3 * t_f  # lift with K A2 K^T
     ch, sh = coshc_sinhc(-(a * d - b * c))
     a, b, c, d = ch + sh * a, sh * b, sh * c, ch + sh * d
     a, b, c, d = a * cw - b * sw, a * sw + b * cw, c * cw - d * sw, c * sw + d * cw
+    _check_unimodular((a, b, c, d))
     residual = math.dist((a, b, c, d), x_hat)
     if residual > SYNTH_TOL * max(1.0, math.hypot(*x_hat)):
         raise NoRootError(f"endpoint residual {residual} exceeds {SYNTH_TOL}")

@@ -11,13 +11,16 @@ import re
 import numpy as np
 import pytest
 
-from sl2geo import (Factorization, QuotientPoint, aut_matrix_from_group,
-                    c_of_omega, check_fan_monotone, classify_structure,
-                    distance_to_class, exp2, is_lie_automorphism, is_so12,
+from sl2geo import (Factorization, QuotientPoint, TangentVec2, assemble,
+                    aut_matrix_from_group, c_of_omega, check_fan_monotone,
+                    christoffel, classify_structure, distance_to_class, exp2,
+                    geodesic_ode_rhs, is_lie_automorphism, is_so12,
                     landing_match_error, landing_point, landing_time, lift,
-                    lift_with_direction, lorentz_boost, planar_geodesic,
-                    planar_jet, radius_sq, realize, s_int, su2_landing_point,
-                    su2_landing_time, su2_planar_geodesic, x_int)
+                    lift_with_direction, lorentz_boost, lorentz_rotation,
+                    planar_geodesic, planar_jet, quotient_metric, radius_sq,
+                    realize, recover_rotation, rotation, s_int,
+                    su2_landing_point, su2_landing_time, su2_planar_geodesic,
+                    x_int)
 from sl2geo.errors import NonFiniteError
 from sl2geo.geodesics import planar_curve
 from sl2geo.su2 import su2_curve
@@ -54,6 +57,24 @@ ENTRY_POINTS = [
      lambda v: classify_structure([1.0, 0.0, 0.0], [0.0, 1.0, v]), "entry of b2"),
     ("aut_matrix_from_group",
      lambda v: aut_matrix_from_group([[v, 0.0], [0.0, 1.0]]), "entry of K"),
+    ("recover_rotation.tol", lambda v: recover_rotation(np.eye(2), np.eye(2), v), "tol"),
+    ("rotation", lambda v: rotation(v), "angle"),
+    ("lorentz_rotation", lambda v: lorentz_rotation(v), "theta"),
+    ("lorentz_boost", lambda v: lorentz_boost(v), "z"),
+    ("assemble.theta1", lambda v: assemble(Factorization(v, 0, 0.0, 0.0)), "theta1"),
+    ("assemble.z", lambda v: assemble(Factorization(0.0, 1, v, 0.0)), "z"),
+    ("assemble.theta2", lambda v: assemble(Factorization(0.0, 2, 0.0, v)), "theta2"),
+    ("realize.theta1", lambda v: realize(Factorization(v, 0, 0.0, 0.0)), "theta1"),
+    ("realize.z", lambda v: realize(Factorization(0.0, 1, v, 0.0)), "z"),
+    ("realize.theta2", lambda v: realize(Factorization(0.0, 2, 0.0, v)), "theta2"),
+    ("quotient_metric.x", lambda v: quotient_metric(QuotientPoint(v, 2.0)),
+     "point coordinate x"),
+    ("quotient_metric.y", lambda v: quotient_metric(QuotientPoint(2.0, v)),
+     "point coordinate y"),
+    ("christoffel", lambda v: christoffel(QuotientPoint(v, 2.0)), "point coordinate x"),
+    ("geodesic_ode_rhs",
+     lambda v: geodesic_ode_rhs(QuotientPoint(2.0, v), TangentVec2(1.0, 0.0)),
+     "point coordinate y"),
 ]
 
 
@@ -114,6 +135,9 @@ def test_finite_overflow_is_typed(call, c, s):
     (lambda: lift(-1.0, 3.0, 4e287), "c = -1.0 with s = 2e+287 overflows the lift's determinant"),
     (lambda: lift_with_direction(-1.0, _A2, 1e200),
      "c = -1.0 with s = 5e+199 overflows the lift's determinant"),
+    # A direction with huge entries: det((c A0 + P) t) overflows, (c t/2)^2 does not.
+    (lambda: lift_with_direction(0.5, np.array([[0.0, -1e200], [1e200, 0.0]]), 1.0),
+     "c = 0.5 with s = 0.5 overflows the lift's determinant"),
     (lambda: radius_sq(1.0, 1e300), "c = 1.0 with s = 1e+300 overflows the squared radius"),
     (lambda: radius_sq(-1.0, 2e154), "c = -1.0 with s = 2e+154 overflows the squared radius"),
     (lambda: exp2(np.array([[0.0, 1e200], [-1e200, 0.0]])),
@@ -122,7 +146,8 @@ def test_finite_overflow_is_typed(call, c, s):
     (lambda: exp2(np.diag([1e200, -1e200])), "determinant of M = -inf is not finite"),
     (lambda: lorentz_boost(711.0), "cosh(711.0) overflows"),
     (lambda: realize(Factorization(0.0, 0, 1500.0, 0.0)), "cosh(750.0) overflows"),
-], ids=["lift", "lift-negative", "lift_with_direction", "radius_sq", "radius_sq-negative",
+], ids=["lift", "lift-negative", "lift_with_direction", "lift_with_direction-direction",
+        "radius_sq", "radius_sq-negative",
         "exp2-rotation", "exp2-boost", "exp2-determinant", "lorentz_boost", "realize"])
 def test_finite_overflow_names_the_quantity(call, message):
     # Finite arguments whose computation overflows past the geodesic's own

@@ -184,6 +184,16 @@ class TestRealize:
             expected = 1.0 if f.branch == 0 else -1.0
             assert det == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("branch", [-1, 3, 1.0])
+    def test_bad_branch_rejected(self, branch):
+        # assemble read branch -1 as _I_BRANCH[-1] and raised IndexError for
+        # 3 and TypeError for 1.0, while realize took -1 and 3 as branch 0
+        # and 1.0 as branch 1.
+        f = Factorization(0.3, branch, 0.5, -0.2)
+        for build in (assemble, realize):
+            with pytest.raises(NotInGroupError, match=f"branch {branch} is not 0, 1 or 2"):
+                build(f)
+
 
 class TestClassifyStructure:
     def test_standard_horizontal_frame_elliptic(self):

@@ -330,6 +330,9 @@ class TestNonFiniteInput:
         (("path", "5e-324", "auto", "10"), "c = 5e-324 with s = inf overflows the geodesic"),
         (("path", "4.707403601354601e-90", "auto", "3"),
          "c = 4.707403601354601e-90 with s_max = 6.673727004597119e+89 overflows the geodesic"),
+        (("aut-realize", "nan", "0", "0", "0"), "theta1 = nan is not finite"),
+        (("aut-realize", "0", "1", "inf", "0"), "z = inf is not finite"),
+        (("aut-realize", "0", "2", "0", "-inf"), "theta2 = -inf is not finite"),
     ])
     def test_path_and_su2_arguments(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -16,12 +16,12 @@ from sl2geo import (C_LANDING, CutLocusClass, QuotientPoint, SynthesisSolution,
                     classify_cut_locus, distance_to_class, exp2, from_coords,
                     landing_time, lift, lift_with_direction, project,
                     recover_rotation, rotation, s_int, solve, synthesis)
-from sl2geo._kernels import (_A2_ENTRIES, _adj, _check_unimodular, _direction,
-                             _exp2, _lift_with_direction, _mul, _project,
-                             _recover_rotation, coshc, sinhc)
+from sl2geo._kernels import (_A2_ENTRIES, _adj, _align, _check_unimodular,
+                             _direction, _exp2, _lift_with_direction, _mul,
+                             _project, _recover_rotation, coshc, sinhc)
 from sl2geo.algebra import _entries, _matrix
-from sl2geo.errors import (ClassMismatchError, GeometryError, NoRootError,
-                           NotUnimodularError, StartPointError)
+from sl2geo.errors import (GeometryError, NoRootError, NotUnimodularError,
+                           StartPointError)
 from sl2geo.tolerances import MATCH_TOL, ROTATION_FLOOR, SYNTH_TOL
 from sl2geo.types import DistanceResult
 
@@ -183,23 +183,27 @@ def test_solve_matches_numpy_composition(rng):
 
 
 # The reference for solve: the composition of the cores whose operations it
-# runs inline, _lift_with_direction for both lifts (each forming exp(-c A0 t))
-# and _recover_rotation, which checks X_hat a second time.
+# runs inline, _align on the A2 lift's closed-form symmetric part
+# sqrt(r^2 - 1) (cos cs, sin cs) and one _lift_with_direction, checked as
+# solve checks it.
 
 def _composed_solve(xi, xf):
     xi = _entries(xi)
     _check_unimodular(xi)
     x_hat = _mul(_entries(xf), _adj(xi))
     px, py = _project(x_hat)
-    radial = math.hypot(0.5 * (x_hat[0] - x_hat[3]), 0.5 * (x_hat[1] + x_hat[2]))
+    m, k = 0.5 * (x_hat[0] - x_hat[3]), 0.5 * (x_hat[1] + x_hat[2])
+    radial = math.hypot(m, k)
     dist = synthesis._distance(px, py, radial)
-    y_f = _lift_with_direction(dist.c, _A2_ENTRIES, dist.t_f)
-    k, _ = _recover_rotation(y_f, x_hat, MATCH_TOL)
-    direction = _mul(_mul(k, _A2_ENTRIES), (k[0], k[2], k[1], k[3]))
-    residual = math.dist(_lift_with_direction(dist.c, direction, dist.t_f), x_hat)
+    cs = dist.c * dist.s
+    rot, _ = _align(radial * math.cos(cs), radial * math.sin(cs), m, k)
+    direction = _mul(_mul(rot, _A2_ENTRIES), (rot[0], rot[2], rot[1], rot[3]))
+    y_f = _lift_with_direction(dist.c, direction, dist.t_f)
+    _check_unimodular(y_f)
+    residual = math.dist(y_f, x_hat)
     if residual > SYNTH_TOL * max(1.0, math.hypot(*x_hat)):
         raise NoRootError(f"endpoint residual {residual} exceeds {SYNTH_TOL}")
-    return SynthesisSolution(dist.c, dist.t_f, _matrix(direction), _matrix(k),
+    return SynthesisSolution(dist.c, dist.t_f, _matrix(direction), _matrix(rot),
                              residual, dist.on_cut_locus)
 
 
@@ -247,9 +251,10 @@ def test_solve_errors_match_composed_cores(monkeypatch):
         expected = _outcome(_composed_solve, xi, xf_)
         assert expected[0] is error
         assert _outcome(solve, xi, xf_) == expected
-    # A planar answer for the wrong class: its lift does not match X_hat.
+    # A planar answer for the wrong class: its lift misses X_hat, which the
+    # endpoint residual reports as an internal inconsistency.
     monkeypatch.setattr(synthesis, "_distance",
                         lambda x, y, radial: DistanceResult(3.0, 0.5, 1.5, False))
     expected = _outcome(_composed_solve, eye, xf)
-    assert expected[0] is ClassMismatchError
+    assert expected[0] is NoRootError
     assert _outcome(solve, eye, xf) == expected

@@ -9,7 +9,7 @@ import pytest
 from sl2geo import (C_LANDING, C_ORTHOGONAL, CutLocusClass, QuotientPoint,
                     SynthesisSolution, basis, check_fan_monotone,
                     classify_cut_locus, distance_to_class, exp2,
-                    landing_point, planar_geodesic, project, s_int, solve,
+                    landing_point, lift, planar_geodesic, project, s_int, solve,
                     verify_solution)
 from sl2geo import synthesis
 from sl2geo.errors import (BadGridError, NonFiniteError, NotUnimodularError,
@@ -770,6 +770,36 @@ class TestSolve:
             m, k = math.sqrt(band) * np.array([math.cos(psi), math.sin(psi)])
             sol = solve(np.eye(2), np.array([[x + m, y + k], [k - y, x - m]]))
             assert sol.residual <= 1e-12, band
+
+    def test_rotation_angle_to_rounding(self):
+        # K turns the A2 lift's symmetric part sqrt(r^2 - 1) (cos cs, sin cs)
+        # into X_hat's (m, k): its angle is (cs - atan2(k, m))/2 mod pi, here
+        # in 50 digits at the returned (c, t_f = 2s).  Near the circle, where
+        # sqrt(r^2 - 1) is 1e-6 to 1e-3, reading cs back from a computed lift
+        # lost it to ~eps/sqrt(r^2 - 1) (1.3e-11 rad on these targets).
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(29)
+        targets = []
+        for _ in range(300):
+            size = 10.0 ** rng.uniform(-6.0, -3.0)
+            beta, psi = rng.uniform(-math.pi, math.pi, 2)
+            x, y = math.sqrt(1.0 + size * size) * np.array([math.cos(beta), math.sin(beta)])
+            m, k = size * np.array([math.cos(psi), math.sin(psi)])
+            targets.append(np.array([[x + m, y + k], [k - y, x - m]]))
+        for _ in range(200):
+            c = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.5)
+            s = min(rng.uniform(0.05, 0.95) * s_int(c), 12.0)
+            targets.append(lift(c, rng.uniform(-math.pi, math.pi), 2.0 * s))
+        worst = 0.0
+        with mpmath.workdps(50):
+            for x_hat in targets:
+                sol = solve(np.eye(2), x_hat)
+                (a, b), (g, d) = (map(mpmath.mpf, row) for row in x_hat)
+                ref = (mpmath.mpf(sol.c) * mpmath.mpf(sol.t_f) / 2
+                       - mpmath.atan2(b + g, a - d)) / 2
+                err = mpmath.atan2(sol.K[0, 1], sol.K[0, 0]) - ref
+                worst = max(worst, float(abs(err - mpmath.pi * mpmath.nint(err / mpmath.pi))))
+        assert worst <= 1e-15, worst
 
     def test_exact_rotations_land_to_rounding(self):
         # A rotation's symmetric part is exactly 0, so solve takes the closed-
