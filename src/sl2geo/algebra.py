@@ -89,20 +89,24 @@ def rotation(angle: float) -> np.ndarray:
 
 def to_coords(m: np.ndarray) -> np.ndarray:
     """Coordinates (v0, v1, v2) of a traceless matrix in the A-basis."""
-    return np.array([
-        float(m[1, 0] - m[0, 1]),
-        float(m[1, 0] + m[0, 1]),
-        float(m[0, 0] - m[1, 1]),
-    ])
+    a, b, c, d = x = _entries(m)
+    for entry in x:
+        _finite("entry of M", entry)
+    v = (c - b, c + b, a - d)
+    if not all(map(math.isfinite, v)):
+        raise NonFiniteError(f"entries {[[a, b], [c, d]]} overflow the coordinates")
+    return np.array(v)
 
 
 def from_coords(v) -> np.ndarray:
     """Matrix v0 A0 + v1 A1 + v2 A2 from coordinates."""
-    v0, v1, v2 = float(v[0]), float(v[1]), float(v[2])
-    return np.array([
-        [0.5 * v2, 0.5 * (v1 - v0)],
-        [0.5 * (v0 + v1), -0.5 * v2],
-    ])
+    v0, v1, v2 = v = float(v[0]), float(v[1]), float(v[2])
+    for i, entry in enumerate(v):
+        _finite(f"coordinate v{i}", entry)
+    m = (0.5 * v2, 0.5 * (v1 - v0), 0.5 * (v0 + v1), -0.5 * v2)
+    if not all(map(math.isfinite, m)):
+        raise NonFiniteError(f"coordinates {list(v)} overflow the matrix")
+    return _matrix(m)
 
 
 def adjoint_matrix(m: np.ndarray) -> np.ndarray:

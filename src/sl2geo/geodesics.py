@@ -204,11 +204,14 @@ def lift_with_direction(c: float, p: np.ndarray, t: float) -> np.ndarray:
     """Sub-Riemannian geodesic exp((c A0 + P) t) exp(-c A0 t) for unit P.
 
     Its projection is planar_geodesic(c, t/2); c and s = t/2 are checked
-    as there, and so are the determinants of the two exponents, (c t/2)^2 and
-    det((c A0 + P) t), which can overflow where z does not (|c| = 1, huge P).
+    as there, P's entries are finite, and so are the determinants of the two
+    exponents, (c t/2)^2 and det((c A0 + P) t), which can overflow where z
+    does not (|c| = 1, huge P).
     """
     _reach(c, 0.5 * t)
     p0, p1, p2, p3 = p = _entries(p)
+    for entry in p:
+        _finite("entry of P", entry)
     a, b, g, d = p0 * t, (p1 - 0.5 * c) * t, (p2 + 0.5 * c) * t, p3 * t  # as the core
     _end(c, 0.5 * t, (0.5 * c * t * (0.5 * c * t), a * d - b * g), "s", "the lift's determinant")
     return _matrix(_end(c, 0.5 * t, _lift_with_direction(c, p, t)))
@@ -240,41 +243,18 @@ def planar_curve(c: float, s_max: float, n: int) -> list[float]:
     q = 1.0 - c * c
     last = n - 1
     xy = []
-    # |z| = |q| s^2 grows with i, so the series band of coshc_sinhc is a
-    # prefix of the grid (all of it for |c| = 1).  Past it the sign of q
-    # fixes the regime, and one loop repeats coshc_sinhc's operations for
-    # that branch.
-    i = 0
-    while i < n:
+    for i in range(n):
         s = s_max * i / last
-        z = q * s * s
-        if not abs(z) < SERIES_CUTOFF:
-            break
-        k1, sh = coshc_sinhc(z)
+        k1, sh = coshc_sinhc(q * s * s)
         cs = c * s
         k2 = cs * sh
         cos_cs, sin_cs = math.cos(cs), math.sin(cs)
         xy.append(k1 * cos_cs + k2 * sin_cs)
         xy.append(k1 * sin_cs - k2 * cos_cs)
-        i += 1
-    even, odd = (math.cosh, math.sinh) if q > 0.0 else (math.cos, math.sin)
-    try:
-        for i in range(i, n):
-            s = s_max * i / last
-            w = math.sqrt(abs(q * s * s))
-            k1, sh = even(w), odd(w) / w
-            cs = c * s
-            k2 = cs * sh
-            cos_cs, sin_cs = math.cos(cs), math.sin(cs)
-            xy.append(k1 * cos_cs + k2 * sin_cs)
-            xy.append(k1 * sin_cs - k2 * cos_cs)
-    except OverflowError:
-        # Only cosh and sinh overflow.  coshc_sinhc saturates to inf there,
-        # and as z grows with i the end point would not be finite either.
-        xy += (math.inf, math.inf)
     # One check per curve: for |c| <= 1 the radius grows monotonically
-    # along s, so the end point is the largest; for |c| > 1 every point is
-    # bounded by 1 + |c s_max|, finite by the check above.
+    # along s, and coshc_sinhc saturates to inf, so the end point is the
+    # largest; for |c| > 1 every point is bounded by 1 + |c s_max|, finite
+    # by the check above.
     _end(c, s_max, xy[-2:], "s_max")
     return xy
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import geodesics
 from ._kernels import _finite, _project, _recover_rotation
 from .algebra import _entries, _matrix
-from .errors import SingularPointError
+from .errors import NonFiniteError, SingularPointError
 from .tolerances import MATCH_TOL, SINGULAR_BAND
 from .types import PlanarJet, QuotientPoint, RecoveredRotation, TangentVec2
 
@@ -56,9 +56,13 @@ def pushforward_frame(x: np.ndarray) -> tuple[TangentVec2, TangentVec2]:
     Returns (pi_* f1, pi_* f2) in d/dx, d/dy components; both degenerate to
     zero exactly on the singular circle.
     """
-    a, b, c, d = _entries(x)
+    a, b, c, d = x = _entries(x)
+    for entry in x:
+        _finite("entry of X", entry)
     f1 = TangentVec2(0.25 * (b + c), 0.25 * (d - a))
     f2 = TangentVec2(0.25 * (a - d), 0.25 * (b + c))
+    if not all(map(math.isfinite, f1 + f2)):
+        raise NonFiniteError(f"entries {[[a, b], [c, d]]} overflow the frame")
     return f1, f2
 
 
@@ -98,8 +102,12 @@ def christoffel(p: QuotientPoint) -> np.ndarray:
 def geodesic_ode_rhs(p: QuotientPoint, v: TangentVec2) -> tuple[TangentVec2, TangentVec2]:
     """First-order form of the geodesic equation: returns (velocity, acceleration)."""
     gamma = christoffel(p)
+    _finite("velocity component dx", v.dx)
+    _finite("velocity component dy", v.dy)
     vel = np.array([v.dx, v.dy])
     acc = -np.einsum("ijk,j,k->i", gamma, vel, vel)
+    if not all(map(math.isfinite, acc)):
+        raise NonFiniteError(f"velocity {tuple(v)} at {tuple(p)} overflows the acceleration")
     return TangentVec2(v.dx, v.dy), TangentVec2(float(acc[0]), float(acc[1]))
 
 

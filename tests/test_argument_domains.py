@@ -1,4 +1,5 @@
-"""The argument domains of the public geodesic and automorphism functions.
+"""The argument domains of the public geodesic, quotient, algebra and
+automorphism functions.
 
 A NaN or infinite argument raises NonFiniteError naming that argument, and a
 finite one whose geodesic overflows raises NonFiniteError naming the pair;
@@ -14,13 +15,13 @@ import pytest
 from sl2geo import (Factorization, QuotientPoint, TangentVec2, assemble,
                     aut_matrix_from_group, c_of_omega, check_fan_monotone,
                     christoffel, classify_structure, distance_to_class, exp2,
-                    geodesic_ode_rhs, is_lie_automorphism, is_so12,
+                    from_coords, geodesic_ode_rhs, is_lie_automorphism, is_so12,
                     landing_match_error, landing_point, landing_time, lift,
                     lift_with_direction, lorentz_boost, lorentz_rotation,
-                    planar_geodesic, planar_jet, quotient_metric, radius_sq,
-                    realize, recover_rotation, rotation, s_int,
-                    su2_landing_point, su2_landing_time, su2_planar_geodesic,
-                    x_int)
+                    planar_geodesic, planar_jet, pushforward_frame,
+                    quotient_metric, radius_sq, realize, recover_rotation,
+                    rotation, s_int, su2_landing_point, su2_landing_time,
+                    su2_planar_geodesic, to_coords, x_int)
 from sl2geo.errors import NonFiniteError
 from sl2geo.geodesics import planar_curve
 from sl2geo.su2 import su2_curve
@@ -39,6 +40,8 @@ ENTRY_POINTS = [
     ("radius_sq.c", lambda v: radius_sq(v, 1.0), "geodesic parameter c"),
     ("radius_sq.s", lambda v: radius_sq(0.5, v), "s"),
     ("lift.phi", lambda v: lift(0.5, v, 1.0), "phi"),
+    ("lift_with_direction.P",
+     lambda v: lift_with_direction(0.5, np.array([[v, 0.0], [0.0, 0.0]]), 1.0), "entry of P"),
     ("su2_planar_geodesic.omega", lambda v: su2_planar_geodesic(v, 1.0), "omega"),
     ("su2_planar_geodesic.s", lambda v: su2_planar_geodesic(0.5, v), "s"),
     ("su2_curve", lambda v: su2_curve(v, 1.0, 5), "omega"),
@@ -75,6 +78,17 @@ ENTRY_POINTS = [
     ("geodesic_ode_rhs",
      lambda v: geodesic_ode_rhs(QuotientPoint(2.0, v), TangentVec2(1.0, 0.0)),
      "point coordinate y"),
+    ("geodesic_ode_rhs.dx",
+     lambda v: geodesic_ode_rhs(QuotientPoint(2.0, 0.0), TangentVec2(v, 0.0)),
+     "velocity component dx"),
+    ("geodesic_ode_rhs.dy",
+     lambda v: geodesic_ode_rhs(QuotientPoint(2.0, 0.0), TangentVec2(0.0, v)),
+     "velocity component dy"),
+    ("pushforward_frame",
+     lambda v: pushforward_frame(np.array([[v, 0.0], [0.0, 1.0]])), "entry of X"),
+    ("from_coords.v0", lambda v: from_coords([v, 0.0, 0.0]), "coordinate v0"),
+    ("from_coords.v2", lambda v: from_coords([0.0, 0.0, v]), "coordinate v2"),
+    ("to_coords", lambda v: to_coords(np.array([[0.0, v], [0.0, 0.0]])), "entry of M"),
 ]
 
 
@@ -146,9 +160,18 @@ def test_finite_overflow_is_typed(call, c, s):
     (lambda: exp2(np.diag([1e200, -1e200])), "determinant of M = -inf is not finite"),
     (lambda: lorentz_boost(711.0), "cosh(711.0) overflows"),
     (lambda: realize(Factorization(0.0, 0, 1500.0, 0.0)), "cosh(750.0) overflows"),
+    (lambda: geodesic_ode_rhs(QuotientPoint(2.0, 0.0), TangentVec2(1e200, 1e200)),
+     "velocity (1e+200, 1e+200) at (2.0, 0.0) overflows the acceleration"),
+    (lambda: pushforward_frame(np.array([[0.0, 1.7e308], [1.7e308, 0.0]])),
+     "entries [[0.0, 1.7e+308], [1.7e+308, 0.0]] overflow the frame"),
+    (lambda: from_coords([1e308] * 3),
+     "coordinates [1e+308, 1e+308, 1e+308] overflow the matrix"),
+    (lambda: to_coords(np.array([[1e308, -1e308], [1e308, -1e308]])),
+     "entries [[1e+308, -1e+308], [1e+308, -1e+308]] overflow the coordinates"),
 ], ids=["lift", "lift-negative", "lift_with_direction", "lift_with_direction-direction",
         "radius_sq", "radius_sq-negative",
-        "exp2-rotation", "exp2-boost", "exp2-determinant", "lorentz_boost", "realize"])
+        "exp2-rotation", "exp2-boost", "exp2-determinant", "lorentz_boost", "realize",
+        "geodesic_ode_rhs-velocity", "pushforward_frame", "from_coords", "to_coords"])
 def test_finite_overflow_names_the_quantity(call, message):
     # Finite arguments whose computation overflows past the geodesic's own
     # checks: a typed error naming what overflows, never a math error or inf.

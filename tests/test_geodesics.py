@@ -601,9 +601,9 @@ class TestPlanarCurve:
                                    1.0 + 1e-6, 1.0 - 1e-6, 1e-3, -1e-3])
     def test_regime_change_mid_grid(self, c):
         # z = (1 - c^2) s^2 leaves the series band of coshc_sinhc in the
-        # middle of one of these grids, where the sampler's series prefix
-        # hands over to its cosh/sinh or cos/sin loop; for |c| = 1, z = 0
-        # and the whole grid is the prefix.
+        # middle of one of these grids, where the kernel hands over from its
+        # series to cosh/sinh or cos/sin; for |c| = 1, z = 0 and the whole
+        # grid stays in the series band.
         q = 1.0 - c * c
         prefixes = []
         for s_max, n in ((1e-3, 401), (3.0, 400)):

@@ -1,7 +1,7 @@
 """Module boundaries: the numpy-free core, the one home of the argument
-checks, of the fan's part maps, of the axis band and of the start-point test,
-the two readers of the rotation floor, the names the benchmark traces, and no
-unused imports.
+checks, of the fan's part maps, of the axis band, of the start-point test and
+of the cosh/sinh regime choice, the two readers of the rotation floor, the
+names the benchmark traces, and no unused imports.
 
 `_kernels` holds the endpoint solver's float core, so it and every package
 module it imports must not import numpy.  `import sl2geo._kernels` runs the
@@ -213,6 +213,18 @@ def test_rotation_floor_has_one_rule():
         ("tolerances", None, "ROTATION_FLOOR"): 1,
         ("_kernels", "_align", "ROTATION_FLOOR"): 2,
         ("synthesis", "_distance", "ROTATION_FLOOR"): 1}
+
+
+# The regime choice of coshc(z) and sinhc(z), cosh/sinh against cos/sin by the
+# sign of z, is made in the kernels; the planar sampler calls coshc_sinhc.
+# The Lorentz boost's cosh and sinh of a real angle are the one other home.
+def test_regime_choice_has_one_home():
+    assert _expression_homes(["math.cosh", "math.sinh"]) == {
+        ("_kernels", "coshc", "math.cosh"): 1, ("_kernels", "sinhc", "math.sinh"): 1,
+        ("_kernels", "coshc_sinhc", "math.cosh"): 1,
+        ("_kernels", "coshc_sinhc", "math.sinh"): 1,
+        ("automorphisms", "_cosh_sinh", "math.cosh"): 1,
+        ("automorphisms", "_cosh_sinh", "math.sinh"): 1}
 
 
 def test_cli_raises_no_geometry_error_of_its_own():
