@@ -217,13 +217,15 @@ def _check_unimodular(x: tuple) -> None:
     # Non-finite entries go first.  The determinant of a stored matrix is
     # only representable to about eps * ||X||^2, so the tolerance scales with
     # the squared size (plain absolute check for moderate entries, inf once
-    # it overflows); a determinant that overflows (inf, or NaN) fails.
+    # it overflows); a determinant that overflows (inf, or NaN) fails as such.
     a, b, c, d = x
     if not all(map(math.isfinite, x)):
         raise NotUnimodularError(f"entries {[[a, b], [c, d]]} are not all finite")
     det = a * d - b * c
     scale = max(1.0, a * a + b * b + c * c + d * d)
     if not (math.isfinite(det) and abs(det - 1.0) <= DET_TOL * scale):
+        if not math.isfinite(det):
+            raise NotUnimodularError(f"det of {[[a, b], [c, d]]} overflows")
         raise NotUnimodularError(f"det = {det!r} is not 1 within {DET_TOL * scale}")
 
 

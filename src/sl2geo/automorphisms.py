@@ -61,8 +61,9 @@ def is_so12(m: np.ndarray, tol: float = ALG_TOL) -> bool:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         return False
-    if not np.max(np.abs(m.T @ I12 @ m - I12)) <= tol:  # NaN fails too
-        return False
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
+        if not np.max(np.abs(m.T @ I12 @ m - I12)) <= tol:
+            return False
     return abs(np.linalg.det(m) - 1.0) <= tol
 
 
@@ -71,16 +72,22 @@ def aut_matrix_from_group(k: np.ndarray) -> np.ndarray:
 
     Requires finite entries and det(K) = +-1; the image always preserves
     the Lorentz form with determinant +1, and K -> matrix is a homomorphism.
+    A K whose determinant or conjugates K A K^{-1} overflow is named.
     """
     k = np.asarray(k, dtype=float)
     for entry in k.flat:
         _finite("entry of K", float(entry))
-    det = float(k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0])
-    if abs(abs(det) - 1.0) > DET_TOL:
-        raise NotUnitDeterminantError(f"det(K) = {det!r} is not +-1")
-    k_inv = adjugate(k) / det
-    cols = [to_coords(k @ a @ k_inv) for a in basis()]
-    return np.column_stack(cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0])
+        if not math.isfinite(det):
+            raise NotUnitDeterminantError(f"det of K = {k.tolist()} overflows")
+        if abs(abs(det) - 1.0) > DET_TOL:
+            raise NotUnitDeterminantError(f"det(K) = {det!r} is not +-1")
+        k_inv = adjugate(k) / det
+        images = [k @ a @ k_inv for a in basis()]
+    if not all(np.all(np.isfinite(image)) for image in images):
+        raise NonFiniteError(f"K = {k.tolist()} overflows its conjugates K A K^-1")
+    return np.column_stack([to_coords(image) for image in images])
 
 
 def is_lie_automorphism(m: np.ndarray) -> bool:
@@ -88,15 +95,16 @@ def is_lie_automorphism(m: np.ndarray) -> bool:
 
     Checked on the basis; by the structure of sl(2) this is equivalent to
     membership in the determinant-one Lorentz group.  A non-finite m is
-    not one, as for is_so12.
+    not one, as for is_so12, nor is one whose products overflow.
     """
     m = np.asarray(m, dtype=float)
-    if abs(np.linalg.det(m)) < INVERTIBLE_TOL:
-        raise SingularMatrixError("automorphism candidate must be invertible")
-    for j, ad_j in enumerate(_ADJ_BASIS):
-        image_ad = sum(m[i, j] * _ADJ_BASIS[i] for i in range(3))
-        if not np.max(np.abs(m @ ad_j - image_ad @ m)) <= ALG_TOL:  # NaN fails too
-            return False
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
+        if abs(np.linalg.det(m)) < INVERTIBLE_TOL:
+            raise SingularMatrixError("automorphism candidate must be invertible")
+        for j, ad_j in enumerate(_ADJ_BASIS):
+            image_ad = sum(m[i, j] * _ADJ_BASIS[i] for i in range(3))
+            if not np.max(np.abs(m @ ad_j - image_ad @ m)) <= ALG_TOL:
+                return False
     return True
 
 
@@ -194,20 +202,25 @@ def classify_structure(b1, b2) -> StructureKind:
     automorphic image of the standard frame, scaled by lambda, only when its
     Gram matrix under diag(-1, 1, 1) is lambda^2 I.  The metric scale factor
     is irrelevant here: rescaling both vectors changes lengths, never the
-    sign class.  A non-finite entry raises NonFiniteError.
+    sign class.  A non-finite entry raises NonFiniteError, as does a frame
+    whose norms, cross product or Gram determinant overflow.
     """
     v1 = np.asarray(b1, dtype=float)
     v2 = np.asarray(b2, dtype=float)
     for name, v in (("b1", v1), ("b2", v2)):
         for entry in v.flat:
             _finite(f"entry of {name}", float(entry))
-    scale = np.linalg.norm(v1) * np.linalg.norm(v2)
-    if scale == 0.0 or np.linalg.norm(np.cross(v1, v2)) <= ALG_TOL * scale:
-        raise DependentFrameError("frame vectors are linearly dependent")
-    g11 = float(v1 @ I12 @ v1)
-    g12 = float(v1 @ I12 @ v2)
-    g22 = float(v2 @ I12 @ v2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.linalg.norm(v1) * np.linalg.norm(v2))
+        cross = float(np.linalg.norm(np.cross(v1, v2)))
+        g11 = float(v1 @ I12 @ v1)
+        g12 = float(v1 @ I12 @ v2)
+        g22 = float(v2 @ I12 @ v2)
     det = g11 * g22 - g12 * g12
+    if not all(map(math.isfinite, (scale * scale, cross, det))):
+        raise NonFiniteError(f"frame {v1.tolist()}, {v2.tolist()} overflows")
+    if scale == 0.0 or cross <= ALG_TOL * scale:
+        raise DependentFrameError("frame vectors are linearly dependent")
     if abs(det) <= ALG_TOL * max(scale * scale, 1.0):
         return StructureKind.DEGENERATE
     if det < 0.0:

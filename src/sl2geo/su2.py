@@ -36,14 +36,18 @@ def _rate(omega: float, s: float) -> float:
     return mu
 
 
+def _point(omega: float, mu: float, ratio: float, s: float) -> tuple[float, float]:
+    # The one copy of the point formula: time s, rate mu, ratio omega/mu.
+    cos_m, sin_m = math.cos(mu * s), math.sin(mu * s)
+    cos_o, sin_o = math.cos(omega * s), math.sin(omega * s)
+    return (cos_m * cos_o + ratio * sin_m * sin_o,
+            cos_m * sin_o - ratio * sin_m * cos_o)
+
+
 def su2_planar_geodesic(omega: float, s: float) -> tuple[float, float]:
     """Point of the omega-geodesic in the disc at time s."""
     mu = _rate(omega, s)
-    cos_m, sin_m = math.cos(mu * s), math.sin(mu * s)
-    cos_o, sin_o = math.cos(omega * s), math.sin(omega * s)
-    ratio = omega / mu
-    return (cos_m * cos_o + ratio * sin_m * sin_o,
-            cos_m * sin_o - ratio * sin_m * cos_o)
+    return _point(omega, mu, omega / mu, s)
 
 
 def su2_curve(omega: float, s_max: float, n: int) -> list[float]:
@@ -60,11 +64,7 @@ def su2_curve(omega: float, s_max: float, n: int) -> list[float]:
     last = n - 1
     xy = []
     for i in range(n):
-        s = s_max * i / last
-        cos_m, sin_m = math.cos(mu * s), math.sin(mu * s)
-        cos_o, sin_o = math.cos(omega * s), math.sin(omega * s)
-        xy.append(cos_m * cos_o + ratio * sin_m * sin_o)
-        xy.append(cos_m * sin_o - ratio * sin_m * cos_o)
+        xy += _point(omega, mu, ratio, s_max * i / last)
     return xy
 
 
@@ -115,9 +115,9 @@ def _reachable_boundaries(times, n: int, sign: float) -> list[list[float]]:
     large parameters; sign = -1.0 sweeps -omega instead, which gives the
     reflection (x, -y) of every point, bit for bit.  Each point is
     su2_planar_geodesic(omega, min(s, su2_landing_time(omega))): a geodesic
-    that has landed contributes its circle point.  The rate, ratio and
-    landing time of each omega are computed once for all times, and its
-    circle point once, when the first time past its landing needs it.
+    that has landed contributes its circle point.  The rate, ratio, landing
+    time and circle point of each omega are computed once, in the sweep, for
+    all times.
     """
     if n < 2:
         raise BadGridError(f"need at least 2 boundary samples, got {n}")
@@ -128,21 +128,13 @@ def _reachable_boundaries(times, n: int, sign: float) -> list[list[float]]:
     for i in range(n):
         omega = sign * math.tan(-0.5 * math.pi + math.pi * (i + 0.5) / n)
         mu = _mu(omega)
-        sweep.append((omega, mu, omega / mu, math.pi / mu))
-    landed = [None] * n
+        ratio, landing = omega / mu, math.pi / mu
+        sweep.append((omega, mu, ratio, landing, _point(omega, mu, ratio, landing)))
     boundaries = []
     for s in times:
         xy = []
-        for i, (omega, mu, ratio, landing) in enumerate(sweep):
-            if s < landing:
-                cos_m, sin_m = math.cos(mu * s), math.sin(mu * s)
-                cos_o, sin_o = math.cos(omega * s), math.sin(omega * s)
-                xy.append(cos_m * cos_o + ratio * sin_m * sin_o)
-                xy.append(cos_m * sin_o - ratio * sin_m * cos_o)
-            else:
-                if landed[i] is None:
-                    landed[i] = su2_planar_geodesic(omega, landing)
-                xy += landed[i]
+        for omega, mu, ratio, landing, landed in sweep:
+            xy += _point(omega, mu, ratio, s) if s < landing else landed
         boundaries.append(xy)
     return boundaries
 

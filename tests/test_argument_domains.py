@@ -3,11 +3,14 @@ automorphism functions.
 
 A NaN or infinite argument raises NonFiniteError naming that argument, and a
 finite one whose geodesic overflows raises NonFiniteError naming the pair;
-neither may surface as a bare ValueError from math.
+neither may surface as a bare ValueError from math.  A finite matrix or frame
+whose determinant, conjugates or products overflow is named by its own check,
+without numpy's RuntimeWarning.
 """
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,14 +18,16 @@ import pytest
 from sl2geo import (Factorization, QuotientPoint, TangentVec2, assemble,
                     aut_matrix_from_group, c_of_omega, check_fan_monotone,
                     christoffel, classify_structure, distance_to_class, exp2,
-                    from_coords, geodesic_ode_rhs, is_lie_automorphism, is_so12,
-                    landing_match_error, landing_point, landing_time, lift,
-                    lift_with_direction, lorentz_boost, lorentz_rotation,
-                    planar_geodesic, planar_jet, pushforward_frame,
+                    factorize, from_coords, geodesic_ode_rhs, is_lie_automorphism,
+                    is_so12, landing_match_error, landing_point, landing_time,
+                    lift, lift_with_direction, lorentz_boost, lorentz_rotation,
+                    planar_geodesic, planar_jet, project, pushforward_frame,
                     quotient_metric, radius_sq, realize, recover_rotation,
-                    rotation, s_int, su2_landing_point, su2_landing_time,
+                    rotation, s_int, solve, su2_landing_point, su2_landing_time,
                     su2_planar_geodesic, to_coords, x_int)
-from sl2geo.errors import NonFiniteError
+from sl2geo.cli import main
+from sl2geo.errors import (NonFiniteError, NotInGroupError, NotUnimodularError,
+                           NotUnitDeterminantError)
 from sl2geo.geodesics import planar_curve
 from sl2geo.su2 import su2_curve
 
@@ -178,6 +183,49 @@ def test_finite_overflow_names_the_quantity(call, message):
     with pytest.raises(NonFiniteError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # Finite entries whose determinant overflows: named, not "within inf".
+    (lambda: solve(np.eye(2), np.diag([1e200, 1e200])), NotUnimodularError,
+     "det of [[1e+200, 0.0], [0.0, 1e+200]] overflows"),
+    (lambda: project(np.diag([1e200, 1e200])), NotUnimodularError,
+     "det of [[1e+200, 0.0], [0.0, 1e+200]] overflows"),
+    (lambda: aut_matrix_from_group(np.diag([1e200, 1e200])), NotUnitDeterminantError,
+     "det of K = [[1e+200, 0.0], [0.0, 1e+200]] overflows"),
+    # Independent vectors whose norms and cross product overflow.
+    (lambda: classify_structure([1e200] * 3, [1e-300, 1e200, 3.0]), NonFiniteError,
+     "frame [1e+200, 1e+200, 1e+200], [1e-300, 1e+200, 3.0] overflows"),
+    (lambda: classify_structure([1e200, 0.0, 0.0], [0.0, 1e-200, 0.0]), NonFiniteError,
+     "frame [1e+200, 0.0, 0.0], [0.0, 1e-200, 0.0] overflows"),
+    # A unimodular K whose conjugate K A0 K^-1 overflows.
+    (lambda: aut_matrix_from_group(np.diag([1e160, 1e-160])), NonFiniteError,
+     "K = [[1e+160, 0.0], [0.0, 1e-160]] overflows its conjugates K A K^-1"),
+    (lambda: factorize(np.diag([1e200, 1e200, 1.0])), NotInGroupError,
+     "matrix is not in the determinant-one Lorentz group"),
+], ids=["solve", "project", "aut_matrix_from_group-det", "classify_structure",
+        "classify_structure-gram", "aut_matrix_from_group", "factorize"])
+def test_overflowing_matrix_is_named_without_warnings(call, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as exc:
+            call()
+    assert str(exc.value) == message
+
+
+def test_overflowing_matrix_is_no_automorphism_without_warnings():
+    m = np.diag([1e200, 1e200, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_so12(m)
+        assert not is_lie_automorphism(m)
+
+
+def test_overflowing_determinant_exits_2(capsys):
+    code = main(["solve", "--", "1", "0", "0", "1", "1e200", "0", "0", "1e200"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "det of [[1e+200, 0.0], [0.0, 1e+200]] overflows" in captured.err
 
 
 def test_x_int_overflows_below_tiny_c():

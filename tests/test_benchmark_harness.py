@@ -1,7 +1,8 @@
 """The benchmark harness runs end to end on the current sources.
 
 A short run of `perfbench/run.py` per workload, each in a subprocess: a
-change that breaks the harness, or a workload's answers, fails here first.
+change that breaks the harness, a workload's answers or any input, known
+defect strata included, fails here first.
 """
 
 import json
@@ -26,6 +27,9 @@ def test_run_is_correct_and_complete(workload):
     assert result.returncode == 0, result.stderr
     last = json.loads(result.stdout.strip().splitlines()[-1])
     assert last["correct"] is True, last
+    # correct forgives failures in a workload's known-defect strata; a run
+    # on the current sources must fail no input at all.
+    assert last["failed"] == 0, last
     names = [metric["name"] for metric in SPEC["end_to_end"]]
     assert len(names) == 6
     assert sorted(last["metrics"]) == sorted(names)

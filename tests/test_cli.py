@@ -49,11 +49,12 @@ class TestProjectCommand:
 
     def test_singular_huge_entries_exit_2(self, capsys):
         # det 0, and every product of entries overflows: the determinant
-        # cannot be checked, so the matrix is not taken as unimodular.
+        # cannot be checked, so the matrix is not taken as unimodular, and
+        # the NaN (inf - inf) is named as the overflow it is.
         code, out, err = run(capsys, "project", "--", "1e160", "1e160", "1e160", "1e160")
         assert code == 2
         assert out == ""
-        assert "det = nan" in err
+        assert "det of [[1e+160, 1e+160], [1e+160, 1e+160]] overflows" in err
 
 
 class TestSolveCommand:

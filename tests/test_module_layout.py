@@ -1,7 +1,7 @@
 """Module boundaries: the numpy-free core, the one home of the argument
-checks, of the fan's part maps, of the axis band, of the start-point test and
-of the cosh/sinh regime choice, the two readers of the rotation floor, the
-names the benchmark traces, and no unused imports.
+checks, of the fan's part maps, of the axis band, of the start-point test, of
+the cosh/sinh regime choice and of the SU(2) point formula, the two readers of
+the rotation floor, the names the benchmark traces, and no unused imports.
 
 `_kernels` holds the endpoint solver's float core, so it and every package
 module it imports must not import numpy.  `import sl2geo._kernels` runs the
@@ -225,6 +225,13 @@ def test_regime_choice_has_one_home():
         ("_kernels", "coshc_sinhc", "math.sinh"): 1,
         ("automorphisms", "_cosh_sinh", "math.cosh"): 1,
         ("automorphisms", "_cosh_sinh", "math.sinh"): 1}
+
+
+def test_su2_point_has_one_home():
+    # su2_planar_geodesic, su2_curve and the reachable-set sweep all evaluate
+    # one point formula; a second copy would be free to drift from the first.
+    assert _expression_homes(["math.cos(mu * s)"]) == {
+        ("su2", "_point", "math.cos(mu * s)"): 1}
 
 
 def test_cli_raises_no_geometry_error_of_its_own():

@@ -856,9 +856,12 @@ class TestSolve:
 
     def test_huge_singular_endpoint_rejected(self):
         # det 0 with entries whose products overflow: the parent check passed
-        # the NaN determinant, and solve answered with residual 1.6e146.
-        with pytest.raises(NotUnimodularError, match="det = nan"):
+        # the NaN determinant, and solve answered with residual 1.6e146.  The
+        # NaN (inf - inf) is named as the overflow it is.
+        with pytest.raises(NotUnimodularError) as err:
             solve(np.eye(2), np.full((2, 2), 1e160))
+        assert str(err.value) == (
+            "det of [[1e+160, 1e+160], [1e+160, 1e+160]] overflows")
 
     def test_huge_diagonal_endpoint_solved(self):
         # Its size overflows, but its determinant is 1: the c = 0 geodesic
