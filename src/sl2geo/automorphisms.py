@@ -24,7 +24,7 @@ from ._kernels import _finite
 from .algebra import adjoint_matrix, adjugate, basis, rotation, to_coords
 from .errors import (DependentFrameError, NonFiniteError, NotInGroupError,
                      NotUnitDeterminantError, SingularMatrixError)
-from .tolerances import ALG_TOL, DET_TOL, INVERTIBLE_TOL, LORENTZ_TOL
+from .tolerances import ALG_TOL, DET_TOL, LORENTZ_TOL
 from .types import Factorization, StructureKind
 
 I12 = np.diag([-1.0, 1.0, 1.0])
@@ -57,31 +57,39 @@ def lorentz_boost(z: float) -> np.ndarray:
 
 
 def is_so12(m: np.ndarray, tol: float = ALG_TOL) -> bool:
-    """True iff m preserves the (1,2) form and has determinant +1."""
+    """True iff m preserves the (1,2) form and has determinant +1.
+
+    The form is checked within tol * sum(m^2), and fails once that reaches
+    1/3: below it m^T I12 m is invertible, so m is, and the sign of det(m)
+    tells +1 from -1.
+    """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         return False
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
-        if not np.max(np.abs(m.T @ I12 @ m - I12)) <= tol:
+        bound = tol * float(np.sum(m * m))
+        if not (bound < 1.0 / 3.0 and np.max(np.abs(m.T @ I12 @ m - I12)) <= bound):
             return False
-    return abs(np.linalg.det(m) - 1.0) <= tol
+    return np.linalg.det(m) > 0.0
 
 
 def aut_matrix_from_group(k: np.ndarray) -> np.ndarray:
     """Matrix of the automorphism A -> K A K^{-1} in the A-basis.
 
-    Requires finite entries and det(K) = +-1; the image always preserves
-    the Lorentz form with determinant +1, and K -> matrix is a homomorphism.
-    A K whose determinant or conjugates K A K^{-1} overflow is named.
+    Requires finite entries and det(K) = +-1 within DET_TOL * max(1, |K|^2),
+    as for SL(2); the image preserves the Lorentz form with determinant +1,
+    and K -> matrix is a homomorphism.  A K whose determinant overflows is
+    named, as is one whose conjugates K A K^{-1} are not finite (they
+    overflow, or divide by a det 0 that the bound passes for |K|^2 >= 1e12).
     """
     k = np.asarray(k, dtype=float)
     for entry in k.flat:
         _finite("entry of K", float(entry))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         det = float(k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0])
         if not math.isfinite(det):
             raise NotUnitDeterminantError(f"det of K = {k.tolist()} overflows")
-        if abs(abs(det) - 1.0) > DET_TOL:
+        if abs(abs(det) - 1.0) > DET_TOL * max(1.0, float(np.sum(k * k))):
             raise NotUnitDeterminantError(f"det(K) = {det!r} is not +-1")
         k_inv = adjugate(k) / det
         images = [k @ a @ k_inv for a in basis()]
@@ -93,17 +101,21 @@ def aut_matrix_from_group(k: np.ndarray) -> np.ndarray:
 def is_lie_automorphism(m: np.ndarray) -> bool:
     """True iff m intertwines the adjoint action: m ad_A = ad_{m A} m.
 
-    Checked on the basis; by the structure of sl(2) this is equivalent to
-    membership in the determinant-one Lorentz group.  A non-finite m is
-    not one, as for is_so12, nor is one whose products overflow.
+    Checked on the basis within ALG_TOL * sum(m^2), below 1/3 as in is_so12;
+    by the structure of sl(2) this is equivalent to membership in the
+    determinant-one Lorentz group (sl(2) is simple, so a nonzero solution is
+    invertible).  A non-finite m is not one, nor is one whose products overflow.
     """
     m = np.asarray(m, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
-        if abs(np.linalg.det(m)) < INVERTIBLE_TOL:
+        bound = ALG_TOL * float(np.sum(m * m))
+        if bound == 0.0:
             raise SingularMatrixError("automorphism candidate must be invertible")
+        if not bound < 1.0 / 3.0:
+            return False
         for j, ad_j in enumerate(_ADJ_BASIS):
             image_ad = sum(m[i, j] * _ADJ_BASIS[i] for i in range(3))
-            if not np.max(np.abs(m @ ad_j - image_ad @ m)) <= ALG_TOL:
+            if not np.max(np.abs(m @ ad_j - image_ad @ m)) <= bound:
                 return False
     return True
 
@@ -200,29 +212,21 @@ def classify_structure(b1, b2) -> StructureKind:
     degenerate restriction gets its own tag.  The elliptic planes form the
     automorphism orbit of the standard horizontal plane, but a frame is an
     automorphic image of the standard frame, scaled by lambda, only when its
-    Gram matrix under diag(-1, 1, 1) is lambda^2 I.  The metric scale factor
-    is irrelevant here: rescaling both vectors changes lengths, never the
-    sign class.  A non-finite entry raises NonFiniteError, as does a frame
-    whose norms, cross product or Gram determinant overflow.
+    Gram matrix under diag(-1, 1, 1) is lambda^2 I.  The class is scale-free:
+    each vector is divided by its largest |entry|, and the Gram determinant
+    is n0^2 - n1^2 - n2^2 (Cauchy-Binet) for the Lorentz normal n = b1 x b2.
+    A non-finite entry raises NonFiniteError.
     """
-    v1 = np.asarray(b1, dtype=float)
-    v2 = np.asarray(b2, dtype=float)
+    v1, v2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
     for name, v in (("b1", v1), ("b2", v2)):
         for entry in v.flat:
             _finite(f"entry of {name}", float(entry))
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = float(np.linalg.norm(v1) * np.linalg.norm(v2))
-        cross = float(np.linalg.norm(np.cross(v1, v2)))
-        g11 = float(v1 @ I12 @ v1)
-        g12 = float(v1 @ I12 @ v2)
-        g22 = float(v2 @ I12 @ v2)
-    det = g11 * g22 - g12 * g12
-    if not all(map(math.isfinite, (scale * scale, cross, det))):
-        raise NonFiniteError(f"frame {v1.tolist()}, {v2.tolist()} overflows")
-    if scale == 0.0 or cross <= ALG_TOL * scale:
+    v1, v2 = (v / (np.max(np.abs(v)) or 1.0) for v in (v1, v2))
+    n0, n1, n2 = map(float, np.cross(v1, v2))
+    scale = float(np.linalg.norm(v1) * np.linalg.norm(v2))
+    if math.hypot(n0, n1, n2) <= ALG_TOL * scale:  # a zero vector too
         raise DependentFrameError("frame vectors are linearly dependent")
-    if abs(det) <= ALG_TOL * max(scale * scale, 1.0):
+    gram = n0 * n0 - n1 * n1 - n2 * n2
+    if abs(gram) <= ALG_TOL * scale * scale:
         return StructureKind.DEGENERATE
-    if det < 0.0:
-        return StructureKind.HYPERBOLIC
-    return StructureKind.ELLIPTIC
+    return StructureKind.ELLIPTIC if gram > 0.0 else StructureKind.HYPERBOLIC

@@ -120,11 +120,8 @@ def _fan(radial: float, beta: float = 0.0, r: float = 0.0):
         c = math.sqrt(1.0 + v * v)
         g = 1.0 / (v * (c + v))
         s, k1 = radial * (eps / sin_e), math.cos(eps)
-        try:  # an x_int that overflows lies beyond every finite r
-            if horizon and c <= C_ORTHOGONAL and s > math.pi / c and r > -x_int(c) * _SLACK:
-                return _FAR
-        except NonFiniteError:
-            pass
+        if horizon and c <= C_ORTHOGONAL and s > math.pi / c and r > -x_int(c) * _SLACK:
+            return _FAR
         return g * eps - math.atan(g * sin_e * k1 / (1.0 + g * sin_e * sin_e)) - beta
 
     def hyperbolic(t: float) -> float:

@@ -30,9 +30,6 @@ REGIME_TOL = 1e-12
 """Relative slack on |c| >= 2/sqrt(3): 2/sqrt(3) and sqrt(4/3) round to
 different floats, and the landing boundary must be accepted either way."""
 
-INVERTIBLE_TOL = 1e-12
-"""Smallest |det| accepted for an automorphism candidate."""
-
 SYNTH_TOL = 1e-6
 """Endpoint residual tolerance for the synthesis solver."""
 

@@ -3,9 +3,10 @@ automorphism functions.
 
 A NaN or infinite argument raises NonFiniteError naming that argument, and a
 finite one whose geodesic overflows raises NonFiniteError naming the pair;
-neither may surface as a bare ValueError from math.  A finite matrix or frame
-whose determinant, conjugates or products overflow is named by its own check,
-without numpy's RuntimeWarning.
+neither may surface as a bare ValueError from math.  A finite matrix whose
+determinant, conjugates or products overflow is named by its own check, and
+a frame whose norms would overflow is classified, without numpy's
+RuntimeWarning.
 """
 
 import math
@@ -15,16 +16,17 @@ import warnings
 import numpy as np
 import pytest
 
-from sl2geo import (Factorization, QuotientPoint, TangentVec2, assemble,
-                    aut_matrix_from_group, c_of_omega, check_fan_monotone,
-                    christoffel, classify_structure, distance_to_class, exp2,
-                    factorize, from_coords, geodesic_ode_rhs, is_lie_automorphism,
-                    is_so12, landing_match_error, landing_point, landing_time,
-                    lift, lift_with_direction, lorentz_boost, lorentz_rotation,
+from sl2geo import (Factorization, QuotientPoint, StructureKind, TangentVec2,
+                    assemble, aut_matrix_from_group, c_of_omega,
+                    check_fan_monotone, christoffel, classify_structure,
+                    distance_to_class, exp2, factorize, from_coords,
+                    geodesic_ode_rhs, is_lie_automorphism, is_so12,
+                    landing_match_error, landing_point, landing_time, lift,
+                    lift_with_direction, lorentz_boost, lorentz_rotation,
                     planar_geodesic, planar_jet, project, pushforward_frame,
                     quotient_metric, radius_sq, realize, recover_rotation,
-                    rotation, s_int, solve, su2_landing_point, su2_landing_time,
-                    su2_planar_geodesic, to_coords, x_int)
+                    rotation, s_int, solve, su2_landing_point,
+                    su2_landing_time, su2_planar_geodesic, to_coords, x_int)
 from sl2geo.cli import main
 from sl2geo.errors import (NonFiniteError, NotInGroupError, NotUnimodularError,
                            NotUnitDeterminantError)
@@ -193,11 +195,12 @@ def test_finite_overflow_names_the_quantity(call, message):
      "det of [[1e+200, 0.0], [0.0, 1e+200]] overflows"),
     (lambda: aut_matrix_from_group(np.diag([1e200, 1e200])), NotUnitDeterminantError,
      "det of K = [[1e+200, 0.0], [0.0, 1e+200]] overflows"),
-    # Independent vectors whose norms and cross product overflow.
-    (lambda: classify_structure([1e200] * 3, [1e-300, 1e200, 3.0]), NonFiniteError,
-     "frame [1e+200, 1e+200, 1e+200], [1e-300, 1e+200, 3.0] overflows"),
-    (lambda: classify_structure([1e200, 0.0, 0.0], [0.0, 1e-200, 0.0]), NonFiniteError,
-     "frame [1e+200, 0.0, 0.0], [0.0, 1e-200, 0.0] overflows"),
+    # Independent vectors whose norms and cross product overflow: the class
+    # is scale-free, so they are classified (error None: the result).
+    (lambda: classify_structure([1e200] * 3, [1e-300, 1e200, 3.0]), None,
+     StructureKind.DEGENERATE),
+    (lambda: classify_structure([1e200, 0.0, 0.0], [0.0, 1e-200, 0.0]), None,
+     StructureKind.HYPERBOLIC),
     # A unimodular K whose conjugate K A0 K^-1 overflows.
     (lambda: aut_matrix_from_group(np.diag([1e160, 1e-160])), NonFiniteError,
      "K = [[1e+160, 0.0], [0.0, 1e-160]] overflows its conjugates K A K^-1"),
@@ -208,6 +211,9 @@ def test_finite_overflow_names_the_quantity(call, message):
 def test_overflowing_matrix_is_named_without_warnings(call, error, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if error is None:
+            assert call() is message
+            return
         with pytest.raises(error) as exc:
             call()
     assert str(exc.value) == message

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from sl2geo import (Factorization, StructureKind, assemble,
                     aut_matrix_from_group, basis, classify_structure,
                     factorize, is_lie_automorphism, is_so12, lorentz_boost,
                     lorentz_rotation, realize, rotation)
-from sl2geo.errors import (DependentFrameError, NotInGroupError,
+from sl2geo.automorphisms import I12
+from sl2geo.errors import (DependentFrameError, NonFiniteError, NotInGroupError,
                            NotUnitDeterminantError, SingularMatrixError)
+from sl2geo.tolerances import ALG_TOL
 
 from conftest import random_sl2
 
@@ -218,3 +221,77 @@ class TestClassifyStructure:
     def test_dependent_frame_raises(self):
         with pytest.raises(DependentFrameError):
             classify_structure((0, 1, 0), (0, 2, 0))
+
+
+def _scaled_members(z_max, rng, per_z=8):
+    # (f, assemble(f)) at |z| = 0, 1, ..., z_max, both signs of z.
+    for z in range(z_max + 1):
+        for _ in range(per_z):
+            f = Factorization(rng.uniform(-math.pi, math.pi), int(rng.integers(0, 3)),
+                              z * float(rng.choice((-1.0, 1.0))),
+                              rng.uniform(-math.pi, math.pi))
+            yield f, assemble(f)
+
+
+class TestScale:
+    """Each identity is checked at the scale of its operands, so the answer
+    does not depend on the size of a frame or of a member."""
+
+    def test_classify_structure_ignores_vector_scales(self, rng):
+        frames = [((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+                  ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+        for _ in range(20):
+            m = assemble(Factorization(rng.uniform(-3.0, 3.0), 0, rng.uniform(-5.0, 5.0),
+                                       rng.uniform(-3.0, 3.0)))
+            frames.append((m[:, 1], m[:, 2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b1, b2 in frames:
+                kind = classify_structure(b1, b2)
+                for _ in range(10):
+                    lam, mu = 10.0 ** rng.uniform(-300.0, 300.0, 2)
+                    scaled = classify_structure(lam * np.asarray(b1), mu * np.asarray(b2))
+                    assert scaled is kind, (b1, b2, lam, mu)
+        assert [classify_structure(*frame) for frame in frames[:3]] == [
+            StructureKind.ELLIPTIC, StructureKind.HYPERBOLIC, StructureKind.DEGENERATE]
+
+    def test_members_accepted_up_to_z_12(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, m in _scaled_members(12, rng):
+                assert is_so12(m), f
+                assert is_lie_automorphism(m), f
+
+    def test_realized_members_up_to_z_30(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, m in _scaled_members(30, rng, per_z=4):
+                realized = aut_matrix_from_group(realize(f))
+                assert np.max(np.abs(realized - m)) <= 1e-12 * np.sum(m * m), f
+
+    def test_perturbed_members_refused_at_every_z(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, m in _scaled_members(30, rng, per_z=4):
+                wrong = m * (1.0 + 1e-3 * rng.normal(0.0, 1.0, (3, 3)))
+                assert not is_so12(wrong), f
+                assert not is_lie_automorphism(wrong), f
+
+    @pytest.mark.parametrize("a", [1e3, 5e5, 1e6, 1e12])
+    def test_singular_matrix_refused(self, a):
+        # The form's error of this singular m is within ALG_TOL * sum(m^2)
+        # from a = 5e5 on: only the 1/3 cap on that bound refuses it there.
+        m = np.array([[a, a, 0.0], [a, a, 0.0], [0.0, 0.0, 1.0]])
+        within = np.max(np.abs(m.T @ I12 @ m - I12)) <= ALG_TOL * np.sum(m * m)
+        assert within == (a >= 5e5)
+        assert not is_so12(m)
+        assert not is_lie_automorphism(m)
+
+    def test_singular_huge_group_element_named(self):
+        # det 0 passes the unimodular bound once |K|^2 >= 1e12; the division
+        # by it is named with the conjugates, without a warning.
+        k = np.full((2, 2), 1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="overflows its conjugates"):
+                aut_matrix_from_group(k)

@@ -1,7 +1,8 @@
 """Module boundaries: the numpy-free core, the one home of the argument
 checks, of the fan's part maps, of the axis band, of the start-point test, of
 the cosh/sinh regime choice and of the SU(2) point formula, the two readers of
-the rotation floor, the names the benchmark traces, and no unused imports.
+the rotation floor, the names the benchmark traces, no unused imports, and
+a reader for each tolerance and a raiser for each error class.
 
 `_kernels` holds the endpoint solver's float core, so it and every package
 module it imports must not import numpy.  `import sl2geo._kernels` runs the
@@ -138,6 +139,30 @@ def test_argument_checks_have_one_home():
                 homes[(module, function, error)] += 1
     assert homes == {("_kernels", "_finite", "NonFiniteError"): 1,
                      ("_kernels", "_grid", "BadGridError"): 3}
+
+
+def test_every_tolerance_is_read_and_every_error_raised():
+    # One definition of each constant: a tolerance that no other module
+    # imports, or an error class that no module raises, is stale.
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    constants = {target.id for node in parse(PACKAGE / "tolerances.py").body
+                 if isinstance(node, ast.Assign) for target in node.targets}
+    errors = {node.name for node in parse(PACKAGE / "errors.py").body
+              if isinstance(node, ast.ClassDef)}
+    read, raised = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "tolerances":
+            read.update(name for module, names in _runtime_imports(path.stem)
+                        if module == "tolerances" for name in names)
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert {"DET_TOL", "ALG_TOL"} <= constants and "GeometryError" in errors
+    assert sorted(constants - read) == []
+    assert sorted(errors - raised) == ["GeometryError"]
 
 
 def _expression_homes(texts) -> Counter:
