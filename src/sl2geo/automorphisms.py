@@ -24,7 +24,7 @@ from ._kernels import _finite
 from .algebra import adjoint_matrix, adjugate, basis, rotation, to_coords
 from .errors import (DependentFrameError, NonFiniteError, NotInGroupError,
                      NotUnitDeterminantError, SingularMatrixError)
-from .tolerances import ALG_TOL, DET_TOL, LORENTZ_TOL
+from .tolerances import ALG_TOL, DET_TOL, LORENTZ_TOL, ROUNDING_TOL
 from .types import Factorization, StructureKind
 
 I12 = np.diag([-1.0, 1.0, 1.0])
@@ -56,18 +56,17 @@ def lorentz_boost(z: float) -> np.ndarray:
     return np.array([[ch, 0.0, sh], [0.0, 1.0, 0.0], [sh, 0.0, ch]])
 
 
-def is_so12(m: np.ndarray, tol: float = ALG_TOL) -> bool:
+def is_so12(m: np.ndarray, tol: float = 0.0) -> bool:
     """True iff m preserves the (1,2) form and has determinant +1.
 
-    The form is checked within tol * sum(m^2), and fails once that reaches
-    1/3: below it m^T I12 m is invertible, so m is, and the sign of det(m)
-    tells +1 from -1.
+    The form is checked within max(tol, ROUNDING_TOL * sum(m^2)), below 1/3:
+    there m^T I12 m is invertible, so m is, and det(m) > 0 tells +1 from -1.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         return False
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
-        bound = tol * float(np.sum(m * m))
+        bound = max(tol, ROUNDING_TOL * float(np.sum(m * m)))
         if not (bound < 1.0 / 3.0 and np.max(np.abs(m.T @ I12 @ m - I12)) <= bound):
             return False
     return np.linalg.det(m) > 0.0
@@ -76,11 +75,11 @@ def is_so12(m: np.ndarray, tol: float = ALG_TOL) -> bool:
 def aut_matrix_from_group(k: np.ndarray) -> np.ndarray:
     """Matrix of the automorphism A -> K A K^{-1} in the A-basis.
 
-    Requires finite entries and det(K) = +-1 within DET_TOL * max(1, |K|^2),
-    as for SL(2); the image preserves the Lorentz form with determinant +1,
-    and K -> matrix is a homomorphism.  A K whose determinant overflows is
-    named, as is one whose conjugates K A K^{-1} are not finite (they
-    overflow, or divide by a det 0 that the bound passes for |K|^2 >= 1e12).
+    Requires finite entries and det(K) = +-1 within max(DET_TOL,
+    ROUNDING_TOL * |K|^2); the image is a Lorentz matrix of determinant +1.
+    A K whose determinant overflows is named, as is one whose conjugates are
+    not finite (they overflow, or divide by a det 0 the bound passes from
+    |K|^2 = 1 / ROUNDING_TOL, about 1.1e15).
     """
     k = np.asarray(k, dtype=float)
     for entry in k.flat:
@@ -89,7 +88,7 @@ def aut_matrix_from_group(k: np.ndarray) -> np.ndarray:
         det = float(k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0])
         if not math.isfinite(det):
             raise NotUnitDeterminantError(f"det of K = {k.tolist()} overflows")
-        if abs(abs(det) - 1.0) > DET_TOL * max(1.0, float(np.sum(k * k))):
+        if abs(abs(det) - 1.0) > max(DET_TOL, ROUNDING_TOL * float(np.sum(k * k))):
             raise NotUnitDeterminantError(f"det(K) = {det!r} is not +-1")
         k_inv = adjugate(k) / det
         images = [k @ a @ k_inv for a in basis()]
@@ -101,21 +100,19 @@ def aut_matrix_from_group(k: np.ndarray) -> np.ndarray:
 def is_lie_automorphism(m: np.ndarray) -> bool:
     """True iff m intertwines the adjoint action: m ad_A = ad_{m A} m.
 
-    Checked on the basis within ALG_TOL * sum(m^2), below 1/3 as in is_so12;
-    by the structure of sl(2) this is equivalent to membership in the
-    determinant-one Lorentz group (sl(2) is simple, so a nonzero solution is
-    invertible).  A non-finite m is not one, nor is one whose products overflow.
+    Checked on the basis within ROUNDING_TOL * sum(m^2), below 1/3 as in
+    is_so12 (that no singular m passes is tested here, not proved); sl(2) is
+    simple, so this is membership in the determinant-one Lorentz group.  The
+    zero matrix raises SingularMatrixError; a non-finite m is no automorphism.
     """
     m = np.asarray(m, dtype=float)
+    if not np.any(m):
+        raise SingularMatrixError("automorphism candidate must be invertible")
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
-        bound = ALG_TOL * float(np.sum(m * m))
-        if bound == 0.0:
-            raise SingularMatrixError("automorphism candidate must be invertible")
-        if not bound < 1.0 / 3.0:
-            return False
+        bound = ROUNDING_TOL * float(np.sum(m * m))
         for j, ad_j in enumerate(_ADJ_BASIS):
             image_ad = sum(m[i, j] * _ADJ_BASIS[i] for i in range(3))
-            if not np.max(np.abs(m @ ad_j - image_ad @ m)) <= bound:
+            if not (bound < 1.0 / 3.0 and np.max(np.abs(m @ ad_j - image_ad @ m)) <= bound):
                 return False
     return True
 

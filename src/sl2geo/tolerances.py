@@ -37,7 +37,11 @@ MATCH_TOL = 1e-6
 """Tolerance for deciding two group elements share a conjugacy class."""
 
 LORENTZ_TOL = 1e-9
-"""Lorentz-group membership check before factorizing a 3x3 matrix."""
+"""Absolute slack of factorize's membership check, for printed digits."""
+
+ROUNDING_TOL = 4.0 * 2.0 ** -52
+"""Membership checks allow ROUNDING_TOL * sum(m^2): computed members meet
+their quadratic identity within 1.14 eps * sum(m^2) (|z| <= 30)."""
 
 HUGE_PARAM = 1e150
 """Above this |c| or |omega|, c^2 - 1 and 1 + omega^2 round to the bare

@@ -209,6 +209,9 @@ def test_finite_overflow_names_the_quantity(call, message):
 ], ids=["solve", "project", "aut_matrix_from_group-det", "classify_structure",
         "classify_structure-gram", "aut_matrix_from_group", "factorize"])
 def test_overflowing_matrix_is_named_without_warnings(call, error, message):
+    """Operands whose products overflow: a matrix is named by its own check,
+    a frame is classified (error None, message the class), never with a
+    RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if error is None:

@@ -9,9 +9,9 @@ from sl2geo import (Factorization, StructureKind, assemble,
                     factorize, is_lie_automorphism, is_so12, lorentz_boost,
                     lorentz_rotation, realize, rotation)
 from sl2geo.automorphisms import I12
-from sl2geo.errors import (DependentFrameError, NonFiniteError, NotInGroupError,
+from sl2geo.errors import (DependentFrameError, NotInGroupError,
                            NotUnitDeterminantError, SingularMatrixError)
-from sl2geo.tolerances import ALG_TOL
+from sl2geo.tolerances import ROUNDING_TOL
 
 from conftest import random_sl2
 
@@ -277,21 +277,54 @@ class TestScale:
                 assert not is_so12(wrong), f
                 assert not is_lie_automorphism(wrong), f
 
-    @pytest.mark.parametrize("a", [1e3, 5e5, 1e6, 1e12])
+    @pytest.mark.parametrize("z", range(13))
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+    def test_column_scaled_members_refused(self, z, delta):
+        # (H D)^T I12 (H D) = D I12 D exactly: scaling a column keeps the
+        # cancellation, so the form is off by 2 delta only, not by delta |m|^2.
+        m = lorentz_boost(float(z)) @ np.diag([1.0, 1.0, 1.0 + delta])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_so12(m)
+            assert not is_lie_automorphism(m)
+            with pytest.raises(NotInGroupError):
+                factorize(m)
+
+    @pytest.mark.parametrize("z", [6.0, 12.0, 16.0])
+    @pytest.mark.parametrize("fraction", [0.5, 1.0, 2.0])
+    def test_members_moved_along_smallest_singular_direction_refused(self, rng, z, fraction):
+        # fraction 1 makes the member singular; the intertwining identity has
+        # no constant term, so its 1/3 cap is checked here rather than proved.
+        for _ in range(10):
+            m = assemble(Factorization(rng.uniform(-3.0, 3.0), int(rng.integers(0, 3)), z,
+                                       rng.uniform(-3.0, 3.0)))
+            u, s, vt = np.linalg.svd(m)
+            moved = m - fraction * s[2] * np.outer(u[:, 2], vt[2])
+            assert not is_so12(moved)
+            assert not is_lie_automorphism(moved)
+
+    @pytest.mark.parametrize("a", [1e3, 5e5, 1e6, 1e8, 1e12])
     def test_singular_matrix_refused(self, a):
-        # The form's error of this singular m is within ALG_TOL * sum(m^2)
-        # from a = 5e5 on: only the 1/3 cap on that bound refuses it there.
+        # The form's error of this singular m is 1, within ROUNDING_TOL * sum(m^2)
+        # from a ~ 1.7e7 on: only the 1/3 cap on that bound refuses it there.
         m = np.array([[a, a, 0.0], [a, a, 0.0], [0.0, 0.0, 1.0]])
-        within = np.max(np.abs(m.T @ I12 @ m - I12)) <= ALG_TOL * np.sum(m * m)
-        assert within == (a >= 5e5)
+        within = np.max(np.abs(m.T @ I12 @ m - I12)) <= ROUNDING_TOL * np.sum(m * m)
+        assert within == (a >= 1e8)
         assert not is_so12(m)
         assert not is_lie_automorphism(m)
 
-    def test_singular_huge_group_element_named(self):
-        # det 0 passes the unimodular bound once |K|^2 >= 1e12; the division
-        # by it is named with the conjugates, without a warning.
-        k = np.full((2, 2), 1e6)
+    @pytest.mark.parametrize("scale", [1e-13, 1e-200])
+    def test_tiny_matrix_is_no_automorphism(self, scale):
+        # Only the zero matrix raises; a tiny one, whose sum(m^2) may
+        # underflow, misses the intertwining identity.
+        assert not is_lie_automorphism(scale * lorentz_boost(0.5))
+
+    @pytest.mark.parametrize("k", [np.full((2, 2), 1e6),
+                                   [[1e6, 1e6], [1e6, 1e6 + 1.1641532182693481e-10]]])
+    def test_singular_huge_group_element_refused(self, k):
+        # |K|^2 = 4e12: det 0 and det 1.2e-4 are not +-1 within the rounding
+        # of det, ROUNDING_TOL * |K|^2 = 3.6e-3.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteError, match="overflows its conjugates"):
+            with pytest.raises(NotUnitDeterminantError, match="is not"):
                 aut_matrix_from_group(k)

@@ -251,6 +251,17 @@ class TestAutCommands:
                       [float(kmat["K10"]), float(kmat["K11"])]])
         assert np.max(np.abs(sl2geo.aut_matrix_from_group(k) - m)) < 1e-9
 
+    def test_factor_takes_printed_digits(self, capsys):
+        # Printed to 12 digits, this member misses the form by 4.5e-12, far
+        # past rounding (6.4e-15): LORENTZ_TOL is the slack that factors it.
+        import sl2geo
+        m = sl2geo.assemble(sl2geo.Factorization(0.4, 2, -0.9, 2.1))
+        args = [format(v, ".12g") for v in m.flatten()]
+        assert not sl2geo.is_so12(np.array(args, dtype=float).reshape(3, 3))
+        code, out, _ = run(capsys, "aut-factor", *args)
+        assert code == 0
+        assert float(parse_kv(out)["residual"]) < 1e-10
+
     def test_factor_rejects_non_member(self, capsys):
         code, _, err = run(capsys, "aut-factor", "1", "0", "0",
                            "0", "2", "0", "0", "0", "1")
